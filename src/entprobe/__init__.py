@@ -55,7 +55,6 @@ from .linops import (
     ProbeState,
     devectorize,
     eig_unitary,
-    kron,
     overlap,
     partial_trace,
     schmidt_coefficients,

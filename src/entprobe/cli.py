@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__, gauss, mc
 from .discrim import (
     DiscriminationProblem,
+    _shift_phase,
     average_likelihood,
     copies_for_perfect,
     helstrom_error,
@@ -76,12 +77,8 @@ def parse_unitary(text: str, atol: float = 1e-8) -> np.ndarray:
     """
     kind, _, rest = text.partition(":")
     if kind == "pauli":
-        table = {
-            "i": np.eye(2, dtype=complex),
-            "x": np.array([[0, 1], [1, 0]], dtype=complex),
-            "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-            "z": np.array([[1, 0], [0, -1]], dtype=complex),
-        }
+        group = pauli_group()
+        table = {label.lower(): u for label, u in zip(group.labels, group.elements)}
         if rest.lower() not in table:
             raise FlagDomainError(f"pauli label must be one of i,x,y,z, got {rest!r}")
         u = table[rest.lower()]
@@ -92,9 +89,7 @@ def parse_unitary(text: str, atol: float = 1e-8) -> np.ndarray:
             raise FlagDomainError(f"wh spec must be 'd,m,n', got {rest!r}")
         if d < 2 or not (0 <= m < d) or not (0 <= n < d):
             raise FlagDomainError(f"wh indices out of range in {text!r}")
-        u = np.zeros((d, d), dtype=complex)
-        for k in range(d):
-            u[k, (k + n) % d] = np.exp(2j * np.pi * k * m / d)
+        u = _shift_phase(d, m, n)[0]
     elif kind == "diag":
         try:
             thetas = np.array([float(tok) for tok in rest.split(",")])

@@ -9,6 +9,7 @@ perfect by using several copies of the unknown transformation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,20 +112,23 @@ def pauli_group() -> UnitaryGroup:
     return UnitaryGroup(2, (np.eye(2, dtype=complex), sx, sy, sz), ("I", "X", "Y", "Z"))
 
 
+def _shift_phase(d: int, m, n) -> np.ndarray:
+    """Stack of u(m, n) = sum_k e^(2 pi i k m / d) |k><k+n mod d| over paired index arrays."""
+    m, n = np.atleast_1d(m, n)
+    k = np.arange(d)
+    u = np.zeros((m.size, d, d), dtype=complex)
+    phase = np.exp(1j * (2.0 * np.pi * k * m[:, None] / d))
+    u[np.arange(m.size)[:, None], k, (k + n[:, None]) % d] = phase
+    return u
+
+
 def weyl_heisenberg_group(d: int) -> UnitaryGroup:
-    """The d^2 shift-and-phase unitaries u(m, n) = sum_k e^(2 pi i k m / d) |k><k+n mod d|."""
+    """The d^2 shift-and-phase unitaries u(m, n), labelled U(m,n) in row-major (m, n) order."""
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
-    elements = []
-    labels = []
-    for m in range(d):
-        for n in range(d):
-            u = np.zeros((d, d), dtype=complex)
-            for k in range(d):
-                u[k, (k + n) % d] = np.exp(2j * np.pi * k * m / d)
-            elements.append(u)
-            labels.append(f"U({m},{n})")
-    return UnitaryGroup(d, tuple(elements), tuple(labels))
+    m, n = np.divmod(np.arange(d * d), d)
+    labels = tuple(f"U({a},{b})" for a, b in zip(m, n))
+    return UnitaryGroup(d, tuple(_shift_phase(d, m, n)), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -308,36 +312,45 @@ class EigenvaluePolygon:
     spread: float
 
 
-def _dedupe_circular(phases: np.ndarray, tol: float = PHASE_DEDUPE_TOL) -> np.ndarray:
-    """Collapse phases closer than ``tol`` on the circle; output sorted."""
-    ph = np.sort(np.asarray(phases, dtype=float))
-    if ph.size == 0:
-        return ph
-    keep = [ph[0]]
-    for value in ph[1:]:
-        if value - keep[-1] > tol:
-            keep.append(value)
+@dataclass(frozen=True)
+class _Hull:
+    """Eigenvalue polygon of a unitary, read off one eigendecomposition.
+
+    ``vertices`` are the distinct eigenphases (phases closer than
+    ``PHASE_DEDUPE_TOL`` on the circle merged into the first), listed
+    counterclockwise from the end of the largest gap to its start, so the
+    polygon spans the arc of width ``spread`` from ``vertices[0]`` to
+    ``vertices[-1]``.  Column k of ``vectors`` is an eigenvector for
+    ``vertices[k]``.
+    """
+
+    phases: np.ndarray
+    vertices: np.ndarray
+    vectors: np.ndarray
+    spread: float
+
+    @property
+    def copies(self) -> float:
+        """The one pi-edge rule: fewest n >= 1 with n * spread >= pi - PHASE_DEDUPE_TOL."""
+        if self.spread == 0.0:
+            return math.inf
+        return max(1, math.ceil((np.pi - PHASE_DEDUPE_TOL) / self.spread))
+
+
+def _hull(w, atol: float = 1e-10) -> _Hull:
+    phases, vecs = eig_unitary(w, atol)
+    keep = [0]
+    for k in range(1, phases.size):
+        if phases[k] - phases[keep[-1]] > PHASE_DEDUPE_TOL:
+            keep.append(k)
     # the ends may be the same point across the -pi/pi seam
-    if len(keep) > 1 and (TWO_PI - (keep[-1] - keep[0])) <= tol:
+    if len(keep) > 1 and TWO_PI - (phases[keep[-1]] - phases[0]) <= PHASE_DEDUPE_TOL:
         keep.pop()
-    return np.asarray(keep)
-
-
-def _phase_gaps(sorted_phases: np.ndarray) -> np.ndarray:
-    gaps = np.diff(sorted_phases)
-    wrap = TWO_PI - (sorted_phases[-1] - sorted_phases[0])
-    return np.append(gaps, wrap)
-
-
-def _segment_distance_to_origin(p: complex, q: complex) -> tuple[float, float]:
-    """Distance from 0 to segment [p, q] and the parameter of the closest point."""
-    d = q - p
-    length_sq = abs(d) ** 2
-    if length_sq == 0.0:
-        return abs(p), 0.0
-    t = -np.real(np.conj(d) * p) / length_sq
-    t = min(1.0, max(0.0, t))
-    return abs(p + t * d), t
+    distinct = phases[keep]
+    gaps = np.append(np.diff(distinct), TWO_PI - (distinct[-1] - distinct[0]))
+    largest = int(np.argmax(gaps))
+    order = np.roll(keep, -(largest + 1))
+    return _Hull(phases, phases[order], vecs[:, order], float(TWO_PI - gaps[largest]))
 
 
 def min_overlap_r(w, atol: float = 1e-10) -> EigenvaluePolygon:
@@ -345,96 +358,37 @@ def min_overlap_r(w, atol: float = 1e-10) -> EigenvaluePolygon:
 
     The returned ``r`` is the smallest achievable |<psi| w |psi>| over unit
     vectors.  ``spread`` is the width of the smallest arc containing all
-    eigenphases; it reaches or passes pi exactly when the polygon touches
-    the origin and the minimum overlap drops to zero.
+    eigenphases.  Below pi the closest hull point is the midpoint of the
+    chord across the largest gap, so r = cos(spread / 2); at or past pi the
+    polygon holds the origin and r = 0.
     """
-    phases, _ = eig_unitary(w, atol)
-    distinct = _dedupe_circular(phases)
-    if distinct.size == 1:
-        return EigenvaluePolygon(tuple(phases), 1.0, 0.0)
-    gaps = _phase_gaps(distinct)
-    max_gap = float(gaps.max())
-    spread = TWO_PI - max_gap
-    if max_gap <= np.pi + 1e-12:
-        # origin inside or on the hull: perfect single-shot discrimination
-        return EigenvaluePolygon(tuple(phases), 0.0, spread)
-    points = np.exp(1j * distinct)
-    best = 1.0
-    for i in range(points.size):
-        dist, _ = _segment_distance_to_origin(points[i], points[(i + 1) % points.size])
-        best = min(best, dist)
-    return EigenvaluePolygon(tuple(phases), best, spread)
+    hull = _hull(w, atol)
+    r = 0.0 if hull.copies == 1 else float(np.cos(hull.spread / 2.0))
+    return EigenvaluePolygon(tuple(hull.phases), r, hull.spread)
 
 
 def optimal_pair_input(w, atol: float = 1e-10) -> np.ndarray:
     """Local pure state whose overlap modulus under ``w`` attains r(w).
 
     The state is a superposition of eigenvectors whose weighted eigenvalue
-    average lands on the hull point closest to the origin: two eigenvectors
-    when that point sits on an edge, three when the origin lies strictly
-    inside the polygon.
+    average lands on the hull point closest to the origin: the even mix of
+    the two ends of the largest gap, whose chord midpoint is that point, or,
+    when the origin lies strictly inside the polygon, those two ends plus
+    the farthest vertex at most pi past the gap, weighted by the
+    barycentric coordinates of the origin (each proportional to the sine of
+    the arc opposite its vertex).
     """
-    phases, vecs = eig_unitary(w, atol)
-
-    # cluster eigenvectors by polygon vertex
-    order = np.argsort(phases)
-    phases = phases[order]
-    vecs = vecs[:, order]
-    reps: list[int] = [0]
-    for idx in range(1, phases.size):
-        if phases[idx] - phases[reps[-1]] > PHASE_DEDUPE_TOL:
-            reps.append(idx)
-    if len(reps) > 1 and (TWO_PI - (phases[reps[-1]] - phases[reps[0]])) <= PHASE_DEDUPE_TOL:
-        reps.pop()
-    points = np.exp(1j * phases[reps])
-    members = vecs[:, reps]
-
-    if points.size == 1:
+    hull = _hull(w, atol)
+    vecs = hull.vectors
+    if hull.vertices.size == 1:
         return vecs[:, 0].copy()
-
-    gaps = _phase_gaps(phases[reps])
-    if float(gaps.max()) > np.pi + 1e-12:
-        # origin outside: the closest hull point lies on one edge
-        best = (np.inf, 0, 0, 0.0)
-        for i in range(points.size):
-            j = (i + 1) % points.size
-            dist, t = _segment_distance_to_origin(points[i], points[j])
-            if dist < best[0]:
-                best = (dist, i, j, t)
-        _, i, j, t = best
-        return np.sqrt(1.0 - t) * members[:, i] + np.sqrt(t) * members[:, j]
-
-    # origin inside or on the hull: first try an edge through the origin
-    for i in range(points.size):
-        for j in range(i + 1, points.size):
-            if abs(points[i] + points[j]) <= 1e-9:
-                return (members[:, i] + members[:, j]) / np.sqrt(2.0)
-
-    # otherwise three vertices carry the origin (planar Caratheodory)
-    for i in range(points.size):
-        for j in range(i + 1, points.size):
-            for k in range(j + 1, points.size):
-                a = np.array(
-                    [
-                        [points[i].real, points[j].real, points[k].real],
-                        [points[i].imag, points[j].imag, points[k].imag],
-                        [1.0, 1.0, 1.0],
-                    ]
-                )
-                try:
-                    lam = np.linalg.solve(a, np.array([0.0, 0.0, 1.0]))
-                except np.linalg.LinAlgError:
-                    continue
-                if np.all(lam >= -1e-12):
-                    lam = np.clip(lam, 0.0, None)
-                    lam /= lam.sum()
-                    combo = (
-                        np.sqrt(lam[0]) * members[:, i]
-                        + np.sqrt(lam[1]) * members[:, j]
-                        + np.sqrt(lam[2]) * members[:, k]
-                    )
-                    return combo / np.linalg.norm(combo)
-    raise RuntimeError("no eigenvector combination reached the hull point")
+    if hull.spread <= np.pi + PHASE_DEDUPE_TOL:
+        return (vecs[:, 0] + vecs[:, -1]) / np.sqrt(2.0)
+    arcs = (hull.vertices - hull.vertices[0]) % TWO_PI
+    k = int(np.searchsorted(arcs, np.pi, side="right")) - 1
+    weights = np.sin([hull.spread - arcs[k], -hull.spread, arcs[k]])
+    combo = vecs[:, [0, k, -1]] @ np.sqrt(np.clip(weights, 0.0, None))
+    return combo / np.linalg.norm(combo)
 
 
 # ---------------------------------------------------------------------------
@@ -442,63 +396,31 @@ def optimal_pair_input(w, atol: float = 1e-10) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _accumulate_sums(values: np.ndarray, base: np.ndarray, tol: float) -> np.ndarray:
-    sums = (values[:, None] + base[None, :]).reshape(-1)
-    sums = np.sort(sums)
-    keep = np.empty(sums.size, dtype=bool)
-    keep[0] = True
-    keep[1:] = np.diff(sums) > tol
-    return sums[keep]
-
-
 def tensor_power_spread(w, n: int, atol: float = 1e-10) -> float:
     """Angular spread of the n-copy eigenphase multiset, capped at 2 pi.
 
-    The n-fold phase sums are enumerated combinatorially (never through a
-    d^n-dimensional matrix) on the lifted arc, so the spread is read off the
-    actual achieved extremes.
+    The n-fold phase sums span n times the one-copy arc, so the spread is
+    min(n * spread, 2 pi), never built from a d^n-dimensional matrix.
     """
     if n < 1:
         raise ValueError(f"copy count must be at least 1, got {n}")
-    phases, _ = eig_unitary(w, atol)
-    distinct = _dedupe_circular(phases)
-    if distinct.size == 1:
-        return 0.0
-    gaps = _phase_gaps(distinct)
-    anchor = distinct[(int(np.argmax(gaps)) + 1) % distinct.size]
-    lifted = np.sort((distinct - anchor) % TWO_PI)
-    sums = lifted.copy()
-    for _ in range(n - 1):
-        sums = _accumulate_sums(sums, lifted, PHASE_DEDUPE_TOL)
-    return float(min(sums[-1] - sums[0], TWO_PI))
+    return float(min(n * _hull(w, atol).spread, TWO_PI))
 
 
 def copies_for_perfect(problem: DiscriminationProblem, n_max: int) -> int | None:
     """Fewest copies after which the two unitaries can be told apart exactly.
 
-    Tests, for growing n, whether the origin falls inside the polygon of the
-    n-copy eigenphases (all n-fold sums mod 2 pi); a phase-multiple of the
-    identity never gets there and yields ``None``, as does exhausting
+    The n-copy polygon spans n times the one-copy spread, so the origin
+    falls inside it at the smallest n >= 1 with n * spread >= pi (within
+    ``PHASE_DEDUPE_TOL``), i.e. n = ceil(pi / spread), at any dimension.
+    The same rule makes r = 0 exactly when n = 1.  A phase-multiple of the
+    identity never gets there and yields ``None``, as does an answer beyond
     ``n_max``.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    phases, _ = eig_unitary(problem.relative_unitary)
-    base = _dedupe_circular(phases)
-    if base.size == 1:
-        return None
-    sums = base.copy()
-    for n in range(1, n_max + 1):
-        gaps = _phase_gaps(sums)
-        if float(gaps.max()) <= np.pi + PHASE_DEDUPE_TOL:
-            return n
-        if n == n_max:
-            break
-        sums = _accumulate_sums(sums, base, PHASE_DEDUPE_TOL)
-        sums = np.sort(sums % TWO_PI)
-        if sums.size > 1 and (TWO_PI - (sums[-1] - sums[0])) <= PHASE_DEDUPE_TOL:
-            sums = sums[:-1]
-    return None
+    n = _hull(problem.relative_unitary).copies
+    return n if n <= n_max else None
 
 
 # ---------------------------------------------------------------------------

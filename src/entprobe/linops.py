@@ -13,10 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Hard cap on kron output dimensions; beyond this the dense representation
-# stops being the right tool.
-KRON_DIM_CAP = 4096
-
 # Relative singular-value / eigenvalue cutoff used for every rank decision.
 RANK_RTOL = 1e-10
 
@@ -61,19 +57,6 @@ def assert_density(rho, atol: float = 1e-10) -> np.ndarray:
     if not is_density(rho, atol):
         raise ValueError(f"matrix is not a density operator within {atol}")
     return rho
-
-
-def kron(a, b, max_dim: int = KRON_DIM_CAP) -> np.ndarray:
-    """Kronecker product with a guard on the output dimensions."""
-    a = _as_matrix(a)
-    b = _as_matrix(b)
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if max(rows, cols) > max_dim:
-        raise ValueError(
-            f"kron result would be {rows}x{cols}, beyond the configured cap {max_dim}"
-        )
-    return np.kron(a, b)
 
 
 def vectorize(a) -> np.ndarray:

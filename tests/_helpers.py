@@ -1,8 +1,12 @@
-"""Shared assertions for the test suite."""
+"""Shared assertions and independent oracles for the test suite."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from entprobe.discrim import PHASE_DEDUPE_TOL
+
+TWO_PI = 2.0 * np.pi
 
 
 def assert_phases_match(expected, actual, tol: float = 1e-8):
@@ -18,14 +22,93 @@ def assert_phases_match(expected, actual, tol: float = 1e-8):
         actual.pop(best)
 
 
-def kron_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product from the raw index formula, written independently."""
-    ra, ca = a.shape
-    rb, cb = b.shape
-    out = np.zeros((ra * rb, ca * cb), dtype=complex)
-    for i in range(ra):
-        for j in range(ca):
-            for k in range(rb):
-                for l in range(cb):
-                    out[i * rb + k, j * cb + l] = a[i, j] * b[k, l]
-    return out
+# ---------------------------------------------------------------------------
+# eigenvalue-polygon oracles: brute enumeration, no closed forms
+# ---------------------------------------------------------------------------
+
+
+def dedupe_circular(phases, tol: float = PHASE_DEDUPE_TOL) -> np.ndarray:
+    """Sorted phases with each one closer than ``tol`` to the last kept one dropped.
+
+    The ends are also compared across the seam of a 2 pi window.
+    """
+    ph = np.sort(np.asarray(phases, dtype=float))
+    keep = [ph[0]]
+    for value in ph[1:]:
+        if value - keep[-1] > tol:
+            keep.append(value)
+    if len(keep) > 1 and (TWO_PI - (keep[-1] - keep[0])) <= tol:
+        keep.pop()
+    return np.asarray(keep)
+
+
+def circular_gaps(sorted_phases: np.ndarray) -> np.ndarray:
+    """Gaps between neighbouring sorted phases, the wrap-around gap last."""
+    return np.append(np.diff(sorted_phases), TWO_PI - (sorted_phases[-1] - sorted_phases[0]))
+
+
+def _distinct_sums(values: np.ndarray, base: np.ndarray, tol: float) -> np.ndarray:
+    sums = np.sort((values[:, None] + base[None, :]).reshape(-1))
+    keep = np.empty(sums.size, dtype=bool)
+    keep[0] = True
+    keep[1:] = np.diff(sums) > tol
+    return sums[keep]
+
+
+def spread_by_enumeration(phases, n: int, tol: float = PHASE_DEDUPE_TOL) -> float:
+    """Spread of the n-copy eigenphases, capped at 2 pi, from every n-fold sum.
+
+    The phases are lifted onto the arc that starts after their largest gap,
+    all n-fold sums are enumerated one factor at a time, and the spread is
+    read off the extreme sums.
+    """
+    distinct = dedupe_circular(phases, tol)
+    if distinct.size == 1:
+        return 0.0
+    anchor = distinct[(int(np.argmax(circular_gaps(distinct))) + 1) % distinct.size]
+    lifted = np.sort((distinct - anchor) % TWO_PI)
+    sums = lifted.copy()
+    for _ in range(n - 1):
+        sums = _distinct_sums(sums, lifted, tol)
+    return float(min(sums[-1] - sums[0], TWO_PI))
+
+
+def copies_by_enumeration(phases, n_max: int, tol: float = PHASE_DEDUPE_TOL) -> int | None:
+    """Fewest n whose n-fold phase sums mod 2 pi leave no gap wider than pi + tol."""
+    base = dedupe_circular(phases, tol)
+    if base.size == 1:
+        return None
+    sums = base.copy()
+    for n in range(1, n_max + 1):
+        if float(circular_gaps(sums).max()) <= np.pi + tol:
+            return n
+        sums = dedupe_circular(_distinct_sums(sums, base, tol) % TWO_PI, tol)
+    return None
+
+
+def _closest_on_segment(p: complex, q: complex) -> complex:
+    """Point of the segment [p, q] closest to the origin."""
+    d = q - p
+    length_sq = abs(d) ** 2
+    if length_sq == 0.0:
+        return p
+    t = min(1.0, max(0.0, -np.real(np.conj(d) * p) / length_sq))
+    return p + t * d
+
+
+def hull_distance(phases) -> float:
+    """Distance from 0 to the convex hull of the points e^(i phase).
+
+    Every vertex and the closest point of every chord propose a direction
+    u; the distance is max(0, max_u min_k Re(conj(u) p_k)).  The closest
+    hull point lies on some chord, so its direction is among the proposals,
+    and no direction separates 0 from a hull that contains it.
+    """
+    points = np.exp(1j * np.asarray(phases, dtype=float))
+    best = 0.0
+    for i, p in enumerate(points):
+        for q in points[i:]:
+            c = _closest_on_segment(p, q)
+            if abs(c) > 0.0:
+                best = max(best, float(np.min(np.real(np.conj(c / abs(c)) * points))))
+    return best

@@ -41,6 +41,8 @@ from entprobe.linops import ProbeState, vectorize, von_neumann_entropy
 from entprobe.mc import sample_heterodyne, stability_scan
 from entprobe.rand import generator, haar_unitary, random_povm_seed, random_probe, random_pure_state
 
+from _helpers import copies_by_enumeration, spread_by_enumeration
+
 
 class Criterion:
     """Collects sub-check outcomes, prints one line, then enforces them."""
@@ -249,16 +251,20 @@ def test_criterion_06_ncopy_exactness():
     n = copies_for_perfect(DiscriminationProblem(eye, eye), 20)
     crit.check(n is None, f"identical unitaries reported reachable at {n}")
 
+    # the library's closed forms against brute enumeration of n-fold phase sums
     rng = generator(606)
     for w in (w_third, haar_unitary(2, rng), haar_unitary(3, rng)):
-        base = min_overlap_r(w).spread
+        phases = np.angle(np.linalg.eigvals(w))
         for copies in range(1, 13):
-            expected = min(copies * base, 2.0 * np.pi)
+            expected = spread_by_enumeration(phases, copies)
             got = tensor_power_spread(w, copies)
             crit.check(
                 abs(got - expected) < 1e-8,
-                f"spread law n={copies}: {got!r} vs {expected!r}",
+                f"spread law n={copies}: {got!r} vs enumerated {expected!r}",
             )
+        n = copies_for_perfect(DiscriminationProblem(w, np.eye(w.shape[0])), 20)
+        expected = copies_by_enumeration(phases, 20)
+        crit.check(n == expected, f"copy count {n} vs enumerated {expected}")
     crit.conclude()
 
 

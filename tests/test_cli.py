@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from entprobe.cli import FlagDomainError, main, parse_unitary
+from entprobe.discrim import weyl_heisenberg_group
 from entprobe.rand import generator, haar_unitary
 
 
@@ -28,11 +29,17 @@ class TestUnitaryParsing:
         assert np.array_equal(parse_unitary("pauli:x"), np.array([[0, 1], [1, 0]]))
 
     def test_wh_form(self):
-        u = parse_unitary("wh:3,1,2")
-        expected = np.zeros((3, 3), dtype=complex)
-        for k in range(3):
-            expected[k, (k + 2) % 3] = np.exp(2j * np.pi * k / 3)
-        assert np.allclose(u, expected, atol=1e-12)
+        for d in range(2, 6):
+            group = weyl_heisenberg_group(d)
+            members = dict(zip(group.labels, group.elements))
+            for m in range(d):
+                for n in range(d):
+                    u = parse_unitary(f"wh:{d},{m},{n}")
+                    expected = np.zeros((d, d), dtype=complex)
+                    for k in range(d):
+                        expected[k, (k + n) % d] = np.exp(2j * np.pi * k * m / d)
+                    assert np.allclose(u, expected, atol=1e-12)
+                    assert np.array_equal(u, members[f"U({m},{n})"])
 
     def test_diag_form(self):
         u = parse_unitary("diag:0,1.5707963267948966")
@@ -90,6 +97,26 @@ class TestNcopies:
         _, rows = parse_csv(out)
         assert rows[0]["reachable"] == "true"
         assert rows[0]["n_copies"] == "3"
+
+    def test_pi_edge_within_tolerance(self, capsys):
+        # spread pi - 5e-10 lies inside PHASE_DEDUPE_TOL of pi: r = 0 and one copy
+        code, out, _ = run_cli(
+            capsys, "ncopies", "--u1", "diag:0,3.1415926530897933", "--u2", "diag:0,0"
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows[0]["reachable"] == "true"
+        assert rows[0]["n_copies"] == "1"
+        assert float(rows[0]["r"]) == 0.0
+
+    def test_just_outside_pi_edge(self, capsys):
+        spread = repr(np.pi - 1e-6)
+        code, out, _ = run_cli(capsys, "ncopies", "--u1", f"diag:0,{spread}", "--u2", "diag:0,0")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert float(rows[0]["r"]) == pytest.approx(np.cos((np.pi - 1e-6) / 2.0), abs=1e-15)
+        assert float(rows[0]["r"]) > 0.0
+        assert rows[0]["n_copies"] == "2"
 
     def test_identity_not_reachable(self, capsys):
         code, out, _ = run_cli(capsys, "ncopies", "--u1", "pauli:i", "--u2", "pauli:i")

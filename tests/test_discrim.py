@@ -23,7 +23,7 @@ from entprobe.discrim import (
 from entprobe.linops import ProbeState, schmidt_coefficients, vectorize, von_neumann_entropy
 from entprobe.rand import generator, haar_unitary, random_povm_seed, random_probe, random_pure_state
 
-from _helpers import assert_phases_match
+from _helpers import assert_phases_match, spread_by_enumeration
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -447,9 +447,9 @@ class TestCopies:
             haar_unitary(3, rng),
         ]
         for w in cases:
-            base = min_overlap_r(w).spread
+            phases = np.angle(np.linalg.eigvals(w))
             for n in range(1, 13):
-                expected = min(n * base, 2.0 * np.pi)
+                expected = spread_by_enumeration(phases, n)
                 assert tensor_power_spread(w, n) == pytest.approx(expected, abs=1e-8)
 
     def test_n_max_validation(self):

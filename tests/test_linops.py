@@ -6,7 +6,6 @@ from entprobe.linops import (
     ProbeState,
     devectorize,
     eig_unitary,
-    kron,
     overlap,
     partial_trace,
     schmidt_coefficients,
@@ -15,39 +14,12 @@ from entprobe.linops import (
 )
 from entprobe.rand import generator, haar_unitary, random_probe
 
-from _helpers import assert_phases_match, kron_oracle
+from _helpers import assert_phases_match
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-class TestKron:
-    def test_identity_case(self):
-        assert np.array_equal(kron(I2, I2), np.eye(4))
-
-    def test_sigma_x_with_identity_permutes_blocks(self):
-        got = kron(SX, I2)
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0:2, 2:4] = I2
-        expected[2:4, 0:2] = I2
-        assert np.array_equal(got, expected)
-
-    def test_sigma_z_squared_against_index_oracle(self):
-        # oracle: independent elementwise index formula
-        assert np.array_equal(kron_oracle(SZ, SZ), np.diag([1, -1, -1, 1]))
-        assert np.array_equal(kron(SZ, SZ), kron_oracle(SZ, SZ))
-
-    def test_random_against_index_oracle(self):
-        rng = generator(10)
-        a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        b = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        assert np.allclose(kron(a, b), kron_oracle(a, b), atol=1e-14)
-
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            kron(np.eye(100), np.eye(100))
 
 
 class TestVectorize:
