@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -270,9 +271,19 @@ def _run_covariant(opts: dict):
 def _run_cv_estimate(opts: dict):
     x, nbar, trials, seed = opts["x"], opts["nbar"], opts["trials"], opts["seed"]
     _check(abs(x) < 1.0, f"--x must satisfy |x| < 1, got {x}")
-    _check(nbar >= 0.0, f"--nbar must be nonnegative, got {nbar}")
-    _check(trials >= 1, f"--trials must be at least 1, got {trials}")
+    _check(math.isfinite(nbar) and nbar >= 0.0, f"--nbar must be finite and nonnegative, got {nbar}")
+    _check(
+        1 <= trials <= mc.MAX_TRIALS,
+        f"--trials must be between 1 and {mc.MAX_TRIALS}, got {trials}",
+    )
     _check(0 <= seed < 2**64, f"--seed must fit in 64 bits, got {seed}")
+    # Box-Muller uniforms are at least 2^-53, so no squared deviation exceeds
+    # 53 ln 2 < 37 times the variance: the sum over the trials must stay finite.
+    variance = max(1.0 + nbar, gauss.tmsv_epr_variance(x) + 2.0 * nbar)
+    _check(
+        math.isfinite(37.0 * variance * trials),
+        f"--nbar {nbar} with --trials {trials} overflows the sum of squared deviations",
+    )
     noise = gauss.NoiseSpec(nbar)
     rows = []
     for scheme in ("entangled", "unentangled"):

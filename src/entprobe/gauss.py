@@ -42,7 +42,9 @@ class GaussianState:
         if np.max(np.abs(cov - cov.T)) > 1e-12:
             raise ValueError("covariance must be symmetric within 1e-12")
         check = cov + 0.25j * symplectic_form(mean.size // 2)
-        if np.linalg.eigvalsh(check).min() < -1e-10:
+        # eigvalsh errs by ~eps times the largest eigenvalue, so scale the slack
+        spectrum = np.linalg.eigvalsh(check)
+        if spectrum[0] < -1e-10 * max(1.0, spectrum[-1]):
             raise ValueError("covariance violates the uncertainty bound")
         mean = mean.copy()
         cov = cov.copy()

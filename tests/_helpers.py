@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from entprobe.discrim import PHASE_DEDUPE_TOL
+from entprobe import gauss
+from entprobe.discrim import PHASE_DEDUPE_TOL, helstrom_error
+from entprobe.mc import TrialReport, _output_vector
 
 TWO_PI = 2.0 * np.pi
 
@@ -112,3 +116,79 @@ def hull_distance(phases) -> float:
             if abs(c) > 0.0:
                 best = max(best, float(np.min(np.real(np.conj(c / abs(c)) * points))))
     return best
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo oracles: every trial in one array, one Philox draw, math.fsum
+# ---------------------------------------------------------------------------
+
+
+def one_draw_uniforms(seed: int, trials: int, per_trial: int) -> np.ndarray:
+    """The (trials, per_trial) uniforms ((word >> 11) + 1) 2^-53 from one raw draw."""
+    words = np.random.Philox(key=np.uint64(seed)).random_raw(trials * per_trial)
+    words = np.asarray(words, dtype=np.uint64).reshape(trials, per_trial)
+    return ((words >> np.uint64(11)) + np.uint64(1)).astype(float) * 2.0**-53
+
+
+def _z_score(empirical: float, analytic: float, std_error: float) -> float:
+    return 0.0 if std_error == 0.0 else (empirical - analytic) / std_error
+
+
+def helstrom_by_whole_array(problem, probe, trials: int, seed: int) -> TrialReport:
+    """``mc.sample_helstrom`` with all trials held in memory at once."""
+    psi1 = _output_vector(problem, probe, 1)
+    psi2 = _output_vector(problem, probe, 2)
+    rho1 = np.outer(psi1, psi1.conj())
+    rho2 = np.outer(psi2, psi2.conj())
+    gap = problem.p1 * rho1 - problem.p2 * rho2
+    evals, evecs = np.linalg.eigh((gap + gap.conj().T) / 2.0)
+    accept = evecs[:, evals >= 0.0]
+    project = accept @ accept.conj().T
+    q1 = float(np.real(np.vdot(psi1, project @ psi1)))
+    q2 = float(np.real(np.vdot(psi2, project @ psi2)))
+
+    u = one_draw_uniforms(seed, trials, 2)
+    is_first = u[:, 0] <= problem.p1
+    errors = np.where(is_first, u[:, 1] > q1, u[:, 1] <= q2)
+    empirical = int(errors.sum()) / trials
+
+    analytic = float(helstrom_error(problem, probe))
+    std_error = math.sqrt(max(analytic * (1.0 - analytic), 0.0) / trials)
+    return TrialReport(
+        scenario=f"helstrom[d={problem.dim},p1={problem.p1}]",
+        seed=seed,
+        trials=trials,
+        empirical=float(empirical),
+        analytic=analytic,
+        z_score=float(_z_score(empirical, analytic, std_error)),
+    )
+
+
+def heterodyne_by_whole_array(x, alpha, noise, scheme: str, trials: int, seed: int) -> TrialReport:
+    """``mc.sample_heterodyne`` with all trials in memory and ``math.fsum`` over a list."""
+    if scheme == "entangled":
+        law = gauss.epr_heterodyne(gauss.tmsv_state(x), alpha, noise)
+        analytic = gauss.tmsv_epr_variance(x) + 2.0 * noise.nbar_per_mode
+    else:
+        law = gauss.heterodyne(gauss.vacuum_state(), alpha, noise)
+        analytic = 1.0 + noise.nbar_per_mode
+
+    u = one_draw_uniforms(seed, trials, 2)
+    radius = np.sqrt(-2.0 * np.log(u[:, 0]))
+    angle = 2.0 * np.pi * u[:, 1]
+    g_re, g_im = radius * np.cos(angle), radius * np.sin(angle)
+    scale = math.sqrt(law.variance / 2.0)
+    z_re = law.mean.real + scale * g_re
+    z_im = law.mean.imag + scale * g_im
+    deviations = (z_re - np.real(alpha)) ** 2 + (z_im - np.imag(alpha)) ** 2
+    empirical = math.fsum(deviations.tolist()) / trials
+
+    std_error = analytic / math.sqrt(trials)
+    return TrialReport(
+        scenario=f"heterodyne[{scheme},x={x},nbar={noise.nbar_per_mode}]",
+        seed=seed,
+        trials=trials,
+        empirical=float(empirical),
+        analytic=float(analytic),
+        z_score=float(_z_score(empirical, analytic, std_error)),
+    )

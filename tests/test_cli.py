@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from entprobe import mc
 from entprobe.cli import FlagDomainError, main, parse_unitary
 from entprobe.discrim import weyl_heisenberg_group
 from entprobe.rand import generator, haar_unitary
@@ -160,6 +161,41 @@ class TestCvEstimate:
         )
         assert code == 2
         assert "seed" in err
+
+    def test_pinned_digits(self, capsys):
+        # any change to the random stream, Box-Muller or the summation shows here
+        code, out, _ = run_cli(
+            capsys, "cv-estimate", "--x", "0.5", "--trials", "1000", "--seed", "3"
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        empirical = {row["scheme"]: row["delta2_empirical"] for row in rows}
+        assert empirical == {"entangled": "0.36008224662183586", "unentangled": "1.080246739865508"}
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--nbar", "inf"), ("--nbar", "nan"), ("--nbar", "1e308"), ("--x", "inf"), ("--x", "nan")],
+    )
+    def test_non_finite_or_overflowing_flags(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "cv-estimate", "--x", "0.5", "--trials", "10", flag, value)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+
+    def test_sum_bound_scales_with_trials(self, capsys):
+        args = ("cv-estimate", "--x", "0.5", "--nbar", "1e303")
+        code, out, _ = run_cli(capsys, *args, "--trials", "100")
+        assert code == 0 and out
+        code, out, err = run_cli(capsys, *args, "--trials", "100000")
+        assert (code, out) == (2, "")
+        assert "overflows" in err
+
+    def test_trial_cap(self, capsys):
+        too_many = str(mc.MAX_TRIALS + 1)
+        code, out, err = run_cli(capsys, "cv-estimate", "--x", "0.5", "--trials", too_many)
+        assert (code, out) == (2, "")
+        assert len(err.strip().splitlines()) == 1
+        assert str(mc.MAX_TRIALS) in err
 
 
 class TestThresholdScan:

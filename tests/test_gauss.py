@@ -155,6 +155,12 @@ class TestDisplacementNoise:
             omega = gauss.symplectic_form(1)
             assert np.linalg.eigvalsh(noisy.cov + 0.25j * omega).min() >= -1e-10
 
+    def test_huge_noise_stays_physical(self):
+        # the uncertainty check's slack scales with the covariance
+        for nbar in (1e50, 1e100, 1e155, 1e200, 1e300):
+            noisy = apply_displacement_noise(tmsv_state(0.5), 0, nbar)
+            apply_displacement_noise(noisy, 1, nbar)
+
 
 class TestQuadratureVariance:
     def test_vacuum_flat(self):

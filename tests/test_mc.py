@@ -1,17 +1,25 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from entprobe import mc
 from entprobe.discrim import DiscriminationProblem, optimal_pair_input
 from entprobe.gauss import NoiseSpec, tmsv_epr_variance
 from entprobe.linops import ProbeState
 from entprobe.mc import (
+    MAX_TRIALS,
     TrialReport,
     sample_helstrom,
     sample_heterodyne,
     stability_scan,
-    standard_normal_pairs,
     trial_uniforms,
 )
+
+from _helpers import heterodyne_by_whole_array, helstrom_by_whole_array, one_draw_uniforms
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -43,7 +51,7 @@ class TestSubstreams:
         assert np.array_equal(long[:600], short)
 
     def test_box_muller_moments(self):
-        g1, g2 = standard_normal_pairs(17, 200_000)
+        g1, g2 = mc._box_muller(trial_uniforms(17, 200_000, 2))
         for g in (g1, g2):
             assert abs(np.mean(g)) < 0.01
             assert abs(np.var(g) - 1.0) < 0.02
@@ -130,6 +138,15 @@ class TestSampleHeterodyne:
         with pytest.raises(ValueError):
             sample_helstrom(DiscriminationProblem(SZ, SX), np.array([1.0, 0.0]), 0, 0)
 
+    def test_trial_cap(self):
+        # rejected before any trial is drawn
+        with pytest.raises(ValueError, match=str(MAX_TRIALS)):
+            sample_heterodyne(0.5, 0.0, NoiseSpec(0.0), "entangled", MAX_TRIALS + 1, 0)
+        with pytest.raises(ValueError, match=str(MAX_TRIALS)):
+            sample_helstrom(
+                DiscriminationProblem(SZ, SX), np.array([1.0, 0.0]), MAX_TRIALS + 1, 0
+            )
+
     def test_unnormalized_local_input_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
             sample_helstrom(DiscriminationProblem(SZ, SX), np.array([1.0, 1.0]), 10, 0)
@@ -202,3 +219,109 @@ class TestStabilityScan:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             stability_scan(1.0, 0.5, [])
+
+
+BLOCK_SIZES = (1, 3, 4096, 1 << 16)
+
+
+def block_edge_counts(block: int) -> list[int]:
+    """Trial counts k B - 1, k B and k B + 1 for k = 1, 2 (positive ones only)."""
+    return sorted({k * block + e for k in (1, 2) for e in (-1, 0, 1)} - {0})
+
+
+class TestBlockStream:
+    """Reports do not depend on the block size: the whole-array samplers agree bit for bit."""
+
+    def test_default_block_size_is_covered(self):
+        assert mc._CHUNK_TRIALS in BLOCK_SIZES
+
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    def test_uniforms_match_one_draw(self, monkeypatch, block):
+        monkeypatch.setattr(mc, "_CHUNK_TRIALS", block)
+        for trials in block_edge_counts(block):
+            for per_trial in (1, 2, 3):
+                expected = one_draw_uniforms(2**64 - 1, trials, per_trial)
+                assert np.array_equal(trial_uniforms(2**64 - 1, trials, per_trial), expected)
+
+    def test_zero_trials_keep_their_shape(self):
+        assert trial_uniforms(5, 0, 3).shape == (0, 3)
+        with pytest.raises(ValueError, match="64 bits"):
+            trial_uniforms(-1, 0, 2)
+
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    def test_heterodyne_reports_match_whole_array(self, monkeypatch, block):
+        monkeypatch.setattr(mc, "_CHUNK_TRIALS", block)
+        for trials in block_edge_counts(block):
+            for scheme in ("entangled", "unentangled"):
+                args = (0.6, 0.3 - 0.8j, NoiseSpec(0.25), scheme, trials, 9 + trials)
+                assert sample_heterodyne(*args) == heterodyne_by_whole_array(*args)
+
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    def test_helstrom_reports_match_whole_array(self, monkeypatch, block):
+        monkeypatch.setattr(mc, "_CHUNK_TRIALS", block)
+        problem = DiscriminationProblem(QUARTER_TURN, I2, 0.7, 0.3)
+        for trials in block_edge_counts(block):
+            for probe in (optimal_pair_input(QUARTER_TURN), ProbeState.maximally_entangled(2)):
+                args = (problem, probe, trials, 2**63 + trials)
+                assert sample_helstrom(*args) == helstrom_by_whole_array(*args)
+
+    def test_bounded_memory(self):
+        tracemalloc.start()
+        try:
+            sample_heterodyne(0.5, 0.0, NoiseSpec(0.1), "entangled", 2_000_000, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
+
+def _bits(value: float) -> str:
+    return float(value).hex()
+
+
+finite_doubles = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308),  # subnormals and the smallest normals
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e300]),
+)
+spread_magnitudes = st.builds(
+    lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(min_value=1.0, max_value=9.999),
+    st.integers(min_value=-300, max_value=300),
+)
+
+
+class TestExactSum:
+    """The streamed exact sum rounds once, to the bits of math.fsum."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(finite_doubles | spread_magnitudes, max_size=40), st.integers(1, 5))
+    def test_matches_fsum(self, values, pieces):
+        try:
+            expected = math.fsum(values)
+        except OverflowError:
+            return  # the bounded ranges above never get here
+        array = np.array(values, dtype=float)
+        assert _bits(mc._exact_sum([array])) == _bits(expected)
+        assert _bits(mc._exact_sum(np.array_split(array, pieces))) == _bits(expected)
+
+    def test_edge_cases(self):
+        cases = [
+            [],
+            [0.0, -0.0],
+            [-5e-324],
+            [5e-324] * 7,
+            [1e300, 1.0, -1e300],
+            [1e-300, 1e300, -1e300, 2.5e-308],
+            [2.0**53, 1.0, -1.0, 1.0],
+            [0.1] * 10,
+        ]
+        for values in cases:
+            assert _bits(mc._exact_sum([np.array(values, dtype=float)])) == _bits(math.fsum(values))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            mc._exact_sum([np.array([1.0, 2.0]), np.array([3.0, bad])])
