@@ -82,23 +82,17 @@ class UnitaryGroup:
                 worst = max(worst, float(np.max(np.abs(prod - omega * self.elements[k]))))
         return worst
 
-    def irreducibility_defect(self, n_probes: int = 5, seed: int = 7) -> float:
-        """Max-norm gap between plainly averaged conjugations and Tr[m] I / d.
+    def irreducibility_defect(self) -> float:
+        """Max-norm gap between the twirl's Choi matrix and I / d: the 1-design defect.
 
-        Averaging u m u† over the group sends any test matrix m to
-        Tr[m] I / d exactly when the representation is irreducible, so the
-        returned defect doubles as an irreducibility certificate.
+        With the elements as rows V = [vec u_g], V^T conj(V) / |G| is the
+        Choi matrix of the twirl X -> mean u X u†.  It equals I / d exactly
+        when the twirl sends every X to Tr[X] I / d (for a group: when the
+        representation is irreducible), for any element list, unsampled.
         """
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-        eye = np.eye(self.dim)
-        worst = 0.0
-        for _ in range(n_probes):
-            m = rng.standard_normal((self.dim, self.dim)) + 1j * rng.standard_normal(
-                (self.dim, self.dim)
-            )
-            avg = sum(u @ m @ u.conj().T for u in self.elements) / len(self)
-            worst = max(worst, float(np.max(np.abs(avg - np.trace(m) * eye / self.dim))))
-        return worst
+        v = np.stack(self.elements).reshape(len(self), -1)
+        choi = (v.T @ v.conj()) / len(self)
+        return float(np.max(np.abs(choi - np.eye(self.dim * self.dim) / self.dim)))
 
     def is_irreducible(self, atol: float = 1e-8) -> bool:
         return self.irreducibility_defect() <= atol
@@ -166,23 +160,19 @@ def output_span_dimension(group: UnitaryGroup, e: ProbeState) -> int:
 def holevo_chi(group: UnitaryGroup, e: ProbeState, atol: float = 1e-8) -> float:
     """Accessible-information bound of the output ensemble, in bits.
 
-    Computed straight from the ensemble definition, entropy of the average
-    state minus average entropy of the (pure) outputs.  Requires the group
-    representation to pass the irreducibility certificate; for such groups
-    the value equals log2(dim) plus the entanglement entropy of the probe.
+    When the group's twirl depolarizes completely (certified by
+    ``irreducibility_defect``), the average output state is I/d ⊗ conj(e† e)
+    and every member is pure, so chi = log2(d) + S(e† e): one d x d
+    eigendecomposition, with no d^2 x d^2 state.
     """
+    if group.dim != e.dim:
+        raise ValueError("group and probe dimensions differ")
     if group.irreducibility_defect() > atol:
         raise ValueError(
             "group representation failed the irreducibility certificate; "
             "reducible representations are not supported"
         )
-    v = output_vectors(group, e)
-    avg = (v.T @ v.conj()) / len(group)
-    avg = (avg + avg.conj().T) / 2.0
-    mean_member_entropy = float(
-        np.mean([von_neumann_entropy(np.outer(row, row.conj())) for row in v])
-    )
-    return von_neumann_entropy(avg) - mean_member_entropy
+    return math.log2(group.dim) + von_neumann_entropy(e.reduced_state())
 
 
 # ---------------------------------------------------------------------------

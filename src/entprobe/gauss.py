@@ -277,33 +277,18 @@ def ppt_separability(g: GaussianState) -> SeparabilityReport:
     return SeparabilityReport(nu_min >= VACUUM_VARIANCE - 1e-10, nu_min)
 
 
-def ppt_noise_boundary(x: float, tol: float = 1e-12) -> float:
+def ppt_noise_boundary(x: float) -> float:
     """Per-mode noise that lands the noisy two-mode probe on the separability edge.
 
-    Located by bisection on the partial-transpose test, not from a formula,
-    so it can be checked against the closed-form symplectic eigenvalue.
+    The smallest partial-transpose symplectic eigenvalue of the probe with
+    noise n per mode is Delta^2/4 + n/2 (Simon, PRL 84, 2726 (2000)), so the
+    edge sits at n = (1 - Delta^2)/2 = |x|/(1 + |x|), read without the
+    cosh - sinh cancellation of the covariance entries.
     """
     x = float(x)
     if abs(x) >= 1.0:
         raise ValueError(f"|x| must be below 1, got {x}")
-    if x == 0.0:
-        return 0.0
-    base = tmsv_state(x)
-
-    def separable_at(nbar: float) -> bool:
-        # the raw eigenvalue condition, without the classification slack,
-        # keeps the located edge accurate to the bisection width
-        noisy = apply_displacement_noise(apply_displacement_noise(base, 0, nbar), 1, nbar)
-        return ppt_separability(noisy).min_pt_symplectic_eigenvalue >= VACUUM_VARIANCE
-
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if separable_at(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return abs(x) / (1.0 + abs(x))
 
 
 def noise_boundaries(x: float) -> NoiseBoundaries:

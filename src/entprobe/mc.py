@@ -242,17 +242,22 @@ def stability_scan(s: float, x: float, phi_grid) -> StabilityScan:
 
     The squeezed column is the single-mode quadrature variance at each
     mismatch angle; the entangled column is the EPR outcome variance with
-    the measured pair rotated by the same angle, which stays flat.
+    the measured pair rotated by the same angle, which stays flat.  Both are
+    quadratic forms of the probe's covariance over the whole grid at once;
+    the entangled one is not the closed form, so its flatness is a check.
     """
     phis = np.asarray(phi_grid, dtype=float).reshape(-1)
     if phis.size == 0:
         raise ValueError("the phase grid must not be empty")
-    sq_state = gauss.squeezed_state(s)
-    ent_state = gauss.tmsv_state(x)
-    squeezed = np.array([gauss.quadrature_variance(sq_state, 0, phi) for phi in phis])
-    entangled = np.array(
-        [gauss.epr_heterodyne(ent_state, phi=phi).variance for phi in phis]
-    )
+    cos, sin = np.cos(phis), np.sin(phis)
+    sq = gauss.squeezed_state(s).cov
+    squeezed = cos * cos * sq[0, 0] + sin * sin * sq[1, 1] + 2.0 * sin * cos * sq[0, 1]
+    # the pair (x1 - x2, p1 + p2) rotated by phi, as in epr_heterodyne, one 1 x 4 row per phase
+    cov = gauss.tmsv_state(x).cov
+    entangled = 0.0
+    for quadrature in ([cos, sin, -cos, sin], [-sin, cos, sin, cos]):
+        f = np.stack(quadrature, axis=-1)[:, None, :]
+        entangled = entangled + (f @ cov @ f.swapaxes(1, 2))[:, 0, 0]
     return StabilityScan(
         phis=phis,
         squeezed_variance=squeezed,

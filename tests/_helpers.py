@@ -7,7 +7,8 @@ import math
 import numpy as np
 
 from entprobe import gauss
-from entprobe.discrim import PHASE_DEDUPE_TOL, helstrom_error
+from entprobe.discrim import PHASE_DEDUPE_TOL, helstrom_error, output_vectors
+from entprobe.linops import von_neumann_entropy
 from entprobe.mc import TrialReport, _output_vector
 
 TWO_PI = 2.0 * np.pi
@@ -192,3 +193,48 @@ def heterodyne_by_whole_array(x, alpha, noise, scheme: str, trials: int, seed: i
         analytic=float(analytic),
         z_score=float(_z_score(empirical, analytic, std_error)),
     )
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracles for the closed forms of discrim, gauss and mc
+# ---------------------------------------------------------------------------
+
+
+def holevo_by_ensemble(group, e) -> float:
+    """Holevo chi from its definition: entropy of the d^2 x d^2 average output
+    state minus the mean entropy of the outputs, one eigendecomposition each."""
+    v = output_vectors(group, e)
+    avg = (v.T @ v.conj()) / len(group)
+    avg = (avg + avg.conj().T) / 2.0
+    member_entropies = [von_neumann_entropy(np.outer(row, row.conj())) for row in v]
+    return von_neumann_entropy(avg) - float(np.mean(member_entropies))
+
+
+def ppt_boundary_by_bisection(x: float, tol: float = 1e-12) -> float:
+    """Per-mode noise at the separability edge, bisected on the partial-transpose test."""
+    if x == 0.0:
+        return 0.0
+    base = gauss.tmsv_state(x)
+
+    def separable_at(nbar: float) -> bool:
+        noisy = gauss.apply_displacement_noise(base, 0, nbar)
+        noisy = gauss.apply_displacement_noise(noisy, 1, nbar)
+        return gauss.ppt_separability(noisy).min_pt_symplectic_eigenvalue >= gauss.VACUUM_VARIANCE
+
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if separable_at(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def stability_by_loop(s: float, x: float, phis) -> tuple[np.ndarray, np.ndarray]:
+    """Both ``mc.stability_scan`` columns, one state read per phase."""
+    squeezed_state = gauss.squeezed_state(s)
+    entangled_state = gauss.tmsv_state(x)
+    squeezed = np.array([gauss.quadrature_variance(squeezed_state, 0, phi) for phi in phis])
+    entangled = np.array([gauss.epr_heterodyne(entangled_state, phi=phi).variance for phi in phis])
+    return squeezed, entangled

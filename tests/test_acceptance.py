@@ -41,7 +41,7 @@ from entprobe.linops import ProbeState, vectorize, von_neumann_entropy
 from entprobe.mc import sample_heterodyne, stability_scan
 from entprobe.rand import generator, haar_unitary, random_povm_seed, random_probe, random_pure_state
 
-from _helpers import copies_by_enumeration, spread_by_enumeration
+from _helpers import copies_by_enumeration, holevo_by_ensemble, spread_by_enumeration
 
 
 class Criterion:
@@ -191,6 +191,11 @@ def test_criterion_04_information_bound():
             crit.check(
                 abs(got - expected) < 1e-8,
                 f"d={d}: chi {got!r} vs log2(d)+S {expected!r}",
+            )
+            by_ensemble = holevo_by_ensemble(group, probe)
+            crit.check(
+                abs(got - by_ensemble) < 1e-8,
+                f"d={d}: chi {got!r} vs the ensemble definition {by_ensemble!r}",
             )
     crit.conclude()
 

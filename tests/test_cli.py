@@ -1,11 +1,12 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
-from entprobe import mc
+from entprobe import cli, mc
 from entprobe.cli import FlagDomainError, main, parse_unitary
 from entprobe.discrim import weyl_heisenberg_group
 from entprobe.rand import generator, haar_unitary
@@ -224,6 +225,54 @@ class TestThresholdScan:
         assert code == 2
         assert "x-grid" in err
 
+    def test_pinned_digits(self, capsys):
+        # ppt_nbar is the exact x / (1 + x)
+        code, out, _ = run_cli(capsys, "threshold-scan", "--x-grid", "0.1:0.9:9")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [row["ppt_nbar"] for row in rows] == [
+            "0.09090909090909091",
+            "0.16666666666666669",
+            "0.23076923076923078",
+            "0.28571428571428575",
+            "0.3333333333333333",
+            "0.37499999999999994",
+            "0.4117647058823529",
+            "0.4444444444444445",
+            "0.4736842105263158",
+        ]
+
+
+def assert_rejected_before_work(capsys, monkeypatch, target, attr, *argv):
+    """The flag check exits 2 with one stderr line, before ``target.attr`` is reached."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the flag check")
+
+    monkeypatch.setattr(target, attr, no_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.strip().splitlines()) == 1
+    return err
+
+
+class TestGridFlags:
+    @pytest.mark.parametrize("count", [cli.MAX_GRID_POINTS + 1, 10**8, 10**30])
+    def test_point_cap(self, capsys, monkeypatch, count):
+        argv = ("stability", "--s", "1", "--x", "0.5", f"--phi-grid=0:1:{count}")
+        err = assert_rejected_before_work(capsys, monkeypatch, np, "linspace", *argv)
+        assert str(cli.MAX_GRID_POINTS) in err
+
+    @pytest.mark.parametrize("grid", ["nan:1:3", "0:inf:3", "-1e308:1e308:3", "0,nan", "-inf,0"])
+    @pytest.mark.parametrize("command", ["stability", "threshold-scan"])
+    def test_non_finite_values(self, capsys, monkeypatch, command, grid):
+        if command == "stability":
+            argv = ("stability", "--s", "1", "--x", "0.5", f"--phi-grid={grid}")
+            assert_rejected_before_work(capsys, monkeypatch, mc, "stability_scan", *argv)
+        else:
+            argv = ("threshold-scan", f"--x-grid={grid}")
+            assert_rejected_before_work(capsys, monkeypatch, cli.gauss, "noise_boundaries", *argv)
+
 
 class TestStability:
     def test_flat_entangled_column(self, capsys):
@@ -239,8 +288,35 @@ class TestStability:
             0.25 * np.exp(-4.0), abs=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "s", ["nan", "inf", "400", "-400", repr(math.nextafter(cli.MAX_SQUEEZING, math.inf))]
+    )
+    def test_squeezing_must_stay_finite(self, capsys, monkeypatch, s):
+        argv = ("stability", "--s", s, "--x", "0.5", "--phi-grid=0:1:3")
+        err = assert_rejected_before_work(capsys, monkeypatch, mc, "stability_scan", *argv)
+        assert "--s" in err
+
+    @pytest.mark.parametrize("s", [cli.MAX_SQUEEZING, -cli.MAX_SQUEEZING])
+    def test_largest_squeezing_runs(self, capsys, s):
+        argv = ("stability", f"--s={s!r}", "--x", "0.5", "--phi-grid=-3:3:7")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert "nan" not in out and "inf" not in out
+
 
 class TestCovariant:
+    def test_pinned_digits(self, capsys):
+        code, out, _ = run_cli(capsys, "covariant", "--d", "2", "--schmidt-spec", "0.9,0.1")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows[0] == {"quantity": "chi_bits", "value": "1.4689955935892813"}
+
+    @pytest.mark.parametrize("d", [cli.MAX_COVARIANT_DIM + 1, 10**6])
+    def test_dimension_cap(self, capsys, monkeypatch, d):
+        argv = ("covariant", "--d", str(d), "--schmidt-spec", "1")
+        err = assert_rejected_before_work(capsys, monkeypatch, cli, "weyl_heisenberg_group", *argv)
+        assert str(cli.MAX_COVARIANT_DIM) in err
+
     def test_quantities(self, capsys):
         code, out, _ = run_cli(capsys, "covariant", "--d", "2", "--schmidt-spec", "0.9,0.1")
         assert code == 0

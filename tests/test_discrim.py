@@ -1,8 +1,11 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from entprobe.discrim import (
     DiscriminationProblem,
+    UnitaryGroup,
     apply_local,
     average_likelihood,
     copies_for_perfect,
@@ -23,7 +26,7 @@ from entprobe.discrim import (
 from entprobe.linops import ProbeState, schmidt_coefficients, vectorize, von_neumann_entropy
 from entprobe.rand import generator, haar_unitary, random_povm_seed, random_probe, random_pure_state
 
-from _helpers import assert_phases_match, spread_by_enumeration
+from _helpers import assert_phases_match, holevo_by_ensemble, spread_by_enumeration
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -147,6 +150,46 @@ class TestWeylHeisenbergGroup:
             weyl_heisenberg_group(1)
 
 
+def rotated_shift_phase(d: int, seed: int) -> UnitaryGroup:
+    """{V u V†} over the shift-and-phase group: a 1-design that is not shift-and-phase."""
+    v = haar_unitary(d, generator(seed))
+    group = weyl_heisenberg_group(d)
+    return UnitaryGroup(d, tuple(v @ u @ v.conj().T for u in group), group.labels)
+
+
+class TestOneDesignCertificate:
+    def test_exact_for_pauli_and_shift_phase(self):
+        assert pauli_group().irreducibility_defect() <= 1e-14
+        for d in range(2, 13):
+            assert weyl_heisenberg_group(d).irreducibility_defect() <= 1e-14, d
+
+    def test_rotated_set_passes(self):
+        for d in (3, 4):
+            assert rotated_shift_phase(d, 60 + d).irreducibility_defect() <= 1e-12
+
+    def test_non_designs_flagged(self):
+        assert UnitaryGroup(2, (I2, SZ), ("I", "Z")).irreducibility_defect() >= 0.1
+        loose = UnitaryGroup(2, (I2, haar_unitary(2, generator(29))), ("a", "b"))
+        assert loose.irreducibility_defect() >= 0.1
+        assert not loose.is_irreducible()
+
+    def test_independent_of_element_order(self):
+        rng = generator(61)
+        for group in (pauli_group(), weyl_heisenberg_group(4), rotated_shift_phase(3, 62)):
+            order = rng.permutation(len(group))
+            shuffled = UnitaryGroup(
+                group.dim,
+                tuple(group.elements[k] for k in order),
+                tuple(group.labels[k] for k in order),
+            )
+            assert shuffled.irreducibility_defect() == pytest.approx(
+                group.irreducibility_defect(), abs=1e-15
+            )
+
+    def test_deterministic_without_knobs(self):
+        assert list(inspect.signature(UnitaryGroup.irreducibility_defect).parameters) == ["self"]
+
+
 class TestApplyLocal:
     def test_identity(self):
         e = random_probe(3, generator(31))
@@ -211,9 +254,30 @@ class TestHolevoChi:
             expected = np.log2(d) + von_neumann_entropy(probe.reduced_state())
             assert holevo_chi(group, probe) == pytest.approx(expected, abs=1e-8)
 
-    def test_reducible_group_rejected(self):
-        from entprobe.discrim import UnitaryGroup
+    def test_matches_ensemble_definition(self):
+        rng = generator(36)
+        cases = [(pauli_group(), rank) for rank in (1, 2)]
+        cases += [(weyl_heisenberg_group(d), rank) for d in range(2, 7) for rank in range(1, d + 1)]
+        cases += [(rotated_shift_phase(d, 63 + d), rank) for d in (3, 4) for rank in (1, d)]
+        for group, rank in cases:
+            probe = random_probe(group.dim, rng, rank=rank)
+            assert holevo_chi(group, probe) == pytest.approx(
+                holevo_by_ensemble(group, probe), abs=1e-10
+            ), (group.dim, rank)
 
+    def test_d24_from_singular_values(self):
+        d = 24
+        probe = random_probe(d, generator(37), rank=17)
+        weights = np.linalg.svd(probe.e_op, compute_uv=False) ** 2
+        weights = weights[weights > 1e-15]
+        expected = np.log2(d) - float(np.sum(weights * np.log2(weights)))
+        assert holevo_chi(weyl_heisenberg_group(d), probe) == pytest.approx(expected, abs=1e-10)
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="dimensions"):
+            holevo_chi(pauli_group(), ProbeState.maximally_entangled(3))
+
+    def test_reducible_group_rejected(self):
         reducible = UnitaryGroup(2, (I2, SZ), ("I", "Z"))
         with pytest.raises(ValueError, match="irreducibility"):
             holevo_chi(reducible, ProbeState.maximally_entangled(2))

@@ -23,6 +23,8 @@ from entprobe.gauss import (
     vacuum_state,
 )
 
+from _helpers import ppt_boundary_by_bisection
+
 
 def two_mode_epr_variance_by_index_sums(state: GaussianState) -> float:
     """Oracle: Var(x1 - x2) + Var(p1 + p2) spelled out entry by entry."""
@@ -270,6 +272,18 @@ class TestSeparability:
             r = np.arctanh(x)
             expected = (1.0 - np.exp(-2.0 * r)) / 2.0
             assert ppt_noise_boundary(x) == pytest.approx(expected, abs=1e-10)
+
+    def test_noise_boundary_matches_bisection(self):
+        grid = np.linspace(0.01, 0.99, 25)
+        for x in [0.0, *grid, *-grid]:
+            expected = ppt_boundary_by_bisection(x)
+            assert ppt_noise_boundary(x) == pytest.approx(expected, abs=1e-11), x
+
+    def test_noise_boundary_below_half_near_unit_gain(self):
+        # where cosh and sinh of the gain nearly cancel, the edge must still stay below 1/2
+        edges = [noise_boundaries(1.0 - 10.0**-k).ppt_nbar for k in range(1, 16)]
+        assert all(edge < 0.5 for edge in edges)
+        assert all(b >= a for a, b in zip(edges, edges[1:]))
 
     def test_noise_boundary_edge_inputs(self):
         assert ppt_noise_boundary(0.0) == 0.0

@@ -19,7 +19,12 @@ from entprobe.mc import (
     trial_uniforms,
 )
 
-from _helpers import heterodyne_by_whole_array, helstrom_by_whole_array, one_draw_uniforms
+from _helpers import (
+    heterodyne_by_whole_array,
+    helstrom_by_whole_array,
+    one_draw_uniforms,
+    stability_by_loop,
+)
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -219,6 +224,22 @@ class TestStabilityScan:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             stability_scan(1.0, 0.5, [])
+
+    @pytest.mark.parametrize(
+        "s, x, phis",
+        [
+            (1.2, 0.5, np.linspace(-0.1, 0.1, 41)),
+            (-0.7, -0.3, np.linspace(-np.pi, np.pi, 101)),
+            (2.5, 0.999999, np.linspace(-1.0, 2.0, 77)),
+            (0.0, 0.0, [0.3]),
+            (30.0, 0.9, np.linspace(-0.5, 0.5, 11)),
+        ],
+    )
+    def test_matches_per_phase_loop(self, s, x, phis):
+        squeezed, entangled = stability_by_loop(s, x, phis)
+        scan = stability_scan(s, x, phis)
+        np.testing.assert_allclose(scan.squeezed_variance, squeezed, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(scan.entangled_variance, entangled, rtol=1e-12, atol=0.0)
 
 
 BLOCK_SIZES = (1, 3, 4096, 1 << 16)
