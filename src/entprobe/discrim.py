@@ -15,6 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linops import (
+    CLOSURE_PHASE_TOL,
+    DESIGN_ATOL,
+    MAJORIZATION_ATOL,
+    NORM_ATOL,
+    PHASE_DEDUPE_TOL,
+    POVM_SEED_ATOL,
+    POVM_SEED_PSD_ATOL,
+    PRIOR_SUM_ATOL,
+    PROB_SUM_ATOL,
     ProbeState,
     assert_unitary,
     eig_unitary,
@@ -25,9 +34,6 @@ from .linops import (
 )
 
 TWO_PI = 2.0 * np.pi
-
-# Eigenphases closer than this (on the circle) collapse to one polygon vertex.
-PHASE_DEDUPE_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +83,7 @@ class UnitaryGroup:
                 traces = np.array([np.vdot(uk, prod) for uk in self.elements])
                 k = int(np.argmax(np.abs(traces)))
                 omega = traces[k] / self.dim
-                if abs(abs(omega) - 1.0) > 1e-6:
+                if abs(abs(omega) - 1.0) > CLOSURE_PHASE_TOL:
                     return float("inf")
                 worst = max(worst, float(np.max(np.abs(prod - omega * self.elements[k]))))
         return worst
@@ -94,8 +100,8 @@ class UnitaryGroup:
         choi = (v.T @ v.conj()) / len(self)
         return float(np.max(np.abs(choi - np.eye(self.dim * self.dim) / self.dim)))
 
-    def is_irreducible(self, atol: float = 1e-8) -> bool:
-        return self.irreducibility_defect() <= atol
+    def is_irreducible(self) -> bool:
+        return self.irreducibility_defect() <= DESIGN_ATOL
 
 
 def pauli_group() -> UnitaryGroup:
@@ -157,7 +163,7 @@ def output_span_dimension(group: UnitaryGroup, e: ProbeState) -> int:
     return matrix_rank(avg)
 
 
-def holevo_chi(group: UnitaryGroup, e: ProbeState, atol: float = 1e-8) -> float:
+def holevo_chi(group: UnitaryGroup, e: ProbeState) -> float:
     """Accessible-information bound of the output ensemble, in bits.
 
     When the group's twirl depolarizes completely (certified by
@@ -167,7 +173,7 @@ def holevo_chi(group: UnitaryGroup, e: ProbeState, atol: float = 1e-8) -> float:
     """
     if group.dim != e.dim:
         raise ValueError("group and probe dimensions differ")
-    if group.irreducibility_defect() > atol:
+    if not group.is_irreducible():
         raise ValueError(
             "group representation failed the irreducibility certificate; "
             "reducible representations are not supported"
@@ -180,27 +186,27 @@ def holevo_chi(group: UnitaryGroup, e: ProbeState, atol: float = 1e-8) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _validate_povm_seed(seed_op, d: int, atol: float = 1e-8) -> np.ndarray:
+def _validate_povm_seed(seed_op, d: int) -> np.ndarray:
     s = np.asarray(seed_op, dtype=complex)
     if s.shape != (d * d, d * d):
         raise ValueError(f"seed must act on the doubled space, expected {(d * d, d * d)}")
-    if np.max(np.abs(s - s.conj().T)) > 1e-8:
+    if np.max(np.abs(s - s.conj().T)) > POVM_SEED_ATOL:
         raise ValueError("seed operator must be Hermitian")
-    if np.linalg.eigvalsh(s).min() < -1e-10:
+    if np.linalg.eigvalsh(s).min() < -POVM_SEED_PSD_ATOL:
         raise ValueError("seed operator must be positive semidefinite")
-    if np.max(np.abs(partial_trace(s, d, d, side=1) - np.eye(d))) > atol:
+    if np.max(np.abs(partial_trace(s, d, d, side=1) - np.eye(d))) > POVM_SEED_ATOL:
         raise ValueError("seed operator must have partial trace I over the probed factor")
     return s
 
 
-def covariant_povm(group: UnitaryGroup, seed_op, atol: float = 1e-8) -> list:
+def covariant_povm(group: UnitaryGroup, seed_op) -> list:
     """Group-covariant POVM generated by conjugating a normalized seed.
 
     Elements are (d/|G|) (u ⊗ I) seed (u ⊗ I)† and sum to the identity on
     the doubled space whenever the seed passes validation.
     """
     d = group.dim
-    s = _validate_povm_seed(seed_op, d, atol)
+    s = _validate_povm_seed(seed_op, d)
     weight = d / len(group)
     eye = np.eye(d)
     elements = []
@@ -210,13 +216,13 @@ def covariant_povm(group: UnitaryGroup, seed_op, atol: float = 1e-8) -> list:
     return elements
 
 
-def average_likelihood(seed_op, e: ProbeState, atol: float = 1e-8) -> float:
+def average_likelihood(seed_op, e: ProbeState) -> float:
     """Average likelihood <<e| seed |e>> of the matched covariant strategy.
 
     Bounded by the probe dimension, with equality exactly at maximally
     entangled probes paired with their own rank-one seed.
     """
-    s = _validate_povm_seed(seed_op, e.dim, atol)
+    s = _validate_povm_seed(seed_op, e.dim)
     v = e.as_vector()
     return float(np.real(np.vdot(v, s @ v)))
 
@@ -246,7 +252,7 @@ class DiscriminationProblem:
         u2 = assert_unitary(self.u2)
         if u1.shape != u2.shape:
             raise ValueError(f"hypotheses act on different spaces: {u1.shape} vs {u2.shape}")
-        if self.p1 < 0 or self.p2 < 0 or abs(self.p1 + self.p2 - 1.0) > 1e-10:
+        if not (self.p1 >= 0 and self.p2 >= 0 and abs(self.p1 + self.p2 - 1.0) <= PRIOR_SUM_ATOL):
             raise ValueError(f"priors must be nonnegative and sum to 1, got {self.p1}, {self.p2}")
         for name, u in (("u1", u1), ("u2", u2)):
             u = u.copy()
@@ -263,17 +269,22 @@ class DiscriminationProblem:
         return self.u2.conj().T @ self.u1
 
 
+def _local_input(probe, dim: int) -> np.ndarray:
+    psi = np.asarray(probe, dtype=complex).reshape(-1)
+    if psi.size != dim:
+        raise ValueError(f"local input of length {psi.size} for dim {dim}")
+    if not abs(np.linalg.norm(psi) - 1.0) <= NORM_ATOL:
+        raise ValueError("local input state must be normalized")
+    return psi
+
+
 def _input_overlap(problem: DiscriminationProblem, probe) -> complex:
     w = problem.relative_unitary
     if isinstance(probe, ProbeState):
         if probe.dim != problem.dim:
             raise ValueError("probe dimension does not match the hypotheses")
         return complex(np.trace(probe.e_op.conj().T @ w @ probe.e_op))
-    psi = np.asarray(probe, dtype=complex).reshape(-1)
-    if psi.size != problem.dim:
-        raise ValueError(f"local input of length {psi.size} for dim {problem.dim}")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
-        raise ValueError("local input state must be normalized")
+    psi = _local_input(probe, problem.dim)
     return complex(np.vdot(psi, w @ psi))
 
 
@@ -327,8 +338,8 @@ class _Hull:
         return max(1, math.ceil((np.pi - PHASE_DEDUPE_TOL) / self.spread))
 
 
-def _hull(w, atol: float = 1e-10) -> _Hull:
-    phases, vecs = eig_unitary(w, atol)
+def _hull(w) -> _Hull:
+    phases, vecs = eig_unitary(w)
     keep = [0]
     for k in range(1, phases.size):
         if phases[k] - phases[keep[-1]] > PHASE_DEDUPE_TOL:
@@ -343,7 +354,7 @@ def _hull(w, atol: float = 1e-10) -> _Hull:
     return _Hull(phases, phases[order], vecs[:, order], float(TWO_PI - gaps[largest]))
 
 
-def min_overlap_r(w, atol: float = 1e-10) -> EigenvaluePolygon:
+def min_overlap_r(w) -> EigenvaluePolygon:
     """Distance from the origin to the eigenvalue polygon of a unitary.
 
     The returned ``r`` is the smallest achievable |<psi| w |psi>| over unit
@@ -352,12 +363,12 @@ def min_overlap_r(w, atol: float = 1e-10) -> EigenvaluePolygon:
     chord across the largest gap, so r = cos(spread / 2); at or past pi the
     polygon holds the origin and r = 0.
     """
-    hull = _hull(w, atol)
+    hull = _hull(w)
     r = 0.0 if hull.copies == 1 else float(np.cos(hull.spread / 2.0))
     return EigenvaluePolygon(tuple(hull.phases), r, hull.spread)
 
 
-def optimal_pair_input(w, atol: float = 1e-10) -> np.ndarray:
+def optimal_pair_input(w) -> np.ndarray:
     """Local pure state whose overlap modulus under ``w`` attains r(w).
 
     The state is a superposition of eigenvectors whose weighted eigenvalue
@@ -368,7 +379,7 @@ def optimal_pair_input(w, atol: float = 1e-10) -> np.ndarray:
     barycentric coordinates of the origin (each proportional to the sine of
     the arc opposite its vertex).
     """
-    hull = _hull(w, atol)
+    hull = _hull(w)
     vecs = hull.vectors
     if hull.vertices.size == 1:
         return vecs[:, 0].copy()
@@ -386,7 +397,7 @@ def optimal_pair_input(w, atol: float = 1e-10) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def tensor_power_spread(w, n: int, atol: float = 1e-10) -> float:
+def tensor_power_spread(w, n: int) -> float:
     """Angular spread of the n-copy eigenphase multiset, capped at 2 pi.
 
     The n-fold phase sums span n times the one-copy arc, so the spread is
@@ -394,7 +405,7 @@ def tensor_power_spread(w, n: int, atol: float = 1e-10) -> float:
     """
     if n < 1:
         raise ValueError(f"copy count must be at least 1, got {n}")
-    return float(min(n * _hull(w, atol).spread, TWO_PI))
+    return float(min(n * _hull(w).spread, TWO_PI))
 
 
 def copies_for_perfect(problem: DiscriminationProblem, n_max: int) -> int | None:
@@ -424,7 +435,7 @@ def schur_overlap_omega(e: ProbeState) -> float:
     return float(np.real(np.trace(red @ red)))
 
 
-def majorization_compare(p, q, atol: float = 1e-10) -> str:
+def majorization_compare(p, q) -> str:
     """Prefix-sum dominance order of two probability vectors.
 
     Returns ``"majorized"`` when p is dominated by q, ``"majorizes"`` for
@@ -435,9 +446,9 @@ def majorization_compare(p, q, atol: float = 1e-10) -> str:
     for name, vec in (("p", p), ("q", q)):
         if vec.ndim != 1 or vec.size == 0:
             raise ValueError(f"{name} must be a non-empty 1-d vector")
-        if np.any(vec < -atol):
+        if np.any(vec < -MAJORIZATION_ATOL):
             raise ValueError(f"{name} has negative entries")
-        if abs(vec.sum() - 1.0) > 1e-8:
+        if abs(vec.sum() - 1.0) > PROB_SUM_ATOL:
             raise ValueError(f"{name} does not sum to 1")
     size = max(p.size, q.size)
     pp = np.zeros(size)
@@ -446,8 +457,8 @@ def majorization_compare(p, q, atol: float = 1e-10) -> str:
     qq[: q.size] = np.sort(q)[::-1]
     cp = np.cumsum(pp)
     cq = np.cumsum(qq)
-    p_below = bool(np.all(cp <= cq + atol))
-    q_below = bool(np.all(cq <= cp + atol))
+    p_below = bool(np.all(cp <= cq + MAJORIZATION_ATOL))
+    q_below = bool(np.all(cq <= cp + MAJORIZATION_ATOL))
     if p_below and q_below:
         return "equal"
     if p_below:

@@ -14,6 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .linops import COV_SYMMETRY_ATOL, PPT_ATOL, UNCERTAINTY_RTOL
+
 VACUUM_VARIANCE = 0.25
 
 
@@ -39,12 +41,12 @@ class GaussianState:
             raise ValueError(f"mean must have length 2 or 4, got {mean.size}")
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"covariance shape {cov.shape} does not match mean {mean.size}")
-        if np.max(np.abs(cov - cov.T)) > 1e-12:
-            raise ValueError("covariance must be symmetric within 1e-12")
+        if np.max(np.abs(cov - cov.T)) > COV_SYMMETRY_ATOL:
+            raise ValueError(f"covariance must be symmetric within {COV_SYMMETRY_ATOL}")
         check = cov + 0.25j * symplectic_form(mean.size // 2)
         # eigvalsh errs by ~eps times the largest eigenvalue, so scale the slack
         spectrum = np.linalg.eigvalsh(check)
-        if spectrum[0] < -1e-10 * max(1.0, spectrum[-1]):
+        if spectrum[0] < -UNCERTAINTY_RTOL * max(1.0, spectrum[-1]):
             raise ValueError("covariance violates the uncertainty bound")
         mean = mean.copy()
         cov = cov.copy()
@@ -114,11 +116,17 @@ def squeezed_state(s: float, x0: float = 0.0) -> GaussianState:
     return GaussianState(mean, cov)
 
 
+def _check_gain(x) -> float:
+    """The downconversion gain as a float, which must satisfy |x| < 1 (nan fails)."""
+    x = float(x)
+    if not abs(x) < 1.0:
+        raise ValueError(f"|x| must be below 1, got {x}")
+    return x
+
+
 def tmsv_state(x: float) -> GaussianState:
     """Two-mode squeezed vacuum with downconversion gain parameter |x| < 1."""
-    x = float(x)
-    if abs(x) >= 1.0:
-        raise ValueError(f"|x| must be below 1, got {x}")
+    x = _check_gain(x)
     r = np.arctanh(abs(x))
     c = np.cosh(2.0 * r) * VACUUM_VARIANCE
     s = np.sinh(2.0 * r) * VACUUM_VARIANCE
@@ -234,9 +242,7 @@ def heterodyne(
 
 def tmsv_epr_variance(x: float) -> float:
     """Closed-form EPR outcome variance (1 - |x|)/(1 + |x|) of the two-mode probe."""
-    x = float(x)
-    if abs(x) >= 1.0:
-        raise ValueError(f"|x| must be below 1, got {x}")
+    x = _check_gain(x)
     return (1.0 - abs(x)) / (1.0 + abs(x))
 
 
@@ -274,7 +280,7 @@ def ppt_separability(g: GaussianState) -> SeparabilityReport:
         raise ValueError(f"the test applies to 2-mode states, got {g.modes} mode(s)")
     flip = np.diag([1.0, 1.0, 1.0, -1.0])
     nu_min = float(symplectic_eigenvalues(flip @ g.cov @ flip)[0])
-    return SeparabilityReport(nu_min >= VACUUM_VARIANCE - 1e-10, nu_min)
+    return SeparabilityReport(nu_min >= VACUUM_VARIANCE - PPT_ATOL, nu_min)
 
 
 def ppt_noise_boundary(x: float) -> float:
@@ -285,9 +291,7 @@ def ppt_noise_boundary(x: float) -> float:
     edge sits at n = (1 - Delta^2)/2 = |x|/(1 + |x|), read without the
     cosh - sinh cancellation of the covariance entries.
     """
-    x = float(x)
-    if abs(x) >= 1.0:
-        raise ValueError(f"|x| must be below 1, got {x}")
+    x = _check_gain(x)
     return abs(x) / (1.0 + abs(x))
 
 
@@ -312,8 +316,6 @@ def photon_budget(kind: str, param: float = 0.0) -> float:
     if kind == "squeezed":
         return float(np.sinh(param) ** 2)
     if kind == "tmsv":
-        x = float(param)
-        if abs(x) >= 1.0:
-            raise ValueError(f"|x| must be below 1, got {x}")
+        x = _check_gain(param)
         return 2.0 * x * x / (1.0 - x * x)
     raise ValueError(f"unknown probe kind {kind!r}")

@@ -13,8 +13,47 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The numeric thresholds of every validity and geometry decision in entprobe;
+# the other modules import them from here.
+
 # Relative singular-value / eigenvalue cutoff used for every rank decision.
 RANK_RTOL = 1e-10
+# Max-norm defect of u†u - I that still counts as unitary.
+UNITARY_ATOL = 1e-10
+# Hermiticity, trace and negative-eigenvalue slack of a density operator.
+DENSITY_ATOL = 1e-10
+# Density-operator eigenvalues at or below this add nothing to the entropy.
+ENTROPY_CUTOFF = 1e-15
+# Distance from 1 of a probe's Tr[e†e] or of a local input state's norm.
+NORM_ATOL = 1e-10
+# Schmidt weights down to minus this are clipped to 0; lower ones are rejected.
+SCHMIDT_NEG_ATOL = 1e-12
+# Distance from 1 of the sum of Schmidt weights or of a majorization input.
+PROB_SUM_ATOL = 1e-8
+# Distance from 1 of the sum of two hypothesis priors.
+PRIOR_SUM_ATOL = 1e-10
+# Largest negative entry and prefix-sum slack in majorization_compare.
+MAJORIZATION_ATOL = 1e-10
+# Cosines of eigenphases closer than this share one eigenspace in eig_unitary.
+EIG_CLUSTER_TOL = 1e-8
+# Eigenphases within this of -pi fold up to +pi.
+SEAM_TOL = 1e-12
+# Eigenphases closer than this (on the circle) collapse to one polygon vertex.
+PHASE_DEDUPE_TOL = 1e-9
+# Largest ||omega| - 1| of the phase fitted to a group product in closure_defect.
+CLOSURE_PHASE_TOL = 1e-6
+# Largest 1-design defect for which a group's twirl counts as depolarizing.
+DESIGN_ATOL = 1e-8
+# Hermiticity and partial-trace defect of a covariant POVM seed.
+POVM_SEED_ATOL = 1e-8
+# Most negative eigenvalue of a covariant POVM seed.
+POVM_SEED_PSD_ATOL = 1e-10
+# Largest asymmetry of a Gaussian covariance matrix.
+COV_SYMMETRY_ATOL = 1e-12
+# Negative slack of the uncertainty bound, relative to max(1, largest eigenvalue).
+UNCERTAINTY_RTOL = 1e-10
+# Shortfall below 1/4 of the smallest PT symplectic eigenvalue still called separable.
+PPT_ATOL = 1e-10
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -24,38 +63,38 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
-def is_unitary(u, atol: float = 1e-10) -> bool:
-    """True when ``u`` satisfies u†u = I within ``atol`` (max-norm)."""
+def is_unitary(u) -> bool:
+    """True when ``u`` satisfies u†u = I within ``UNITARY_ATOL`` (max-norm)."""
     u = _as_matrix(u)
     if u.shape[0] != u.shape[1]:
         return False
     defect = u.conj().T @ u - np.eye(u.shape[0])
-    return bool(np.max(np.abs(defect)) <= atol)
+    return bool(np.max(np.abs(defect)) <= UNITARY_ATOL)
 
 
-def assert_unitary(u, atol: float = 1e-10) -> np.ndarray:
+def assert_unitary(u) -> np.ndarray:
     u = _as_matrix(u)
-    if not is_unitary(u, atol):
-        raise ValueError(f"matrix is not unitary within {atol}")
+    if not is_unitary(u):
+        raise ValueError(f"matrix is not unitary within {UNITARY_ATOL}")
     return u
 
 
-def is_density(rho, atol: float = 1e-10) -> bool:
+def is_density(rho) -> bool:
     """True for a Hermitian, positive-semidefinite, trace-one matrix."""
     rho = _as_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
         return False
-    if np.max(np.abs(rho - rho.conj().T)) > atol:
+    if np.max(np.abs(rho - rho.conj().T)) > DENSITY_ATOL:
         return False
-    if abs(np.trace(rho) - 1.0) > atol:
+    if abs(np.trace(rho) - 1.0) > DENSITY_ATOL:
         return False
-    return bool(np.linalg.eigvalsh(rho).min() >= -atol)
+    return bool(np.linalg.eigvalsh(rho).min() >= -DENSITY_ATOL)
 
 
-def assert_density(rho, atol: float = 1e-10) -> np.ndarray:
+def assert_density(rho) -> np.ndarray:
     rho = _as_matrix(rho)
-    if not is_density(rho, atol):
-        raise ValueError(f"matrix is not a density operator within {atol}")
+    if not is_density(rho):
+        raise ValueError(f"matrix is not a density operator within {DENSITY_ATOL}")
     return rho
 
 
@@ -93,12 +132,12 @@ def partial_trace(m, d1: int, d2: int, side: int) -> np.ndarray:
     raise ValueError(f"side must be 1 or 2, got {side}")
 
 
-def matrix_rank(a, rtol: float = RANK_RTOL) -> int:
-    """Rank by singular values above ``rtol`` times the largest one."""
+def matrix_rank(a) -> int:
+    """Rank by singular values above ``RANK_RTOL`` times the largest one."""
     s = np.linalg.svd(_as_matrix(a), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > rtol * s[0]))
+    return int(np.count_nonzero(s > RANK_RTOL * s[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +146,7 @@ class ProbeState:
 
     ``e_op[i, j]`` is the amplitude on ``|i>|j>``; the unknown transformation
     acts on the first factor only.  The state must be normalized,
-    Tr[e† e] = 1 within 1e-10.
+    Tr[e† e] = 1 within ``NORM_ATOL``.
     """
 
     e_op: np.ndarray
@@ -117,7 +156,7 @@ class ProbeState:
         if e.shape[0] != e.shape[1]:
             raise ValueError(f"probe amplitude matrix must be square, got {e.shape}")
         norm_sq = float(np.real(np.vdot(e, e)))
-        if abs(norm_sq - 1.0) > 1e-10:
+        if abs(norm_sq - 1.0) > NORM_ATOL:
             raise ValueError(f"probe is not normalized: Tr[e†e] = {norm_sq!r}")
         e = e.copy()
         e.setflags(write=False)
@@ -148,12 +187,12 @@ class ProbeState:
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a non-empty 1-d sequence")
-        if np.any(w < -1e-12):
+        if not np.all(w >= -SCHMIDT_NEG_ATOL):
             raise ValueError("Schmidt weights must be nonnegative")
         w = np.clip(w, 0.0, None)
         total = w.sum()
-        if abs(total - 1.0) > 1e-8:
-            raise ValueError(f"Schmidt weights must sum to 1, got {total!r}")
+        if not abs(total - 1.0) <= PROB_SUM_ATOL:
+            raise ValueError(f"Schmidt weights must sum to 1, got {float(total)!r}")
         return cls(np.diag(np.sqrt(w / total)))
 
     @classmethod
@@ -171,15 +210,15 @@ def schmidt_coefficients(p: ProbeState) -> np.ndarray:
     return np.linalg.svd(p.e_op, compute_uv=False)
 
 
-def von_neumann_entropy(rho, base: float = 2.0, atol: float = 1e-10) -> float:
-    """Entropy -sum(lam log lam) of a density matrix, in base-``base`` units."""
-    rho = assert_density(rho, atol)
+def von_neumann_entropy(rho) -> float:
+    """Entropy -sum(lam log2 lam) of a density matrix, in bits."""
+    rho = assert_density(rho)
     evals = np.linalg.eigvalsh(rho)
-    evals = evals[evals > 1e-15]
-    return float(-(evals * (np.log(evals) / np.log(base))).sum())
+    evals = evals[evals > ENTROPY_CUTOFF]
+    return float(-(evals * (np.log(evals) / np.log(2.0))).sum())
 
 
-def eig_unitary(u, atol: float = 1e-10):
+def eig_unitary(u):
     """Eigenphases in (-pi, pi] and orthonormal eigenvectors of a unitary.
 
     Works through the commuting Hermitian pair (u + u†)/2 and (u - u†)/2i:
@@ -192,7 +231,7 @@ def eig_unitary(u, atol: float = 1e-10):
     phases : ndarray of float, ascending
     vectors : ndarray, column k is the eigenvector for ``phases[k]``
     """
-    u = assert_unitary(u, atol)
+    u = assert_unitary(u)
     n = u.shape[0]
     h_re = (u + u.conj().T) / 2.0
     h_im = (u - u.conj().T) / 2.0j
@@ -203,7 +242,7 @@ def eig_unitary(u, atol: float = 1e-10):
 
     start = 0
     for stop in range(1, n + 1):
-        boundary = stop == n or (cos_vals[stop] - cos_vals[stop - 1]) > 1e-8
+        boundary = stop == n or (cos_vals[stop] - cos_vals[stop - 1]) > EIG_CLUSTER_TOL
         if boundary:
             if stop - start > 1:
                 block = vecs[:, start:stop]
@@ -216,6 +255,6 @@ def eig_unitary(u, atol: float = 1e-10):
     sin_diag = np.real(np.einsum("ik,ij,jk->k", vecs.conj(), h_im, vecs))
     phases = np.arctan2(sin_diag, cos_diag)
     # canonical interval (-pi, pi]: fold anything hugging -pi up to +pi
-    phases = np.where(phases <= -np.pi + 1e-12, phases + 2.0 * np.pi, phases)
+    phases = np.where(phases <= -np.pi + SEAM_TOL, phases + 2.0 * np.pi, phases)
     order = np.argsort(phases)
     return phases[order], vecs[:, order]

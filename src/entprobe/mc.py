@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gauss
-from .discrim import DiscriminationProblem, helstrom_error
+from .discrim import DiscriminationProblem, _local_input, helstrom_error
 from .linops import ProbeState, vectorize
 
 RNG_DESCRIPTION = "philox4x64/box-muller"
@@ -132,10 +132,7 @@ def _output_vector(problem: DiscriminationProblem, probe, which: int) -> np.ndar
     u = problem.u1 if which == 1 else problem.u2
     if isinstance(probe, ProbeState):
         return vectorize(u @ probe.e_op)
-    psi = np.asarray(probe, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
-        raise ValueError("local input state must be normalized")
-    return u @ psi
+    return u @ _local_input(probe, problem.dim)
 
 
 def sample_helstrom(

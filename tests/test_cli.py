@@ -345,9 +345,39 @@ class TestCovariant:
         assert code == 2
         assert "sum" in err
 
+    def test_weight_sum_checked_at_the_library_tolerance(self, capsys):
+        err = assert_exit_two(capsys, "covariant", "--d", "2", "--schmidt-spec", "0.5,0.5000005")
+        assert "sum" in err
+
+    def test_clipped_negative_weight_accepted(self, capsys):
+        # weights down to -SCHMIDT_NEG_ATOL are clipped to 0, as ProbeState.from_schmidt does
+        code, out, err = run_cli(capsys, "covariant", "--d", "2", "--schmidt-spec", "1,-1e-13")
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, "covariant", "--d", "2", "--schmidt-spec", "1,0")[1]
+
+    @pytest.mark.parametrize("spec", ["nan,1", "1,nan", "inf,0", "2,-inf"])
+    def test_non_finite_weights_rejected(self, capsys, spec):
+        assert_exit_two(capsys, "covariant", "--d", "2", "--schmidt-spec", spec)
+
     def test_bad_weight_count(self, capsys):
         code, _, err = run_cli(capsys, "covariant", "--d", "3", "--schmidt-spec", "0.5,0.5")
         assert code == 2
+
+
+class TestWhGroup:
+    @pytest.mark.parametrize("d", [cli.MAX_WH_GROUP_DIM + 1, 200, 10**6])
+    def test_dimension_cap(self, capsys, monkeypatch, d):
+        err = assert_rejected_before_work(
+            capsys, monkeypatch, cli, "weyl_heisenberg_group", "wh-group", "--d", str(d)
+        )
+        assert str(cli.MAX_WH_GROUP_DIM) in err
+
+
+def assert_exit_two(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.strip().splitlines()) == 1
+    return err
 
 
 class TestDiscriminate:
@@ -364,6 +394,22 @@ class TestDiscriminate:
             capsys, "discriminate", "--u1", "pauli:z", "--u2", "pauli:x", "--priors", "0.9,0.3"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("priors", ["nan,nan", "1,nan", "nan,1"])
+    def test_nan_priors_rejected(self, capsys, priors):
+        argv = ("discriminate", "--u1", "pauli:z", "--u2", "pauli:x", "--priors", priors)
+        assert "priors" in assert_exit_two(capsys, *argv)
+
+    @pytest.mark.parametrize("command", ["discriminate", "ncopies"])
+    def test_unitarity_checked_at_the_library_tolerance(self, capsys, tmp_path, command):
+        # u†u - I = 6e-9: inside the CLI's former 1e-8, outside the library's 1e-10
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps([[[1 + 3e-9, 0], [0, 0]], [[0, 0], [1, 0]]]))
+        err = assert_exit_two(capsys, command, "--u1", f"file:{path}", "--u2", "pauli:z")
+        assert "not unitary within 1e-10" in err
+
+    def test_mismatched_dimensions(self, capsys):
+        assert_exit_two(capsys, "discriminate", "--u1", "pauli:z", "--u2", "wh:3,1,0")
 
 
 class TestOutputFormats:

@@ -394,6 +394,15 @@ class TestHelstrom:
         with pytest.raises(ValueError):
             DiscriminationProblem(SZ, SX, 0.7, 0.7)
 
+    @pytest.mark.parametrize("p1, p2", [(np.nan, np.nan), (1.0, np.nan), (np.nan, 1.0)])
+    def test_nan_priors_rejected(self, p1, p2):
+        with pytest.raises(ValueError, match="priors"):
+            DiscriminationProblem(SZ, SX, p1, p2)
+
+    def test_nan_local_input_rejected(self):
+        with pytest.raises(ValueError, match="normalized"):
+            helstrom_error(DiscriminationProblem(SZ, SX), np.array([np.nan, 0.0]))
+
     def test_unnormalized_local_input_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
             helstrom_error(DiscriminationProblem(SZ, SX), np.array([1.0, 1.0]))

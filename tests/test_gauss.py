@@ -70,6 +70,16 @@ class TestStatePreparation:
         with pytest.raises(ValueError):
             tmsv_state(-1.5)
 
+    def test_nan_gain_rejected(self):
+        for check in (
+            tmsv_state,
+            tmsv_epr_variance,
+            ppt_noise_boundary,
+            lambda x: photon_budget("tmsv", x),
+        ):
+            with pytest.raises(ValueError, match="below 1"):
+                check(float("nan"))
+
     def test_all_preparations_physical(self):
         # construction itself enforces the uncertainty bound; just build them
         vacuum_state(2)

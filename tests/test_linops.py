@@ -238,3 +238,8 @@ class TestValidators:
             ProbeState.from_schmidt([1.5, -0.5])
         with pytest.raises(ValueError, match="sum"):
             ProbeState.from_schmidt([0.7, 0.1])
+
+    @pytest.mark.parametrize("weights", [[np.nan, 1.0], [1.0, np.nan], [np.inf, 0.0]])
+    def test_non_finite_schmidt_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="Schmidt"):
+            ProbeState.from_schmidt(weights)

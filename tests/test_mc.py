@@ -156,6 +156,10 @@ class TestSampleHeterodyne:
         with pytest.raises(ValueError, match="normalized"):
             sample_helstrom(DiscriminationProblem(SZ, SX), np.array([1.0, 1.0]), 10, 0)
 
+    def test_nan_local_input_rejected(self):
+        with pytest.raises(ValueError, match="normalized"):
+            sample_helstrom(DiscriminationProblem(SZ, SX), np.array([np.nan, 0.0]), 10, 0)
+
 
 class TestStatisticalSoundness:
     def test_z_scores_within_four_sigma_across_seeds(self):
