@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,15 +38,6 @@ class FlagDomainError(Exception):
     """A parsed flag fell outside the domain of the target operation."""
 
 
-@dataclass
-class RunConfig:
-    command: str
-    fmt: str = "csv"
-    output: str | None = None
-    options: dict = field(default_factory=dict)  # parsed values handed to the handler
-    flags: dict = field(default_factory=dict)  # raw flag echo for JSON metadata
-
-
 # ---------------------------------------------------------------------------
 # flag parsing helpers
 # ---------------------------------------------------------------------------
@@ -66,6 +56,11 @@ MAX_COVARIANT_DIM = 24
 
 # e^(2|s|), and with it sinh(s)^2, stays finite exactly up to this squeezing.
 MAX_SQUEEZING = math.log(sys.float_info.max) / 2.0
+
+# Largest dimension of a parsed unitary: discriminate on wh:d,1,0 vs wh:d,0,1
+# takes 0.4 s and 44 MB resident at d = 256 (1.0 s at 384, 2.4 s and 75 MB at
+# 512, 20 s at 1024) in-process on a 2-core x86-64 VM, growing like d^3.
+MAX_UNITARY_DIM = 256
 
 
 def _parse_grid(text: str, name: str) -> np.ndarray:
@@ -100,9 +95,15 @@ def _library_check(flag: str, rule, *args):
 def parse_unitary(text: str) -> np.ndarray:
     """Inline unitaries: pauli:x | wh:d,m,n | diag:t1,t2,... | file:PATH.
 
-    ``file:`` reads a JSON 2-d array whose entries are [re, im] pairs.  All
-    forms are checked with the library's unitarity rule.
+    ``file:`` reads a JSON 2-d array whose entries are [re, im] pairs.  Every
+    form is at most ``MAX_UNITARY_DIM`` wide, checked before the matrix is
+    built, and passes the library's unitarity rule.
     """
+
+    def check_dim(d: int) -> None:
+        message = f"unitary dimension must be at most {MAX_UNITARY_DIM}, got {d} in {text!r}"
+        _check(d <= MAX_UNITARY_DIM, message)
+
     kind, _, rest = text.partition(":")
     if kind == "pauli":
         group = pauli_group()
@@ -117,24 +118,26 @@ def parse_unitary(text: str) -> np.ndarray:
             raise FlagDomainError(f"wh spec must be 'd,m,n', got {rest!r}")
         if d < 2 or not (0 <= m < d) or not (0 <= n < d):
             raise FlagDomainError(f"wh indices out of range in {text!r}")
+        check_dim(d)
         u = _shift_phase(d, m, n)[0]
     elif kind == "diag":
         try:
-            thetas = np.array([float(tok) for tok in rest.split(",")])
+            thetas = [float(tok) for tok in rest.split(",")]
         except ValueError:
             raise FlagDomainError(f"diag spec must be a comma list of angles, got {rest!r}")
-        if thetas.size == 0:
-            raise FlagDomainError("diag spec must contain at least one angle")
-        u = np.diag(np.exp(1j * thetas))
+        check_dim(len(thetas))
+        u = np.diag(np.exp(1j * np.array(thetas)))
     elif kind == "file":
         try:
             with open(rest) as fh:
                 raw = json.load(fh)
+            if isinstance(raw, list):
+                check_dim(len(raw))
             arr = np.array(raw, dtype=float)
             if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
                 raise ValueError
             u = arr[..., 0] + 1j * arr[..., 1]
-        except (OSError, ValueError, json.JSONDecodeError):
+        except (OSError, RecursionError, TypeError, ValueError):
             raise FlagDomainError(
                 f"could not read a square 2-d array of [re, im] pairs from {rest!r}"
             )
@@ -161,6 +164,10 @@ def _check(condition: bool, message: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+# Parsed arguments that steer the run rather than describe the table.
+_NOT_FLAGS = ("command", "format", "output", "run")
+
+
 def _format_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -171,8 +178,9 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _emit(config: RunConfig, columns: list[str], rows: list[dict], stream) -> None:
-    if config.fmt == "csv":
+def _emit(ns: argparse.Namespace, rows: list[dict], stream) -> None:
+    columns = list(rows[0])
+    if ns.format == "csv":
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
@@ -180,8 +188,8 @@ def _emit(config: RunConfig, columns: list[str], rows: list[dict], stream) -> No
     else:
         doc = {
             "version": __version__,
-            "command": config.command,
-            "flags": {k: v for k, v in sorted(config.flags.items())},
+            "command": ns.command,
+            "flags": {k: v for k, v in sorted(vars(ns).items()) if k not in _NOT_FLAGS},
             "columns": columns,
             "rows": [[row[col] for col in columns] for row in rows],
         }
@@ -189,86 +197,78 @@ def _emit(config: RunConfig, columns: list[str], rows: list[dict], stream) -> No
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each checks its own flags, then returns its rows
 # ---------------------------------------------------------------------------
 
 
-def _run_pauli_demo(opts: dict):
+def _gram_rows(group, probe: ProbeState, column: str, cell) -> list[dict]:
+    """A row per ordered pair (g, h): the Gram entry of their outputs and ``cell(j, k, entry)``."""
+    gram = output_gram(group, probe)
+    return [
+        {
+            "g": lj,
+            "h": lk,
+            "gram_re": float(gram[j, k].real),
+            "gram_im": float(gram[j, k].imag),
+            column: cell(j, k, gram[j, k]),
+        }
+        for j, lj in enumerate(group.labels)
+        for k, lk in enumerate(group.labels)
+    ]
+
+
+def _quantity_rows(values: dict) -> list[dict]:
+    return [{"quantity": name, "value": float(value)} for name, value in values.items()]
+
+
+def _run_pauli_demo(ns):
     group = pauli_group()
     probe = ProbeState.maximally_entangled(2)
-    gram = output_gram(group, probe)
-    rows = []
-    for j, lj in enumerate(group.labels):
-        for k, lk in enumerate(group.labels):
-            problem = DiscriminationProblem(group.elements[j], group.elements[k])
-            rows.append(
-                {
-                    "g": lj,
-                    "h": lk,
-                    "gram_re": float(gram[j, k].real),
-                    "gram_im": float(gram[j, k].imag),
-                    "p_error": float(helstrom_error(problem, probe)),
-                }
-            )
-    return ["g", "h", "gram_re", "gram_im", "p_error"], rows
+
+    def p_error(j, k, _):
+        problem = DiscriminationProblem(group.elements[j], group.elements[k])
+        return float(helstrom_error(problem, probe))
+
+    return _gram_rows(group, probe, "p_error", p_error)
 
 
-def _run_wh_group(opts: dict):
-    d = opts["d"]
+def _run_wh_group(ns):
+    d = ns.d
     _check(2 <= d <= MAX_WH_GROUP_DIM, f"--d must be between 2 and {MAX_WH_GROUP_DIM}, got {d}")
     group = weyl_heisenberg_group(d)
-    gram = output_gram(group, ProbeState.maximally_entangled(d))
-    target = np.eye(d * d)
-    rows = []
-    for i, li in enumerate(group.labels):
-        for j, lj in enumerate(group.labels):
-            rows.append(
-                {
-                    "g": li,
-                    "h": lj,
-                    "gram_re": float(gram[i, j].real),
-                    "gram_im": float(gram[i, j].imag),
-                    "deviation": float(abs(gram[i, j] - target[i, j])),
-                }
-            )
-    return ["g", "h", "gram_re", "gram_im", "deviation"], rows
+    probe = ProbeState.maximally_entangled(d)
+    return _gram_rows(group, probe, "deviation", lambda j, k, entry: float(abs(entry - (j == k))))
 
 
-def _run_discriminate(opts: dict):
-    problem = opts["problem"]
+def _run_discriminate(ns):
+    u1, u2 = parse_unitary(ns.u1), parse_unitary(ns.u2)
+    problem = _library_check(ns.command, DiscriminationProblem, u1, u2, *_parse_priors(ns.priors))
     w = problem.relative_unitary
     polygon = min_overlap_r(w)
     psi = optimal_pair_input(w)
-    rows = [
-        {"quantity": "r", "value": float(polygon.r)},
-        {"quantity": "spread", "value": float(polygon.spread)},
-        {"quantity": "p_error", "value": float(helstrom_error(problem, psi))},
-    ]
+    values = {"r": polygon.r, "spread": polygon.spread, "p_error": helstrom_error(problem, psi)}
     for k, amp in enumerate(psi):
-        rows.append({"quantity": f"psi_{k}_re", "value": float(amp.real)})
-        rows.append({"quantity": f"psi_{k}_im", "value": float(amp.imag)})
-    return ["quantity", "value"], rows
+        values[f"psi_{k}_re"] = amp.real
+        values[f"psi_{k}_im"] = amp.imag
+    return _quantity_rows(values)
 
 
-def _run_ncopies(opts: dict):
-    problem = opts["problem"]
-    n = _library_check("--n-max", copies_for_perfect, problem, opts["n_max"])
+def _run_ncopies(ns):
+    hypotheses = parse_unitary(ns.u1), parse_unitary(ns.u2)
+    problem = _library_check(ns.command, DiscriminationProblem, *hypotheses)
+    n = _library_check("--n-max", copies_for_perfect, problem, ns.n_max)
     polygon = min_overlap_r(problem.relative_unitary)
-    rows = [
-        {
-            "reachable": n is not None,
-            "n_copies": n,
-            "r": float(polygon.r),
-            "spread": float(polygon.spread),
-        }
-    ]
-    return ["reachable", "n_copies", "r", "spread"], rows
+    r, spread = float(polygon.r), float(polygon.spread)
+    return [{"reachable": n is not None, "n_copies": n, "r": r, "spread": spread}]
 
 
-def _run_covariant(opts: dict):
-    d = opts["d"]
+def _run_covariant(ns):
+    try:
+        weights = [float(tok) for tok in ns.schmidt_spec.split(",")]
+    except ValueError:
+        raise FlagDomainError(f"--schmidt-spec must be a comma list, got {ns.schmidt_spec!r}")
+    d = ns.d
     _check(2 <= d <= MAX_COVARIANT_DIM, f"--d must be between 2 and {MAX_COVARIANT_DIM}, got {d}")
-    weights = opts["schmidt"]
     _check(len(weights) == d, f"--schmidt-spec needs {d} weights, got {len(weights)}")
     probe = _library_check("--schmidt-spec", ProbeState.from_schmidt, weights)
     group = weyl_heisenberg_group(d)
@@ -277,17 +277,18 @@ def _run_covariant(opts: dict):
     polar = uu @ vh
     seed_vec = polar.reshape(-1)
     seed = np.outer(seed_vec, seed_vec.conj())
-    rows = [
-        {"quantity": "chi_bits", "value": float(holevo_chi(group, probe))},
-        {"quantity": "span_dim", "value": float(output_span_dimension(group, probe))},
-        {"quantity": "likelihood", "value": float(average_likelihood(seed, probe))},
-        {"quantity": "likelihood_bound", "value": float(d)},
-    ]
-    return ["quantity", "value"], rows
+    return _quantity_rows(
+        {
+            "chi_bits": holevo_chi(group, probe),
+            "span_dim": output_span_dimension(group, probe),
+            "likelihood": average_likelihood(seed, probe),
+            "likelihood_bound": d,
+        }
+    )
 
 
-def _run_cv_estimate(opts: dict):
-    x, nbar, trials, seed = opts["x"], opts["nbar"], opts["trials"], opts["seed"]
+def _run_cv_estimate(ns):
+    x, nbar, trials, seed = ns.x, ns.nbar, ns.trials, ns.seed
     _library_check("--x", gauss._check_gain, x)
     _check(math.isfinite(nbar) and nbar >= 0.0, f"--nbar must be finite and nonnegative, got {nbar}")
     _library_check("--trials", mc._check_trials, trials)
@@ -316,21 +317,11 @@ def _run_cv_estimate(opts: dict):
                 "rng": report.rng,
             }
         )
-    return [
-        "scheme",
-        "x",
-        "nbar",
-        "trials",
-        "seed",
-        "delta2_analytic",
-        "delta2_empirical",
-        "z_score",
-        "rng",
-    ], rows
+    return rows
 
 
-def _run_threshold_scan(opts: dict):
-    grid = opts["x_grid"]
+def _run_threshold_scan(ns):
+    grid = _parse_grid(ns.x_grid, "--x-grid")
     for x in grid:
         _library_check("--x-grid", gauss._check_gain, x)
     rows = []
@@ -344,44 +335,25 @@ def _run_threshold_scan(opts: dict):
                 "ppt_nbar": float(bounds.ppt_nbar),
             }
         )
-    return ["x", "delta_sq", "advantage_nbar", "ppt_nbar"], rows
+    return rows
 
 
-def _run_stability(opts: dict):
-    s = opts["s"]
+def _run_stability(ns):
+    phi_grid = _parse_grid(ns.phi_grid, "--phi-grid")
+    s = ns.s
     _check(abs(s) <= MAX_SQUEEZING, f"--s must satisfy |s| <= {MAX_SQUEEZING}, got {s}")
-    _library_check("--x", gauss._check_gain, opts["x"])
-    scan = mc.stability_scan(s, opts["x"], opts["phi_grid"])
-    rows = []
-    for phi, sq, ent in zip(scan.phis, scan.squeezed_variance, scan.entangled_variance):
-        rows.append(
-            {
-                "phi": float(phi),
-                "squeezed_variance": float(sq),
-                "entangled_variance": float(ent),
-                "squeezed_photons": float(scan.squeezed_photons),
-                "entangled_photons": float(scan.entangled_photons),
-            }
-        )
+    _library_check("--x", gauss._check_gain, ns.x)
+    scan = mc.stability_scan(s, ns.x, phi_grid)
     return [
-        "phi",
-        "squeezed_variance",
-        "entangled_variance",
-        "squeezed_photons",
-        "entangled_photons",
-    ], rows
-
-
-_HANDLERS = {
-    "pauli-demo": _run_pauli_demo,
-    "wh-group": _run_wh_group,
-    "discriminate": _run_discriminate,
-    "ncopies": _run_ncopies,
-    "covariant": _run_covariant,
-    "cv-estimate": _run_cv_estimate,
-    "threshold-scan": _run_threshold_scan,
-    "stability": _run_stability,
-}
+        {
+            "phi": float(phi),
+            "squeezed_variance": float(sq),
+            "entangled_variance": float(ent),
+            "squeezed_photons": float(scan.squeezed_photons),
+            "entangled_photons": float(scan.entangled_photons),
+        }
+        for phi, sq, ent in zip(scan.phis, scan.squeezed_variance, scan.entangled_variance)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -396,41 +368,42 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, run, help_text):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", default=None, help="write the table here instead of stdout")
         return p
 
-    add("pauli-demo", "Gram matrix and error probabilities of the four Bell outputs")
+    add("pauli-demo", _run_pauli_demo, "Gram matrix and error probabilities of the four Bell outputs")
 
-    p = add("wh-group", "orthogonality report for the shift-and-phase group outputs")
+    p = add("wh-group", _run_wh_group, "orthogonality report for the shift-and-phase group outputs")
     p.add_argument("--d", type=int, required=True)
 
-    p = add("discriminate", "minimum overlap, spread and optimal input for two unitaries")
+    p = add("discriminate", _run_discriminate, "minimum overlap, spread and optimal input for two unitaries")
     p.add_argument("--u1", required=True)
     p.add_argument("--u2", required=True)
     p.add_argument("--priors", default="0.5,0.5")
 
-    p = add("ncopies", "copies needed for exact discrimination of two unitaries")
+    p = add("ncopies", _run_ncopies, "copies needed for exact discrimination of two unitaries")
     p.add_argument("--u1", required=True)
     p.add_argument("--u2", required=True)
     p.add_argument("--n-max", type=int, default=64)
 
-    p = add("covariant", "information bound and likelihood for a chosen probe spectrum")
+    p = add("covariant", _run_covariant, "information bound and likelihood for a chosen probe spectrum")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--schmidt-spec", required=True, help="comma list of Schmidt-squared weights")
 
-    p = add("cv-estimate", "Monte Carlo displacement estimation with and without entanglement")
+    p = add("cv-estimate", _run_cv_estimate, "Monte Carlo displacement estimation with and without entanglement")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--nbar", type=float, default=0.0)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("threshold-scan", "advantage and separability noise boundaries over a gain grid")
+    p = add("threshold-scan", _run_threshold_scan, "advantage and separability noise boundaries over a gain grid")
     p.add_argument("--x-grid", required=True)
 
-    p = add("stability", "phase-mismatch scan of squeezed versus entangled probes")
+    p = add("stability", _run_stability, "phase-mismatch scan of squeezed versus entangled probes")
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--phi-grid", required=True)
@@ -438,60 +411,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    opts: dict = {}
-    command = ns.command
-    if command == "wh-group":
-        opts["d"] = ns.d
-    elif command in ("discriminate", "ncopies"):
-        hypotheses = parse_unitary(ns.u1), parse_unitary(ns.u2)
-        priors = _parse_priors(ns.priors) if command == "discriminate" else ()
-        opts["problem"] = _library_check(command, DiscriminationProblem, *hypotheses, *priors)
-        opts["n_max"] = getattr(ns, "n_max", None)
-    elif command == "covariant":
-        opts["d"] = ns.d
-        try:
-            opts["schmidt"] = [float(tok) for tok in ns.schmidt_spec.split(",")]
-        except ValueError:
-            raise FlagDomainError(f"--schmidt-spec must be a comma list, got {ns.schmidt_spec!r}")
-    elif command == "cv-estimate":
-        opts.update(x=ns.x, nbar=ns.nbar, trials=ns.trials, seed=ns.seed)
-    elif command == "threshold-scan":
-        opts["x_grid"] = _parse_grid(ns.x_grid, "--x-grid")
-    elif command == "stability":
-        opts.update(s=ns.s, x=ns.x, phi_grid=_parse_grid(ns.phi_grid, "--phi-grid"))
-    flags = {k: v for k, v in vars(ns).items() if k not in ("command", "format", "output")}
-    return RunConfig(
-        command=command, fmt=ns.format, output=ns.output, options=opts, flags=flags
-    )
-
-
-def run(config: RunConfig) -> int:
-    columns, rows = _HANDLERS[config.command](config.options)
-    if config.output is None:
-        _emit(config, columns, rows, sys.stdout)
-    else:
-        with open(config.output, "w") as fh:
-            _emit(config, columns, rows, fh)
-    return 0
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)  # argparse itself exits 2 on unknown flags
+    ns = build_parser().parse_args(argv)  # argparse itself exits 2 on unknown flags
     try:
-        config = config_from_args(ns)
-    except FlagDomainError as err:
-        print(f"entprobe: {err}", file=sys.stderr)
-        return 2
-    try:
-        return run(config)
+        rows = ns.run(ns)
+        if ns.output is None:
+            _emit(ns, rows, sys.stdout)
+        else:
+            with open(ns.output, "w") as fh:
+                _emit(ns, rows, fh)
     except FlagDomainError as err:
         print(f"entprobe: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # internal numerical failure
         print(f"entprobe: internal failure: {err}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ variance E|z - mean|^2 = 1 on the vacuum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -41,8 +42,11 @@ class GaussianState:
             raise ValueError(f"mean must have length 2 or 4, got {mean.size}")
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"covariance shape {cov.shape} does not match mean {mean.size}")
-        if np.max(np.abs(cov - cov.T)) > COV_SYMMETRY_ATOL:
-            raise ValueError(f"covariance must be symmetric within {COV_SYMMETRY_ATOL}")
+        if not all(map(math.isfinite, mean.tolist())):
+            raise ValueError("mean must be finite")
+        # a nan or infinite entry makes its asymmetry nan or infinite, so it fails here
+        if not np.max(np.abs(cov - cov.T)) <= COV_SYMMETRY_ATOL:
+            raise ValueError(f"covariance must be finite and symmetric within {COV_SYMMETRY_ATOL}")
         check = cov + 0.25j * symplectic_form(mean.size // 2)
         # eigvalsh errs by ~eps times the largest eigenvalue, so scale the slack
         spectrum = np.linalg.eigvalsh(check)
@@ -67,8 +71,13 @@ class NoiseSpec:
     nbar_per_mode: float = 0.0
 
     def __post_init__(self):
-        if self.nbar_per_mode < 0:
-            raise ValueError(f"noise photon number must be nonnegative, got {self.nbar_per_mode}")
+        _check_nbar(self.nbar_per_mode)
+
+
+def _check_nbar(nbar: float) -> None:
+    """A noise photon number must be nonnegative (nan fails)."""
+    if not nbar >= 0.0:
+        raise ValueError(f"noise photon number must be nonnegative, got {nbar}")
 
 
 NO_NOISE = NoiseSpec(0.0)
@@ -173,8 +182,7 @@ def displace(g: GaussianState, mode: int, alpha: complex) -> GaussianState:
 
 def apply_displacement_noise(g: GaussianState, mode: int, nbar: float) -> GaussianState:
     """Random-displacement channel: adds (nbar/2) I to the mode's covariance block."""
-    if nbar < 0:
-        raise ValueError(f"noise photon number must be nonnegative, got {nbar}")
+    _check_nbar(nbar)
     _check_mode(g, mode)
     cov = g.cov.copy()
     block = slice(2 * mode, 2 * mode + 2)

@@ -156,7 +156,7 @@ class ProbeState:
         if e.shape[0] != e.shape[1]:
             raise ValueError(f"probe amplitude matrix must be square, got {e.shape}")
         norm_sq = float(np.real(np.vdot(e, e)))
-        if abs(norm_sq - 1.0) > NORM_ATOL:
+        if not abs(norm_sq - 1.0) <= NORM_ATOL:  # nan fails
             raise ValueError(f"probe is not normalized: Tr[e†e] = {norm_sq!r}")
         e = e.copy()
         e.setflags(write=False)

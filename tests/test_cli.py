@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -411,6 +413,15 @@ class TestDiscriminate:
     def test_mismatched_dimensions(self, capsys):
         assert_exit_two(capsys, "discriminate", "--u1", "pauli:z", "--u2", "wh:3,1,0")
 
+    @pytest.mark.parametrize(
+        "content", ["{}", "[{}]", "3", "[" * 100_000], ids=["object", "list", "number", "deep"]
+    )
+    def test_file_that_is_no_array(self, capsys, tmp_path, content):
+        path = tmp_path / "odd.json"
+        path.write_text(content)
+        err = assert_exit_two(capsys, "discriminate", "--u1", f"file:{path}", "--u2", "pauli:z")
+        assert "could not read" in err
+
 
 class TestOutputFormats:
     def test_json_metadata_and_round_trip(self, capsys):
@@ -490,3 +501,116 @@ class TestOutputFormats:
         with pytest.raises(SystemExit) as info:
             main(["pauli-demo", "--bogus"])
         assert info.value.code == 2
+
+
+class TestUnitaryDimensionCap:
+    def test_largest_dimension_parses(self):
+        d = cli.MAX_UNITARY_DIM
+        assert parse_unitary(f"wh:{d},1,0").shape == (d, d)
+        assert parse_unitary("diag:" + ",".join(["0"] * d)).shape == (d, d)
+
+    def test_wh_form(self, capsys, monkeypatch):
+        d = cli.MAX_UNITARY_DIM + 1
+        argv = ("discriminate", "--u1", f"wh:{d},1,0", "--u2", "pauli:z")
+        err = assert_rejected_before_work(capsys, monkeypatch, cli, "_shift_phase", *argv)
+        assert str(cli.MAX_UNITARY_DIM) in err
+
+    def test_diag_form(self, capsys, monkeypatch):
+        spec = "diag:" + ",".join(["0"] * (cli.MAX_UNITARY_DIM + 1))
+        argv = ("ncopies", "--u1", "pauli:z", "--u2", spec)
+        err = assert_rejected_before_work(capsys, monkeypatch, np, "diag", *argv)
+        assert str(cli.MAX_UNITARY_DIM) in err
+
+    def test_file_form(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps([[]] * (cli.MAX_UNITARY_DIM + 1)))
+        argv = ("discriminate", "--u1", f"file:{path}", "--u2", "pauli:z")
+        err = assert_rejected_before_work(capsys, monkeypatch, np, "array", *argv)
+        assert str(cli.MAX_UNITARY_DIM) in err
+
+
+# Every subcommand at a small size: its exact CSV header and the flag names its JSON echoes.
+CONTRACT = [
+    pytest.param(("pauli-demo",), "g,h,gram_re,gram_im,p_error", set(), id="pauli-demo"),
+    pytest.param(("wh-group", "--d", "2"), "g,h,gram_re,gram_im,deviation", {"d"}, id="wh-group"),
+    pytest.param(
+        ("discriminate", "--u1", "pauli:z", "--u2", "pauli:x"),
+        "quantity,value",
+        {"u1", "u2", "priors"},
+        id="discriminate",
+    ),
+    pytest.param(
+        ("ncopies", "--u1", "pauli:z", "--u2", "pauli:x"),
+        "reachable,n_copies,r,spread",
+        {"u1", "u2", "n_max"},
+        id="ncopies",
+    ),
+    pytest.param(
+        ("covariant", "--d", "2", "--schmidt-spec", "0.8,0.2"),
+        "quantity,value",
+        {"d", "schmidt_spec"},
+        id="covariant",
+    ),
+    pytest.param(
+        ("cv-estimate", "--x", "0.4", "--trials", "100"),
+        "scheme,x,nbar,trials,seed,delta2_analytic,delta2_empirical,z_score,rng",
+        {"x", "nbar", "trials", "seed"},
+        id="cv-estimate",
+    ),
+    pytest.param(
+        ("threshold-scan", "--x-grid", "0.3"),
+        "x,delta_sq,advantage_nbar,ppt_nbar",
+        {"x_grid"},
+        id="threshold-scan",
+    ),
+    pytest.param(
+        ("stability", "--s", "1", "--x", "0.4", "--phi-grid", "0"),
+        "phi,squeezed_variance,entangled_variance,squeezed_photons,entangled_photons",
+        {"s", "x", "phi_grid"},
+        id="stability",
+    ),
+]
+
+
+def readme_commands():
+    """The argv of each line of the README's command-line block."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("entprobe ")]
+
+
+class TestCliContract:
+    @pytest.mark.parametrize("argv, header, flags", CONTRACT)
+    def test_csv_header(self, capsys, argv, header, flags):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == header
+
+    @pytest.mark.parametrize("argv, header, flags", CONTRACT)
+    def test_json_flags(self, capsys, argv, header, flags):
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert (doc["command"], ",".join(doc["columns"])) == (argv[0], header)
+        assert set(doc["flags"]) == flags
+
+    def test_internal_failure_exits_one(self, capsys, monkeypatch, tmp_path):
+        def broken(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(cli, "output_gram", broken)
+        code, out, err = run_cli(capsys, "pauli-demo")
+        assert (code, out, err) == (1, "", "entprobe: internal failure: injected\n")
+        path = tmp_path / "table.csv"
+        code, out, err = run_cli(capsys, "pauli-demo", "--output", str(path))
+        assert (code, out, err) == (1, "", "entprobe: internal failure: injected\n")
+        assert not path.exists()
+
+    def test_readme_commands_run(self, capsys):
+        commands = readme_commands()
+        assert [argv[0] for argv in commands] == [param.id for param in CONTRACT]
+        for argv in commands:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            assert out

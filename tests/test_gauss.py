@@ -93,6 +93,19 @@ class TestStatePreparation:
         with pytest.raises(ValueError, match="symmetric"):
             GaussianState(np.zeros(2), np.array([[0.25, 0.1], [0.0, 0.25]]))
 
+    @pytest.mark.parametrize(
+        "mean, cov",
+        [
+            (np.zeros(2), np.full((2, 2), np.nan)),
+            (np.zeros(2), np.array([[0.25, 0.0], [0.0, np.nan]])),
+            (np.array([np.nan, 0.0]), 0.25 * np.eye(2)),
+            (np.array([0.0, np.inf]), 0.25 * np.eye(2)),
+        ],
+    )
+    def test_non_finite_state_rejected(self, mean, cov):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianState(mean, cov)
+
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="length"):
             GaussianState(np.zeros(6), 0.25 * np.eye(6))
@@ -159,6 +172,12 @@ class TestDisplacementNoise:
             apply_displacement_noise(vacuum_state(), 0, -0.1)
         with pytest.raises(ValueError):
             NoiseSpec(-0.5)
+
+    def test_nan_noise_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            apply_displacement_noise(vacuum_state(), 0, float("nan"))
+        with pytest.raises(ValueError, match="nonnegative"):
+            NoiseSpec(float("nan"))
 
     def test_physicality_preserved(self):
         st = squeezed_state(1.5)

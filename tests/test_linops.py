@@ -106,6 +106,10 @@ class TestProbeState:
         with pytest.raises(ValueError, match="normalized"):
             ProbeState(np.eye(2))
 
+    def test_nan_amplitudes_rejected(self):
+        with pytest.raises(ValueError, match="normalized"):
+            ProbeState(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+
     def test_maximally_entangled_coefficients(self):
         coeffs = schmidt_coefficients(ProbeState.maximally_entangled(2))
         assert np.allclose(coeffs, [1 / np.sqrt(2)] * 2, atol=1e-12)
