@@ -84,6 +84,17 @@ def _parse_grid(text: str, name: str) -> np.ndarray:
     )
 
 
+def _parse_numbers(text: str, name: str) -> list[float]:
+    """Priors, Schmidt weights and diag angles: a comma list of finite numbers, no token empty."""
+    try:
+        values = [float(tok) for tok in text.split(",")]
+        if all(map(math.isfinite, values)):
+            return values
+    except ValueError:
+        pass
+    raise FlagDomainError(f"{name} must be a comma list of finite numbers, got {text!r}")
+
+
 def _library_check(flag: str, rule, *args):
     """Apply a library validity rule to flag input; its ValueError becomes a FlagDomainError."""
     try:
@@ -121,10 +132,7 @@ def parse_unitary(text: str) -> np.ndarray:
         check_dim(d)
         u = _shift_phase(d, m, n)[0]
     elif kind == "diag":
-        try:
-            thetas = [float(tok) for tok in rest.split(",")]
-        except ValueError:
-            raise FlagDomainError(f"diag spec must be a comma list of angles, got {rest!r}")
+        thetas = _parse_numbers(rest, "diag angles")
         check_dim(len(thetas))
         u = np.diag(np.exp(1j * np.array(thetas)))
     elif kind == "file":
@@ -144,14 +152,6 @@ def parse_unitary(text: str) -> np.ndarray:
     else:
         raise FlagDomainError(f"unknown unitary format {kind!r} in {text!r}")
     return _library_check(text, assert_unitary, u)
-
-
-def _parse_priors(text: str) -> tuple[float, float]:
-    try:
-        p1, p2 = (float(tok) for tok in text.split(","))
-    except ValueError:
-        raise FlagDomainError(f"priors must be 'p1,p2', got {text!r}")
-    return p1, p2
 
 
 def _check(condition: bool, message: str) -> None:
@@ -242,7 +242,9 @@ def _run_wh_group(ns):
 
 def _run_discriminate(ns):
     u1, u2 = parse_unitary(ns.u1), parse_unitary(ns.u2)
-    problem = _library_check(ns.command, DiscriminationProblem, u1, u2, *_parse_priors(ns.priors))
+    priors = _parse_numbers(ns.priors, "--priors")
+    _check(len(priors) == 2, f"--priors must be 'p1,p2', got {ns.priors!r}")
+    problem = _library_check(ns.command, DiscriminationProblem, u1, u2, *priors)
     w = problem.relative_unitary
     polygon = min_overlap_r(w)
     psi = optimal_pair_input(w)
@@ -258,15 +260,11 @@ def _run_ncopies(ns):
     problem = _library_check(ns.command, DiscriminationProblem, *hypotheses)
     n = _library_check("--n-max", copies_for_perfect, problem, ns.n_max)
     polygon = min_overlap_r(problem.relative_unitary)
-    r, spread = float(polygon.r), float(polygon.spread)
-    return [{"reachable": n is not None, "n_copies": n, "r": r, "spread": spread}]
+    return [{"reachable": n is not None, "n_copies": n, "r": polygon.r, "spread": polygon.spread}]
 
 
 def _run_covariant(ns):
-    try:
-        weights = [float(tok) for tok in ns.schmidt_spec.split(",")]
-    except ValueError:
-        raise FlagDomainError(f"--schmidt-spec must be a comma list, got {ns.schmidt_spec!r}")
+    weights = _parse_numbers(ns.schmidt_spec, "--schmidt-spec")
     d = ns.d
     _check(2 <= d <= MAX_COVARIANT_DIM, f"--d must be between 2 and {MAX_COVARIANT_DIM}, got {d}")
     _check(len(weights) == d, f"--schmidt-spec needs {d} weights, got {len(weights)}")
@@ -290,16 +288,10 @@ def _run_covariant(ns):
 def _run_cv_estimate(ns):
     x, nbar, trials, seed = ns.x, ns.nbar, ns.trials, ns.seed
     _library_check("--x", gauss._check_gain, x)
-    _check(math.isfinite(nbar) and nbar >= 0.0, f"--nbar must be finite and nonnegative, got {nbar}")
+    _library_check("--nbar", gauss._check_nbar, nbar)
     _library_check("--trials", mc._check_trials, trials)
-    _check(0 <= seed < 2**64, f"--seed must fit in 64 bits, got {seed}")
-    # Box-Muller uniforms are at least 2^-53, so no squared deviation exceeds
-    # 53 ln 2 < 37 times the variance: the sum over the trials must stay finite.
-    variance = max(1.0 + nbar, gauss.tmsv_epr_variance(x) + 2.0 * nbar)
-    _check(
-        math.isfinite(37.0 * variance * trials),
-        f"--nbar {nbar} with --trials {trials} overflows the sum of squared deviations",
-    )
+    _library_check("--seed", mc._check_seed, seed)
+    _library_check("--nbar", mc._check_deviation_sum, nbar, trials)
     noise = gauss.NoiseSpec(nbar)
     rows = []
     for scheme in ("entangled", "unentangled"):

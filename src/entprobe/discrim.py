@@ -10,7 +10,7 @@ perfect by using several copies of the unknown transformation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,9 +24,12 @@ from .linops import (
     POVM_SEED_PSD_ATOL,
     PRIOR_SUM_ATOL,
     PROB_SUM_ATOL,
+    UNITARY_ATOL,
     ProbeState,
+    _freeze,
     assert_unitary,
     eig_unitary,
+    is_unitary,
     matrix_rank,
     partial_trace,
     vectorize,
@@ -52,15 +55,11 @@ class UnitaryGroup:
     def __post_init__(self):
         if len(self.elements) != len(self.labels):
             raise ValueError("one label per element is required")
-        frozen = []
-        for u in self.elements:
-            u = assert_unitary(u)
+        elements = tuple(map(assert_unitary, self.elements))
+        for u in elements:
             if u.shape != (self.dim, self.dim):
                 raise ValueError(f"element of shape {u.shape} in a dim-{self.dim} group")
-            u = u.copy()
-            u.setflags(write=False)
-            frozen.append(u)
-        object.__setattr__(self, "elements", tuple(frozen))
+        _freeze(self, elements=elements)
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
 
     def __len__(self) -> int:
@@ -240,12 +239,14 @@ def povm_probabilities(elements, state_vector) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DiscriminationProblem:
-    """Two candidate unitaries with prior probabilities."""
+    """Two candidate unitaries with prior probabilities, and the ``relative_unitary``
+    u2† u1 whose eigenvalue geometry decides everything (checked unitary too)."""
 
     u1: np.ndarray
     u2: np.ndarray
     p1: float = 0.5
     p2: float = 0.5
+    relative_unitary: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         u1 = assert_unitary(self.u1)
@@ -254,19 +255,14 @@ class DiscriminationProblem:
             raise ValueError(f"hypotheses act on different spaces: {u1.shape} vs {u2.shape}")
         if not (self.p1 >= 0 and self.p2 >= 0 and abs(self.p1 + self.p2 - 1.0) <= PRIOR_SUM_ATOL):
             raise ValueError(f"priors must be nonnegative and sum to 1, got {self.p1}, {self.p2}")
-        for name, u in (("u1", u1), ("u2", u2)):
-            u = u.copy()
-            u.setflags(write=False)
-            object.__setattr__(self, name, u)
+        w = u2.conj().T @ u1
+        if not is_unitary(w):
+            raise ValueError(f"relative unitary u2† u1 is not unitary within {UNITARY_ATOL}")
+        _freeze(self, u1=u1, u2=u2, relative_unitary=w)
 
     @property
     def dim(self) -> int:
         return self.u1.shape[0]
-
-    @property
-    def relative_unitary(self) -> np.ndarray:
-        """The operator u2† u1 whose eigenvalue geometry decides everything."""
-        return self.u2.conj().T @ self.u1
 
 
 def _local_input(probe, dim: int) -> np.ndarray:
@@ -304,25 +300,16 @@ def helstrom_error(problem: DiscriminationProblem, probe) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenvaluePolygon:
-    """Eigenphase geometry of a unitary: hull distance and angular spread."""
-
-    phases: tuple
-    r: float
-    spread: float
-
-
-@dataclass(frozen=True)
-class _Hull:
     """Eigenvalue polygon of a unitary, read off one eigendecomposition.
 
-    ``vertices`` are the distinct eigenphases (phases closer than
-    ``PHASE_DEDUPE_TOL`` on the circle merged into the first), listed
-    counterclockwise from the end of the largest gap to its start, so the
-    polygon spans the arc of width ``spread`` from ``vertices[0]`` to
-    ``vertices[-1]``.  Column k of ``vectors`` is an eigenvector for
-    ``vertices[k]``.
+    ``phases`` are all the eigenphases, ascending.  ``vertices`` are the
+    distinct ones (phases closer than ``PHASE_DEDUPE_TOL`` on the circle
+    merged into the first), listed counterclockwise from the end of the
+    largest gap to its start, so the polygon spans the arc of width
+    ``spread`` from ``vertices[0]`` to ``vertices[-1]``.  Column k of
+    ``vectors`` is an eigenvector for ``vertices[k]``.
     """
 
     phases: np.ndarray
@@ -337,8 +324,13 @@ class _Hull:
             return math.inf
         return max(1, math.ceil((np.pi - PHASE_DEDUPE_TOL) / self.spread))
 
+    @property
+    def r(self) -> float:
+        """Distance from the origin: 0 once the polygon holds it, else cos(spread / 2)."""
+        return 0.0 if self.copies == 1 else float(np.cos(self.spread / 2.0))
 
-def _hull(w) -> _Hull:
+
+def _hull(w) -> EigenvaluePolygon:
     phases, vecs = eig_unitary(w)
     keep = [0]
     for k in range(1, phases.size):
@@ -351,7 +343,7 @@ def _hull(w) -> _Hull:
     gaps = np.append(np.diff(distinct), TWO_PI - (distinct[-1] - distinct[0]))
     largest = int(np.argmax(gaps))
     order = np.roll(keep, -(largest + 1))
-    return _Hull(phases, phases[order], vecs[:, order], float(TWO_PI - gaps[largest]))
+    return EigenvaluePolygon(phases, phases[order], vecs[:, order], float(TWO_PI - gaps[largest]))
 
 
 def min_overlap_r(w) -> EigenvaluePolygon:
@@ -363,9 +355,7 @@ def min_overlap_r(w) -> EigenvaluePolygon:
     chord across the largest gap, so r = cos(spread / 2); at or past pi the
     polygon holds the origin and r = 0.
     """
-    hull = _hull(w)
-    r = 0.0 if hull.copies == 1 else float(np.cos(hull.spread / 2.0))
-    return EigenvaluePolygon(tuple(hull.phases), r, hull.spread)
+    return _hull(w)
 
 
 def optimal_pair_input(w) -> np.ndarray:

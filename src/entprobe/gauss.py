@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linops import COV_SYMMETRY_ATOL, PPT_ATOL, UNCERTAINTY_RTOL
+from .linops import COV_SYMMETRY_ATOL, PPT_ATOL, UNCERTAINTY_RTOL, _freeze
 
 VACUUM_VARIANCE = 0.25
 
@@ -52,12 +52,7 @@ class GaussianState:
         spectrum = np.linalg.eigvalsh(check)
         if spectrum[0] < -UNCERTAINTY_RTOL * max(1.0, spectrum[-1]):
             raise ValueError("covariance violates the uncertainty bound")
-        mean = mean.copy()
-        cov = cov.copy()
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        _freeze(self, mean=mean, cov=cov)
 
     @property
     def modes(self) -> int:
@@ -75,9 +70,9 @@ class NoiseSpec:
 
 
 def _check_nbar(nbar: float) -> None:
-    """A noise photon number must be nonnegative (nan fails)."""
-    if not nbar >= 0.0:
-        raise ValueError(f"noise photon number must be nonnegative, got {nbar}")
+    """A noise photon number must be finite and nonnegative (nan fails)."""
+    if not 0.0 <= nbar < math.inf:
+        raise ValueError(f"noise photon number must be finite and nonnegative, got {nbar}")
 
 
 NO_NOISE = NoiseSpec(0.0)
@@ -195,13 +190,27 @@ def apply_displacement_noise(g: GaussianState, mode: int, nbar: float) -> Gaussi
 # ---------------------------------------------------------------------------
 
 
-def quadrature_variance(g: GaussianState, mode: int, phi: float) -> float:
-    """Variance of x cos(phi) + p sin(phi) on the given mode."""
+def quadrature_variance(g: GaussianState, mode: int, phi):
+    """Variance of x cos(phi) + p sin(phi) on the given mode, for a phase or an array of them."""
     _check_mode(g, mode)
     c, s = np.cos(phi), np.sin(phi)
     i = 2 * mode
     v = g.cov
-    return float(c * c * v[i, i] + s * s * v[i + 1, i + 1] + 2.0 * s * c * v[i, i + 1])
+    return c * c * v[i, i] + s * s * v[i + 1, i + 1] + 2.0 * s * c * v[i, i + 1]
+
+
+def _epr_rows(phi) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (x1 - x2, p1 + p2) rotated by ``phi``: two rows over (x1, p1, x2, p2),
+    each of shape ``np.shape(phi) + (4,)``."""
+    c, s = np.cos(phi), np.sin(phi)
+    # C-ordered copies, so each row is contiguous for matmul whatever the shape of phi
+    return np.array([c, s, -c, s]).T.copy(), np.array([-s, c, s, c]).T.copy()
+
+
+def _epr_variance(cov: np.ndarray, f_re: np.ndarray, f_im: np.ndarray):
+    """E|z - mean|^2 of the rotated pair: the sum of the two rows' quadratic forms in ``cov``."""
+    f_re, f_im = f_re[..., None, :], f_im[..., None, :]
+    return (f_re @ cov @ f_re.swapaxes(-1, -2) + f_im @ cov @ f_im.swapaxes(-1, -2))[..., 0, 0]
 
 
 def epr_heterodyne(
@@ -223,12 +232,9 @@ def epr_heterodyne(
     if noise.nbar_per_mode > 0:
         state = apply_displacement_noise(state, 0, noise.nbar_per_mode)
         state = apply_displacement_noise(state, 1, noise.nbar_per_mode)
-    c, s = np.cos(phi), np.sin(phi)
-    f_re = np.array([c, s, -c, s])
-    f_im = np.array([-s, c, s, c])
-    var = float(f_re @ state.cov @ f_re + f_im @ state.cov @ f_im)
+    f_re, f_im = _epr_rows(phi)
     rotated = complex(f_re @ state.mean, f_im @ state.mean)
-    return HeterodyneLaw(np.exp(1j * phi) * rotated, var)
+    return HeterodyneLaw(np.exp(1j * phi) * rotated, float(_epr_variance(state.cov, f_re, f_im)))
 
 
 def heterodyne(
@@ -244,8 +250,7 @@ def heterodyne(
     state = displace(g, 0, alpha)
     if noise.nbar_per_mode > 0:
         state = apply_displacement_noise(state, 0, noise.nbar_per_mode)
-    law = epr_heterodyne(tensor(state, vacuum_state()))
-    return HeterodyneLaw(law.mean, law.variance)
+    return epr_heterodyne(tensor(state, vacuum_state()))
 
 
 def tmsv_epr_variance(x: float) -> float:

@@ -63,6 +63,14 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
+def _freeze(instance, **fields) -> None:
+    """Set frozen-dataclass fields to read-only copies of their arrays (or tuples of arrays)."""
+    for name, value in fields.items():
+        frozen = np.array(value)
+        frozen.setflags(write=False)
+        object.__setattr__(instance, name, tuple(frozen) if isinstance(value, tuple) else frozen)
+
+
 def is_unitary(u) -> bool:
     """True when ``u`` satisfies u†u = I within ``UNITARY_ATOL`` (max-norm)."""
     u = _as_matrix(u)
@@ -158,9 +166,7 @@ class ProbeState:
         norm_sq = float(np.real(np.vdot(e, e)))
         if not abs(norm_sq - 1.0) <= NORM_ATOL:  # nan fails
             raise ValueError(f"probe is not normalized: Tr[e†e] = {norm_sq!r}")
-        e = e.copy()
-        e.setflags(write=False)
-        object.__setattr__(self, "e_op", e)
+        _freeze(self, e_op=e)
 
     @property
     def dim(self) -> int:

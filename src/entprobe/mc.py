@@ -62,10 +62,14 @@ class TrialReport:
             raise ValueError("z-score must be finite")
 
 
-def _uniform_chunks(seed: int, trials: int, per_trial: int):
-    """Yield the uniforms of ``trial_uniforms`` in blocks of at most ``_CHUNK_TRIALS`` trials."""
+def _check_seed(seed: int) -> None:
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
+
+
+def _uniform_chunks(seed: int, trials: int, per_trial: int):
+    """Yield the uniforms of ``trial_uniforms`` in blocks of at most ``_CHUNK_TRIALS`` trials."""
+    _check_seed(seed)
     bitgen = np.random.Philox(key=np.uint64(seed))
     for start in range(0, trials, _CHUNK_TRIALS):
         n = min(_CHUNK_TRIALS, trials - start)
@@ -120,6 +124,14 @@ def _exact_sum(blocks) -> float:
 def _check_trials(trials: int) -> None:
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
+
+
+def _check_deviation_sum(nbar: float, trials: int) -> None:
+    """Box-Muller uniforms are at least 2^-53, so no squared deviation exceeds 53 ln 2 < 37
+    times the outcome variance, which is at most 1 + 2 nbar in both schemes: the sum over the
+    trials must stay finite."""
+    if not math.isfinite(37.0 * (1.0 + 2.0 * nbar) * trials):
+        raise ValueError(f"nbar {nbar} with {trials} trials overflows the sum of squared deviations")
 
 
 def _z_score(empirical: float, analytic: float, std_error: float) -> float:
@@ -192,6 +204,7 @@ def sample_heterodyne(
     covariance machinery, so the two routes stay independent.
     """
     _check_trials(trials)
+    _check_deviation_sum(noise.nbar_per_mode, trials)
     if scheme == "entangled":
         law = gauss.epr_heterodyne(gauss.tmsv_state(x), alpha, noise)
         analytic = gauss.tmsv_epr_variance(x) + 2.0 * noise.nbar_per_mode
@@ -246,19 +259,10 @@ def stability_scan(s: float, x: float, phi_grid) -> StabilityScan:
     phis = np.asarray(phi_grid, dtype=float).reshape(-1)
     if phis.size == 0:
         raise ValueError("the phase grid must not be empty")
-    cos, sin = np.cos(phis), np.sin(phis)
-    sq = gauss.squeezed_state(s).cov
-    squeezed = cos * cos * sq[0, 0] + sin * sin * sq[1, 1] + 2.0 * sin * cos * sq[0, 1]
-    # the pair (x1 - x2, p1 + p2) rotated by phi, as in epr_heterodyne, one 1 x 4 row per phase
-    cov = gauss.tmsv_state(x).cov
-    entangled = 0.0
-    for quadrature in ([cos, sin, -cos, sin], [-sin, cos, sin, cos]):
-        f = np.stack(quadrature, axis=-1)[:, None, :]
-        entangled = entangled + (f @ cov @ f.swapaxes(1, 2))[:, 0, 0]
     return StabilityScan(
         phis=phis,
-        squeezed_variance=squeezed,
-        entangled_variance=entangled,
+        squeezed_variance=gauss.quadrature_variance(gauss.squeezed_state(s), 0, phis),
+        entangled_variance=gauss._epr_variance(gauss.tmsv_state(x).cov, *gauss._epr_rows(phis)),
         squeezed_photons=gauss.photon_budget("squeezed", s),
         entangled_photons=gauss.photon_budget("tmsv", x),
     )

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +193,15 @@ class TestCvEstimate:
         code, out, err = run_cli(capsys, *args, "--trials", "100000")
         assert (code, out) == (2, "")
         assert "overflows" in err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--nbar", "inf"), ("--nbar", "1e306"), ("--trials", "0"), ("--seed", "-1")]
+    )
+    def test_sampler_rules_checked_before_sampling(self, capsys, monkeypatch, flag, value):
+        # each rule is the library's own, named after its flag, and none wraps the sampler
+        argv = ("cv-estimate", "--x", "0.5", "--trials", "1000", flag, value)
+        err = assert_rejected_before_work(capsys, monkeypatch, mc, "sample_heterodyne", *argv)
+        assert err.startswith(f"entprobe: {flag}: ")
 
     def test_trial_cap(self, capsys):
         too_many = str(mc.MAX_TRIALS + 1)
@@ -410,6 +420,14 @@ class TestDiscriminate:
         err = assert_exit_two(capsys, command, "--u1", f"file:{path}", "--u2", "pauli:z")
         assert "not unitary within 1e-10" in err
 
+    @pytest.mark.parametrize("command", ["discriminate", "ncopies"])
+    def test_relative_unitary_checked(self, capsys, tmp_path, command):
+        # each copy passes the 1e-10 rule; u2† u1 = u†u fails it
+        path = tmp_path / "edge.json"
+        path.write_text("[[[1.000000000049,0],[0,0]],[[0,0],[1.000000000049,0]]]")
+        err = assert_exit_two(capsys, command, "--u1", f"file:{path}", "--u2", f"file:{path}")
+        assert err == f"entprobe: {command}: relative unitary u2† u1 is not unitary within 1e-10\n"
+
     def test_mismatched_dimensions(self, capsys):
         assert_exit_two(capsys, "discriminate", "--u1", "pauli:z", "--u2", "wh:3,1,0")
 
@@ -501,6 +519,14 @@ class TestOutputFormats:
         with pytest.raises(SystemExit) as info:
             main(["pauli-demo", "--bogus"])
         assert info.value.code == 2
+
+
+@pytest.mark.parametrize("angles", ["inf,0", "0,-inf", "nan,0"])
+def test_diag_angles_must_be_finite(capsys, angles):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would surface as exit 1
+        err = assert_exit_two(capsys, "ncopies", "--u1", f"diag:{angles}", "--u2", "diag:0,0")
+    assert "finite" in err
 
 
 class TestUnitaryDimensionCap:

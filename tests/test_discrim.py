@@ -407,6 +407,15 @@ class TestHelstrom:
         with pytest.raises(ValueError, match="normalized"):
             helstrom_error(DiscriminationProblem(SZ, SX), np.array([1.0, 1.0]))
 
+    def test_relative_unitary_checked_at_construction(self):
+        # each factor has unitarity defect 9.8e-11, inside 1e-10; u2† u1 has 2e-10
+        near = np.diag([1.000000000049, 1.000000000049])
+        with pytest.raises(ValueError, match="relative unitary"):
+            DiscriminationProblem(near, near)
+        problem = DiscriminationProblem(SZ, SX)
+        assert np.array_equal(problem.relative_unitary, SX.conj().T @ SZ)
+        assert not problem.relative_unitary.flags.writeable
+
 
 class TestMinOverlap:
     def test_identity(self):
@@ -444,6 +453,19 @@ class TestMinOverlap:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError):
             min_overlap_r(np.diag([1.0, 0.5]))
+
+    def test_polygon_fields(self):
+        # eigenphases 0, 0, pi/3: one repeated phase, two vertices
+        w = np.diag([1.0, 1.0, np.exp(1j * np.pi / 3)])
+        polygon = min_overlap_r(w)
+        assert np.allclose(polygon.phases, [0.0, 0.0, np.pi / 3], atol=1e-12)
+        assert np.allclose(polygon.vertices, [0.0, np.pi / 3], atol=1e-12)
+        for k, phase in enumerate(polygon.vertices):
+            v = polygon.vectors[:, k]
+            assert np.allclose(w @ v, np.exp(1j * phase) * v, atol=1e-12)
+        assert polygon.copies == 3
+        assert polygon.copies == copies_for_perfect(DiscriminationProblem(w, np.eye(3)), 3)
+        assert polygon.r == pytest.approx(np.cos(np.pi / 6), abs=1e-12)
 
 
 class TestOptimalPairInput:

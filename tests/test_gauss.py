@@ -179,6 +179,12 @@ class TestDisplacementNoise:
         with pytest.raises(ValueError, match="nonnegative"):
             NoiseSpec(float("nan"))
 
+    def test_infinite_noise_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseSpec(float("inf"))
+        with pytest.raises(ValueError, match="finite"):
+            apply_displacement_noise(vacuum_state(), 0, float("inf"))
+
     def test_physicality_preserved(self):
         st = squeezed_state(1.5)
         for nbar in (0.1, 1.0, 10.0):

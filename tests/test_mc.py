@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +156,17 @@ class TestSampleHeterodyne:
     def test_unnormalized_local_input_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
             sample_helstrom(DiscriminationProblem(SZ, SX), np.array([1.0, 1.0]), 10, 0)
+
+    @pytest.mark.parametrize("scheme", ["entangled", "unentangled"])
+    def test_overflowing_sum_rejected_before_sampling(self, monkeypatch, scheme):
+        def no_sampling(*args):
+            raise AssertionError("sampling started before the sum bound was checked")
+
+        monkeypatch.setattr(mc, "_uniform_chunks", no_sampling)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                sample_heterodyne(0.5, 0.0, NoiseSpec(1e306), scheme, 1000, 1)
 
     def test_nan_local_input_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
