@@ -24,8 +24,6 @@ from .discrim import (
     copies_for_perfect,
     helstrom_error,
     holevo_chi,
-    min_overlap_r,
-    optimal_pair_input,
     output_gram,
     output_span_dimension,
     pauli_group,
@@ -245,9 +243,8 @@ def _run_discriminate(ns):
     priors = _parse_numbers(ns.priors, "--priors")
     _check(len(priors) == 2, f"--priors must be 'p1,p2', got {ns.priors!r}")
     problem = _library_check(ns.command, DiscriminationProblem, u1, u2, *priors)
-    w = problem.relative_unitary
-    polygon = min_overlap_r(w)
-    psi = optimal_pair_input(w)
+    polygon = problem.polygon
+    psi = polygon.witness()
     values = {"r": polygon.r, "spread": polygon.spread, "p_error": helstrom_error(problem, psi)}
     for k, amp in enumerate(psi):
         values[f"psi_{k}_re"] = amp.real
@@ -259,7 +256,7 @@ def _run_ncopies(ns):
     hypotheses = parse_unitary(ns.u1), parse_unitary(ns.u2)
     problem = _library_check(ns.command, DiscriminationProblem, *hypotheses)
     n = _library_check("--n-max", copies_for_perfect, problem, ns.n_max)
-    polygon = min_overlap_r(problem.relative_unitary)
+    polygon = problem.polygon
     return [{"reachable": n is not None, "n_copies": n, "r": polygon.r, "spread": polygon.spread}]
 
 

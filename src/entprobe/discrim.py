@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -264,6 +265,11 @@ class DiscriminationProblem:
     def dim(self) -> int:
         return self.u1.shape[0]
 
+    @cached_property
+    def polygon(self) -> EigenvaluePolygon:
+        """Eigenvalue polygon of ``relative_unitary``, built once on first use."""
+        return min_overlap_r(self.relative_unitary)
+
 
 def _local_input(probe, dim: int) -> np.ndarray:
     psi = np.asarray(probe, dtype=complex).reshape(-1)
@@ -309,13 +315,17 @@ class EigenvaluePolygon:
     merged into the first), listed counterclockwise from the end of the
     largest gap to its start, so the polygon spans the arc of width
     ``spread`` from ``vertices[0]`` to ``vertices[-1]``.  Column k of
-    ``vectors`` is an eigenvector for ``vertices[k]``.
+    ``vectors`` is an eigenvector for ``vertices[k]``.  The arrays are
+    read-only copies.
     """
 
     phases: np.ndarray
     vertices: np.ndarray
     vectors: np.ndarray
     spread: float
+
+    def __post_init__(self):
+        _freeze(self, phases=self.phases, vertices=self.vertices, vectors=self.vectors)
 
     @property
     def copies(self) -> float:
@@ -329,8 +339,38 @@ class EigenvaluePolygon:
         """Distance from the origin: 0 once the polygon holds it, else cos(spread / 2)."""
         return 0.0 if self.copies == 1 else float(np.cos(self.spread / 2.0))
 
+    def witness(self) -> np.ndarray:
+        """Local pure state whose overlap modulus under the unitary attains ``r``.
 
-def _hull(w) -> EigenvaluePolygon:
+        The state is a superposition of eigenvectors whose weighted eigenvalue
+        average lands on the hull point closest to the origin: the even mix of
+        the two ends of the largest gap, whose chord midpoint is that point, or,
+        when the origin lies strictly inside the polygon, those two ends plus
+        the farthest vertex at most pi past the gap, weighted by the
+        barycentric coordinates of the origin (each proportional to the sine of
+        the arc opposite its vertex).
+        """
+        vecs = self.vectors
+        if self.vertices.size == 1:
+            return vecs[:, 0].copy()
+        if self.spread <= np.pi + PHASE_DEDUPE_TOL:
+            return (vecs[:, 0] + vecs[:, -1]) / np.sqrt(2.0)
+        arcs = (self.vertices - self.vertices[0]) % TWO_PI
+        k = int(np.searchsorted(arcs, np.pi, side="right")) - 1
+        weights = np.sin([self.spread - arcs[k], -self.spread, arcs[k]])
+        combo = vecs[:, [0, k, -1]] @ np.sqrt(np.clip(weights, 0.0, None))
+        return combo / np.linalg.norm(combo)
+
+
+def min_overlap_r(w) -> EigenvaluePolygon:
+    """Distance from the origin to the eigenvalue polygon of a unitary.
+
+    The returned ``r`` is the smallest achievable |<psi| w |psi>| over unit
+    vectors.  ``spread`` is the width of the smallest arc containing all
+    eigenphases.  Below pi the closest hull point is the midpoint of the
+    chord across the largest gap, so r = cos(spread / 2); at or past pi the
+    polygon holds the origin and r = 0.
+    """
     phases, vecs = eig_unitary(w)
     keep = [0]
     for k in range(1, phases.size):
@@ -346,40 +386,9 @@ def _hull(w) -> EigenvaluePolygon:
     return EigenvaluePolygon(phases, phases[order], vecs[:, order], float(TWO_PI - gaps[largest]))
 
 
-def min_overlap_r(w) -> EigenvaluePolygon:
-    """Distance from the origin to the eigenvalue polygon of a unitary.
-
-    The returned ``r`` is the smallest achievable |<psi| w |psi>| over unit
-    vectors.  ``spread`` is the width of the smallest arc containing all
-    eigenphases.  Below pi the closest hull point is the midpoint of the
-    chord across the largest gap, so r = cos(spread / 2); at or past pi the
-    polygon holds the origin and r = 0.
-    """
-    return _hull(w)
-
-
 def optimal_pair_input(w) -> np.ndarray:
-    """Local pure state whose overlap modulus under ``w`` attains r(w).
-
-    The state is a superposition of eigenvectors whose weighted eigenvalue
-    average lands on the hull point closest to the origin: the even mix of
-    the two ends of the largest gap, whose chord midpoint is that point, or,
-    when the origin lies strictly inside the polygon, those two ends plus
-    the farthest vertex at most pi past the gap, weighted by the
-    barycentric coordinates of the origin (each proportional to the sine of
-    the arc opposite its vertex).
-    """
-    hull = _hull(w)
-    vecs = hull.vectors
-    if hull.vertices.size == 1:
-        return vecs[:, 0].copy()
-    if hull.spread <= np.pi + PHASE_DEDUPE_TOL:
-        return (vecs[:, 0] + vecs[:, -1]) / np.sqrt(2.0)
-    arcs = (hull.vertices - hull.vertices[0]) % TWO_PI
-    k = int(np.searchsorted(arcs, np.pi, side="right")) - 1
-    weights = np.sin([hull.spread - arcs[k], -hull.spread, arcs[k]])
-    combo = vecs[:, [0, k, -1]] @ np.sqrt(np.clip(weights, 0.0, None))
-    return combo / np.linalg.norm(combo)
+    """Local pure state whose overlap modulus under ``w`` attains r(w): the polygon's witness."""
+    return min_overlap_r(w).witness()
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +404,7 @@ def tensor_power_spread(w, n: int) -> float:
     """
     if n < 1:
         raise ValueError(f"copy count must be at least 1, got {n}")
-    return float(min(n * _hull(w).spread, TWO_PI))
+    return float(min(n * min_overlap_r(w).spread, TWO_PI))
 
 
 def copies_for_perfect(problem: DiscriminationProblem, n_max: int) -> int | None:
@@ -410,7 +419,7 @@ def copies_for_perfect(problem: DiscriminationProblem, n_max: int) -> int | None
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    n = _hull(problem.relative_unitary).copies
+    n = problem.polygon.copies
     return n if n <= n_max else None
 
 

@@ -199,18 +199,12 @@ def quadrature_variance(g: GaussianState, mode: int, phi):
     return c * c * v[i, i] + s * s * v[i + 1, i + 1] + 2.0 * s * c * v[i, i + 1]
 
 
-def _epr_rows(phi) -> tuple[np.ndarray, np.ndarray]:
-    """The pair (x1 - x2, p1 + p2) rotated by ``phi``: two rows over (x1, p1, x2, p2),
-    each of shape ``np.shape(phi) + (4,)``."""
-    c, s = np.cos(phi), np.sin(phi)
-    # C-ordered copies, so each row is contiguous for matmul whatever the shape of phi
-    return np.array([c, s, -c, s]).T.copy(), np.array([-s, c, s, c]).T.copy()
-
-
-def _epr_variance(cov: np.ndarray, f_re: np.ndarray, f_im: np.ndarray):
-    """E|z - mean|^2 of the rotated pair: the sum of the two rows' quadratic forms in ``cov``."""
-    f_re, f_im = f_re[..., None, :], f_im[..., None, :]
-    return (f_re @ cov @ f_re.swapaxes(-1, -2) + f_im @ cov @ f_im.swapaxes(-1, -2))[..., 0, 0]
+def _check_alpha(alpha) -> complex:
+    """A displacement as a complex number with finite parts (nan fails)."""
+    alpha = complex(alpha)
+    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
+        raise ValueError(f"displacement must be finite, got {alpha}")
+    return alpha
 
 
 def epr_heterodyne(
@@ -221,36 +215,31 @@ def epr_heterodyne(
 ) -> HeterodyneLaw:
     """Outcome law of the joint measurement of (x1 - x2, p1 + p2).
 
-    The probed mode is displaced by ``alpha`` and both modes then suffer the
-    displacement-noise channel at the per-mode strength in ``noise``.  The
-    commuting pair may be rotated by a common phase ``phi``; the law is
-    reported back in the fixed frame, so the center stays at ``alpha``.
+    The probed mode is displaced by ``alpha`` and the noise in ``noise`` adds
+    nbar/2 to each of the four quadrature variances, so the law reads off the
+    moments: center (m0 - m2) + i (m1 + m3) + alpha, variance Var(x1 - x2) +
+    Var(p1 + p2) + 2 nbar.  A common phase ``phi`` on the pair cannot move it:
+    the rotated pair reads e^(-i phi) z, reported back in the fixed frame as z.
     """
     if g.modes != 2:
         raise ValueError(f"an EPR measurement needs a 2-mode state, got {g.modes} mode(s)")
-    state = displace(g, 0, alpha)
-    if noise.nbar_per_mode > 0:
-        state = apply_displacement_noise(state, 0, noise.nbar_per_mode)
-        state = apply_displacement_noise(state, 1, noise.nbar_per_mode)
-    f_re, f_im = _epr_rows(phi)
-    rotated = complex(f_re @ state.mean, f_im @ state.mean)
-    return HeterodyneLaw(np.exp(1j * phi) * rotated, float(_epr_variance(state.cov, f_re, f_im)))
+    m, v = g.mean, g.cov
+    center = complex(m[0] - m[2], m[1] + m[3]) + _check_alpha(alpha)
+    variance = (v[0, 0] + v[2, 2] - 2.0 * v[0, 2]) + (v[1, 1] + v[3, 3] + 2.0 * v[1, 3])
+    return HeterodyneLaw(center, float(variance + 2.0 * noise.nbar_per_mode))
 
 
 def heterodyne(
     g: GaussianState, alpha: complex = 0.0, noise: NoiseSpec = NO_NOISE
 ) -> HeterodyneLaw:
-    """Single-mode heterodyne law, realized as an EPR pair with a vacuum ancilla.
-
-    The extra vacuum quadratures contribute the familiar unit of outcome
-    variance: the vacuum probe yields E|z - alpha|^2 = 1.
+    """Single-mode heterodyne law: the EPR law of the mode beside a vacuum ancilla,
+    whose quadratures add 2 * VACUUM_VARIANCE, so the vacuum probe yields E|z - alpha|^2 = 1.
     """
     if g.modes != 1:
         raise ValueError(f"single-mode heterodyne needs a 1-mode state, got {g.modes}")
-    state = displace(g, 0, alpha)
-    if noise.nbar_per_mode > 0:
-        state = apply_displacement_noise(state, 0, noise.nbar_per_mode)
-    return epr_heterodyne(tensor(state, vacuum_state()))
+    m, v = g.mean, g.cov
+    variance = v[0, 0] + v[1, 1] + 2.0 * VACUUM_VARIANCE + noise.nbar_per_mode
+    return HeterodyneLaw(complex(m[0], m[1]) + _check_alpha(alpha), float(variance))
 
 
 def tmsv_epr_variance(x: float) -> float:

@@ -251,18 +251,18 @@ def stability_scan(s: float, x: float, phi_grid) -> StabilityScan:
     """Tabulate both probes' measured variance across a quadrature-phase grid.
 
     The squeezed column is the single-mode quadrature variance at each
-    mismatch angle; the entangled column is the EPR outcome variance with
-    the measured pair rotated by the same angle, which stays flat.  Both are
-    quadratic forms of the probe's covariance over the whole grid at once;
-    the entangled one is not the closed form, so its flatness is a check.
+    mismatch angle, over the whole grid at once.  The entangled column is one
+    value at every angle: the EPR law's variance, which a common phase on the
+    measured pair cannot move (see ``gauss.epr_heterodyne``).
     """
     phis = np.asarray(phi_grid, dtype=float).reshape(-1)
     if phis.size == 0:
         raise ValueError("the phase grid must not be empty")
+    entangled = gauss.epr_heterodyne(gauss.tmsv_state(x)).variance
     return StabilityScan(
         phis=phis,
         squeezed_variance=gauss.quadrature_variance(gauss.squeezed_state(s), 0, phis),
-        entangled_variance=gauss._epr_variance(gauss.tmsv_state(x).cov, *gauss._epr_rows(phis)),
+        entangled_variance=np.full(phis.shape, entangled),
         squeezed_photons=gauss.photon_budget("squeezed", s),
         entangled_photons=gauss.photon_budget("tmsv", x),
     )

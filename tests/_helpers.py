@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -231,10 +232,41 @@ def ppt_boundary_by_bisection(x: float, tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
+def epr_law_by_rotated_rows(g, alpha=0.0, nbar: float = 0.0, phi: float = 0.0):
+    """``gauss.epr_heterodyne`` the long way round, through intermediate states.
+
+    The probed mode is displaced by ``alpha``, each mode then passes the
+    displacement-noise channel, the pair (x1 - x2, p1 + p2) rotated by ``phi``
+    is read through two rows over (x1, p1, x2, p2), and the center is rotated
+    back by e^(i phi).  The row algebra and the back-rotation run in exact
+    rational arithmetic on the float entries and on cos phi and sin phi, so
+    the oracle adds no cancellation of its own, even for cosh-sized entries.
+    """
+    state = gauss.displace(g, 0, alpha)
+    for mode in (0, 1):
+        state = gauss.apply_displacement_noise(state, mode, nbar)
+    mean = [Fraction(m) for m in state.mean.tolist()]
+    cov = [[Fraction(v) for v in row] for row in state.cov.tolist()]
+    c, s = Fraction(math.cos(phi)), Fraction(math.sin(phi))
+    rows = ((c, s, -c, s), (-s, c, s, c))
+    re, im = (sum(f * m for f, m in zip(row, mean)) for row in rows)
+    variance = sum(f[i] * cov[i][j] * f[j] for f in rows for i in range(4) for j in range(4))
+    center = complex(float(c * re - s * im), float(s * re + c * im))
+    return gauss.HeterodyneLaw(center, float(variance))
+
+
+def heterodyne_law_by_rotated_rows(g, alpha=0.0, nbar: float = 0.0):
+    """``gauss.heterodyne`` the long way round: displace, add the noise, pair the
+    mode with a vacuum ancilla and read the EPR law through ``epr_law_by_rotated_rows``."""
+    state = gauss.apply_displacement_noise(gauss.displace(g, 0, alpha), 0, nbar)
+    return epr_law_by_rotated_rows(gauss.tensor(state, gauss.vacuum_state()))
+
+
 def stability_by_loop(s: float, x: float, phis) -> tuple[np.ndarray, np.ndarray]:
-    """Both ``mc.stability_scan`` columns, one state read per phase."""
+    """Both ``mc.stability_scan`` columns, one state read per phase; the entangled
+    one through the rotated rows of ``epr_law_by_rotated_rows``."""
     squeezed_state = gauss.squeezed_state(s)
     entangled_state = gauss.tmsv_state(x)
     squeezed = np.array([gauss.quadrature_variance(squeezed_state, 0, phi) for phi in phis])
-    entangled = np.array([gauss.epr_heterodyne(entangled_state, phi=phi).variance for phi in phis])
+    entangled = np.array([epr_law_by_rotated_rows(entangled_state, phi=phi).variance for phi in phis])
     return squeezed, entangled

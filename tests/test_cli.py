@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entprobe import cli, mc
+from entprobe import cli, discrim, mc
 from entprobe.cli import FlagDomainError, main, parse_unitary
 from entprobe.discrim import weyl_heisenberg_group
+from entprobe.linops import eig_unitary
 from entprobe.rand import generator, haar_unitary
 
 
@@ -439,6 +440,21 @@ class TestDiscriminate:
         path.write_text(content)
         err = assert_exit_two(capsys, "discriminate", "--u1", f"file:{path}", "--u2", "pauli:z")
         assert "could not read" in err
+
+
+@pytest.mark.parametrize("command", ["discriminate", "ncopies"])
+def test_one_eigendecomposition_per_command(capsys, monkeypatch, command):
+    # every number both commands print comes from one polygon of u2† u1
+    calls = []
+
+    def counted(u):
+        calls.append(u.shape)
+        return eig_unitary(u)
+
+    monkeypatch.setattr(discrim, "eig_unitary", counted)
+    code, _, _ = run_cli(capsys, command, "--u1", "wh:64,1,0", "--u2", "wh:64,0,1")
+    assert code == 0
+    assert calls == [(64, 64)]
 
 
 class TestOutputFormats:

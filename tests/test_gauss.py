@@ -23,7 +23,11 @@ from entprobe.gauss import (
     vacuum_state,
 )
 
-from _helpers import ppt_boundary_by_bisection
+from _helpers import (
+    epr_law_by_rotated_rows,
+    heterodyne_law_by_rotated_rows,
+    ppt_boundary_by_bisection,
+)
 
 
 def two_mode_epr_variance_by_index_sums(state: GaussianState) -> float:
@@ -263,6 +267,73 @@ class TestHeterodyne:
             epr_heterodyne(vacuum_state())
         with pytest.raises(ValueError):
             heterodyne(tmsv_state(0.1))
+
+
+def _rotation(theta: float) -> np.ndarray:
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+def _random_local_symplectic(rng) -> np.ndarray:
+    """A phase rotation after a squeezer of up to one e-fold, on one mode."""
+    r = rng.uniform(-1.0, 1.0)
+    return _rotation(rng.uniform(-np.pi, np.pi)) @ np.diag([np.exp(-r), np.exp(r)])
+
+
+def random_noisy_two_mode_state(rng) -> GaussianState:
+    """A two-mode squeezed state, locally squeezed and rotated, plus random
+    positive noise, with a random mean."""
+    local = np.zeros((4, 4))
+    local[:2, :2] = _random_local_symplectic(rng)
+    local[2:, 2:] = _random_local_symplectic(rng)
+    noise = rng.normal(scale=0.3, size=(4, 4))
+    cov = local @ tmsv_state(rng.uniform(-0.95, 0.95)).cov @ local.T + noise @ noise.T
+    return GaussianState(rng.normal(size=4), (cov + cov.T) / 2.0)
+
+
+def random_noisy_one_mode_state(rng) -> GaussianState:
+    sym = _random_local_symplectic(rng)
+    noise = rng.normal(scale=0.3, size=(2, 2))
+    cov = sym @ sym.T * gauss.VACUUM_VARIANCE + noise @ noise.T
+    return GaussianState(rng.normal(size=2), (cov + cov.T) / 2.0)
+
+
+class TestLawAgainstRotatedRows:
+    """The moment read-off against the state-building route of ``_helpers``."""
+
+    CASES = 200
+
+    def draws(self, seed: int):
+        rng = np.random.default_rng(seed)
+        for k in range(self.CASES):
+            alpha = complex(rng.normal(scale=2.0), rng.normal(scale=2.0))
+            # the ends of both ranges are drawn on purpose
+            nbar = (0.0, 2.0)[k] if k < 2 else float(rng.uniform(0.0, 2.0))
+            phi = (-np.pi, np.pi)[k] if k < 2 else float(rng.uniform(-np.pi, np.pi))
+            yield rng, alpha, nbar, phi
+
+    def test_epr_law(self):
+        for rng, alpha, nbar, phi in self.draws(1001):
+            g = random_noisy_two_mode_state(rng)
+            law = epr_heterodyne(g, alpha, NoiseSpec(nbar), phi)
+            expected = epr_law_by_rotated_rows(g, alpha, nbar, phi)
+            assert abs(law.mean - expected.mean) <= 1e-12
+            assert abs(law.variance - expected.variance) <= 1e-12
+
+    def test_heterodyne_law(self):
+        for rng, alpha, nbar, _ in self.draws(1002):
+            g = random_noisy_one_mode_state(rng)
+            law = heterodyne(g, alpha, NoiseSpec(nbar))
+            expected = heterodyne_law_by_rotated_rows(g, alpha, nbar)
+            assert abs(law.mean - expected.mean) <= 1e-12
+            assert abs(law.variance - expected.variance) <= 1e-12
+
+    def test_phase_is_not_an_input_of_the_law(self):
+        rng = np.random.default_rng(1003)
+        g = random_noisy_two_mode_state(rng)
+        phis = np.linspace(-np.pi, np.pi, 33)
+        laws = {epr_heterodyne(g, 0.3 - 1.2j, NoiseSpec(0.4), phi) for phi in phis}
+        assert len(laws) == 1
 
 
 class TestAdvantageThreshold:

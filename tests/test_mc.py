@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entprobe import mc
+from entprobe import gauss, mc
 from entprobe.discrim import DiscriminationProblem, optimal_pair_input
 from entprobe.gauss import NoiseSpec, tmsv_epr_variance
 from entprobe.linops import ProbeState
@@ -168,6 +168,25 @@ class TestSampleHeterodyne:
             with pytest.raises(ValueError, match="overflows"):
                 sample_heterodyne(0.5, 0.0, NoiseSpec(1e306), scheme, 1000, 1)
 
+    @pytest.mark.parametrize(
+        "alpha",
+        [complex(v, 0.0) for v in (math.nan, math.inf, -math.inf)]
+        + [complex(0.0, v) for v in (math.nan, math.inf, -math.inf)],
+        ids=["re-nan", "re-inf", "re-neginf", "im-nan", "im-inf", "im-neginf"],
+    )
+    def test_non_finite_alpha_rejected_before_sampling(self, monkeypatch, alpha):
+        def no_sampling(*args):
+            raise AssertionError("sampling started before alpha was checked")
+
+        monkeypatch.setattr(mc, "_uniform_chunks", no_sampling)
+        with pytest.raises(ValueError, match="finite"):
+            gauss.epr_heterodyne(gauss.tmsv_state(0.5), alpha)
+        with pytest.raises(ValueError, match="finite"):
+            gauss.heterodyne(gauss.vacuum_state(), alpha)
+        for scheme in ("entangled", "unentangled"):
+            with pytest.raises(ValueError, match="finite"):
+                sample_heterodyne(0.5, alpha, NoiseSpec(0.1), scheme, 1000, 1)
+
     def test_nan_local_input_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
             sample_helstrom(DiscriminationProblem(SZ, SX), np.array([np.nan, 0.0]), 10, 0)
@@ -240,6 +259,13 @@ class TestStabilityScan:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             stability_scan(1.0, 0.5, [])
+
+    def test_entangled_column_is_one_value(self):
+        # the EPR law does not depend on the common phase, so no grid point may move it
+        scan = stability_scan(2.0, 0.9, np.linspace(-np.pi, np.pi, 2001))
+        assert set(scan.entangled_variance.tolist()) == {
+            gauss.epr_heterodyne(gauss.tmsv_state(0.9)).variance
+        }
 
     @pytest.mark.parametrize(
         "s, x, phis",
