@@ -137,11 +137,18 @@ def weyl_heisenberg_group(d: int) -> UnitaryGroup:
 
 
 def apply_local(u, e: ProbeState) -> ProbeState:
-    """Act with ``u`` on the probed factor only; amplitudes map e -> u e."""
+    """Act with ``u`` on the probed factor only; amplitudes map e -> u e.
+
+    A unitary keeps Tr[e†e], but ``u`` may pass its rule with a defect of its
+    own, so u e is rescaled to the norm of e: the output inherits the input
+    probe's normalization defect and not the sum of both.
+    """
     u = assert_unitary(u)
     if u.shape[0] != e.dim:
         raise ValueError(f"unitary dim {u.shape[0]} does not match probe dim {e.dim}")
-    return ProbeState(u @ e.e_op)
+    out = u @ e.e_op
+    out *= math.sqrt(np.vdot(e.e_op, e.e_op).real / np.vdot(out, out).real)
+    return ProbeState(out)
 
 
 def output_vectors(group: UnitaryGroup, e: ProbeState) -> np.ndarray:

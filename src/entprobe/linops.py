@@ -196,7 +196,8 @@ class ProbeState:
         if not np.all(w >= -SCHMIDT_NEG_ATOL):
             raise ValueError("Schmidt weights must be nonnegative")
         w = np.clip(w, 0.0, None)
-        total = w.sum()
+        with np.errstate(over="ignore"):  # an overflowing sum is inf, rejected below
+            total = w.sum()
         if not abs(total - 1.0) <= PROB_SUM_ATOL:
             raise ValueError(f"Schmidt weights must sum to 1, got {float(total)!r}")
         return cls(np.diag(np.sqrt(w / total)))

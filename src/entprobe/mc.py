@@ -6,18 +6,20 @@ report depends only on (scenario, seed, trials), never on batching or
 thread scheduling.  Normal deviates are produced by Box-Muller on the
 trial's uniforms; the choice is recorded in every report.
 
-The samplers stream the trials in blocks of at most ``_CHUNK_TRIALS``: one
-Philox generator hands out each block's raw words in turn, which are
-exactly the words of one long draw, so memory stays bounded at any trial
-count.  The heterodyne sampler adds the squared deviations up exactly: each
-value splits into an integer mantissa and an exponent, the mantissas are
-summed per exponent, and the one rounding happens at the end, giving the
-bits of ``math.fsum`` over all trials whatever the block size.
+The samplers split the trials into one range of blocks of at most
+``_CHUNK_TRIALS`` trials per CPU, run by the calling thread and helper
+threads; Philox is counter-based, so each range starts at its own words.
+Each range returns an integer, an error count or an exact sum, and integers
+add the same in any order.  The exact sum splits each squared deviation into
+a mantissa and an exponent, sums the mantissas per exponent and rounds once:
+the bits of ``math.fsum`` over all trials, whatever the block size or CPU count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +33,10 @@ RNG_DESCRIPTION = "philox4x64/box-muller"
 # Largest trial count a sampler accepts; memory is bounded, run time is not.
 MAX_TRIALS = 10**9
 
-# Trials per streamed block.  At 2^12 trials a block's arrays stay in cache
-# and in the allocator's heap; 2^16 ran the 3e6-trial samplers 1.5x slower
-# on the page faults of its 0.5 MB temporaries.
-_CHUNK_TRIALS = 1 << 12
+# Trials per streamed block.  Every numpy call in a block hands the interpreter
+# lock to the other ranges' threads, so on 2 CPUs 2^13 ran the monte-carlo
+# benchmark 15-25 % faster than 2^12; a thread's block arrays take ~0.4 MB.
+_CHUNK_TRIALS = 1 << 13
 
 # frexp writes a finite double as m 2^e, m in (-1, 1) a multiple of 2^-53 and
 # e >= -1073, so every finite double is an integer multiple of 2^-1126.
@@ -67,14 +69,20 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
 
 
-def _uniform_chunks(seed: int, trials: int, per_trial: int):
-    """Yield the uniforms of ``trial_uniforms`` in blocks of at most ``_CHUNK_TRIALS`` trials."""
+def _uniform_chunks(seed: int, first: int, stop: int, per_trial: int):
+    """Yield the uniforms of trials ``first`` to ``stop - 1`` of ``trial_uniforms`` in blocks of
+    at most ``_CHUNK_TRIALS`` trials, each written over the last.  One ``advance`` step skips one
+    4-word Philox block; ``random`` gives (word >> 11) 2^-53, and adding 2^-53 is exact."""
     _check_seed(seed)
     bitgen = np.random.Philox(key=np.uint64(seed))
-    for start in range(0, trials, _CHUNK_TRIALS):
-        n = min(_CHUNK_TRIALS, trials - start)
-        words = bitgen.random_raw(n * per_trial).reshape(n, per_trial)
-        yield ((words >> np.uint64(11)) + np.uint64(1)).astype(float) * 2.0**-53
+    bitgen.advance(first * per_trial // 4)
+    bitgen.random_raw(first * per_trial % 4)
+    draw = np.random.Generator(bitgen).random
+    block = np.empty((min(_CHUNK_TRIALS, stop - first), per_trial))
+    for start in range(first, stop, _CHUNK_TRIALS):
+        u = draw(out=block[: stop - start])
+        u += 2.0**-53
+        yield u
 
 
 def trial_uniforms(seed: int, trials: int, per_trial: int) -> np.ndarray:
@@ -83,18 +91,62 @@ def trial_uniforms(seed: int, trials: int, per_trial: int) -> np.ndarray:
     Each raw 64-bit Philox word maps to ((word >> 11) + 1) * 2^-53, which
     never returns 0 and therefore feeds logarithms safely.
     """
-    return np.concatenate([np.empty((0, per_trial)), *_uniform_chunks(seed, trials, per_trial)])
+    blocks = [u.copy() for u in _uniform_chunks(seed, 0, trials, per_trial)]
+    return np.concatenate([np.empty((0, per_trial)), *blocks])
 
 
-def _box_muller(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One standard normal pair per row of a (trials, 2) block of uniforms."""
-    radius = np.sqrt(-2.0 * np.log(u[:, 0]))
-    angle = 2.0 * np.pi * u[:, 1]
-    return radius * np.cos(angle), radius * np.sin(angle)
+def _box_muller(u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """One standard normal pair per row of a contiguous (trials, 2) block of uniforms, as a
+    (2, trials) array written over them; ``scratch`` is a (2, trials) array."""
+    radius, angle = scratch
+    np.log(u[:, 0], out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    np.multiply(u[:, 1], 2.0 * np.pi, out=angle)
+    pair = u.reshape(2, -1)  # the uniforms are spent
+    np.cos(angle, out=pair[0])
+    np.sin(angle, out=pair[1])
+    pair *= radius
+    return pair
+
+
+def _cpu_count() -> int:  # the CPUs this process may run on
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _split_sum(trials: int, work) -> int:
+    """Sum of the integers ``work(first, stop)`` over ranges of whole blocks covering [0, trials),
+    one per CPU and at most one per block.  The calling thread runs the first range and helper
+    threads, all joined here, the rest; a helper's exception is raised here, lowest range first."""
+    blocks = -(-trials // _CHUNK_TRIALS)
+    ranges = min(_cpu_count(), blocks)
+    edges = [min(trials, blocks * i // ranges * _CHUNK_TRIALS) for i in range(ranges + 1)]
+    outcomes = [0] * ranges
+
+    def run(i: int) -> None:
+        try:
+            outcomes[i] = work(edges[i], edges[i + 1])
+        except Exception as exc:  # raised again from the calling thread
+            outcomes[i] = exc
+
+    helpers = []
+    try:
+        for i in range(1, ranges):
+            helper = threading.Thread(target=run, args=(i,))
+            helper.start()
+            helpers.append(helper)
+        outcomes[0] = work(edges[0], edges[1])
+    finally:
+        for helper in helpers:
+            helper.join()
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return sum(outcomes)
 
 
 def _fixed_point_sum(values: np.ndarray) -> int:
-    """Exact sum of at most 2^26 finite doubles, as an integer count of 2^-1126.
+    """Exact sum of at most 2^26 finite doubles, as a count of 2^-1126; overwrites ``values``.
 
     Each frexp mantissa splits into a high part on the 2^-26 grid and a low
     part below 2^-27 on the 2^-53 grid.  ``bincount`` sums both parts per
@@ -103,22 +155,18 @@ def _fixed_point_sum(values: np.ndarray) -> int:
     """
     if values.size == 0:
         return 0
-    mantissa, exponent = np.frexp(values)
+    mantissa, exponent = np.frexp(values, out=(values, np.empty(values.shape, np.intp)))
     if not np.isfinite(mantissa).all():
         raise ValueError("an exact sum needs finite values")
-    high = (mantissa + _SPLITTER) - _SPLITTER
-    low = mantissa - high
+    high = mantissa + _SPLITTER
+    high -= _SPLITTER
+    mantissa -= high  # now the low part
     lowest = int(exponent.min())
-    bins = exponent - lowest
+    exponent -= lowest
     total = 0
-    for h, lo in zip(np.bincount(bins, high)[::-1], np.bincount(bins, low)[::-1]):
+    for h, lo in zip(*(np.bincount(exponent, part)[::-1].tolist() for part in (high, mantissa))):
         total = (total << 1) + int(h * 2.0**53) + int(lo * 2.0**53)
     return total << (lowest - 53 + _UNIT_BITS)
-
-
-def _exact_sum(blocks) -> float:
-    """Correctly rounded sum of every value in an iterable of arrays: the bits of ``math.fsum``."""
-    return sum(map(_fixed_point_sum, blocks)) / (1 << _UNIT_BITS)
 
 
 def _check_trials(trials: int) -> None:
@@ -170,11 +218,13 @@ def sample_helstrom(
     q1 = float(np.real(np.vdot(psi1, project @ psi1)))
     q2 = float(np.real(np.vdot(psi2, project @ psi2)))
 
-    errors = 0
-    for u in _uniform_chunks(seed, trials, 2):
-        is_first = u[:, 0] <= problem.p1
-        errors += int(np.count_nonzero(np.where(is_first, u[:, 1] > q1, u[:, 1] <= q2)))
-    empirical = errors / trials
+    def error_count(first: int, stop: int) -> int:
+        return sum(
+            int(np.count_nonzero(np.where(u[:, 0] <= problem.p1, u[:, 1] > q1, u[:, 1] <= q2)))
+            for u in _uniform_chunks(seed, first, stop, 2)
+        )
+
+    empirical = _split_sum(trials, error_count) / trials
 
     analytic = float(helstrom_error(problem, probe))
     std_error = math.sqrt(max(analytic * (1.0 - analytic), 0.0) / trials)
@@ -215,14 +265,24 @@ def sample_heterodyne(
         raise ValueError(f"scheme must be 'entangled' or 'unentangled', got {scheme!r}")
 
     scale = math.sqrt(law.variance / 2.0)
+    shift = np.array([[law.mean.real], [law.mean.imag]])
+    target = np.array([[np.real(alpha)], [np.imag(alpha)]])
 
-    def deviations(u: np.ndarray) -> np.ndarray:
-        g_re, g_im = _box_muller(u)
-        z_re = law.mean.real + scale * g_re
-        z_im = law.mean.imag + scale * g_im
-        return (z_re - np.real(alpha)) ** 2 + (z_im - np.imag(alpha)) ** 2
+    def deviation_sum(first: int, stop: int) -> int:
+        # |z - alpha|^2 in units of 2^-1126, each quadrature (shift + scale g - target)^2
+        scratch = np.empty((2, min(_CHUNK_TRIALS, stop - first)))
+        total = 0
+        for u in _uniform_chunks(seed, first, stop, 2):
+            z = _box_muller(u, scratch[:, : len(u)])
+            z *= scale
+            z += shift
+            z -= target
+            z *= z
+            z[0] += z[1]
+            total += _fixed_point_sum(z[0])
+        return total
 
-    empirical = _exact_sum(map(deviations, _uniform_chunks(seed, trials, 2))) / trials
+    empirical = _split_sum(trials, deviation_sum) / (1 << _UNIT_BITS) / trials
 
     # E|z-alpha|^2 is delta^2/2 times a chi-square with 2 dof per trial
     std_error = analytic / math.sqrt(trials)

@@ -2,7 +2,10 @@ import csv
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -375,6 +378,21 @@ class TestCovariant:
     def test_bad_weight_count(self, capsys):
         code, _, err = run_cli(capsys, "covariant", "--d", "3", "--schmidt-spec", "0.5,0.5")
         assert code == 2
+
+    def test_overflowing_weight_sum_prints_one_line(self):
+        # a separate interpreter, so that no warning filter of the test run hides a numpy warning
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = ["covariant", "--d", "2", "--schmidt-spec", "1e308,1e308"]
+        result = subprocess.run(
+            [sys.executable, "-m", "entprobe.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "entprobe: --schmidt-spec: Schmidt weights must sum to 1, got inf\n"
 
 
 class TestWhGroup:

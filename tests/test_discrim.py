@@ -211,6 +211,23 @@ class TestApplyLocal:
         with pytest.raises(ValueError):
             apply_local(np.eye(3), ProbeState.maximally_entangled(2))
 
+    def test_input_defects_do_not_add_up(self):
+        # each input passes its 1e-10 rule; u e alone has Tr[e†e] - 1 = 1.96e-10
+        e = ProbeState(np.eye(2) / np.sqrt(2) * (1 + 4.9e-11))
+        out = apply_local(np.diag([1.000000000049] * 2), e)
+        assert np.vdot(out.e_op, out.e_op).real == pytest.approx(
+            np.vdot(e.e_op, e.e_op).real, rel=0.0, abs=1e-15
+        )
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_any_pair_within_both_rules_accepted(self, d):
+        rng = generator(33 + d)
+        for u_scale, e_scale in [(1 + 4.9e-11, 1 + 4.9e-11), (1 - 4.9e-11, 1 - 4.9e-11)]:
+            u = haar_unitary(d, rng) * u_scale
+            e = ProbeState(random_probe(d, rng).e_op * e_scale)
+            out = apply_local(u, e)
+            assert np.allclose(out.e_op, u @ e.e_op, rtol=0.0, atol=1e-9)
+
 
 class TestOutputSpan:
     def test_pauli_maximally_entangled(self):

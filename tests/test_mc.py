@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -57,7 +59,7 @@ class TestSubstreams:
         assert np.array_equal(long[:600], short)
 
     def test_box_muller_moments(self):
-        g1, g2 = mc._box_muller(trial_uniforms(17, 200_000, 2))
+        g1, g2 = mc._box_muller(trial_uniforms(17, 200_000, 2), np.empty((2, 200_000)))
         for g in (g1, g2):
             assert abs(np.mean(g)) < 0.01
             assert abs(np.var(g) - 1.0) < 0.02
@@ -284,7 +286,8 @@ class TestStabilityScan:
         np.testing.assert_allclose(scan.entangled_variance, entangled, rtol=1e-12, atol=0.0)
 
 
-BLOCK_SIZES = (1, 3, 4096, 1 << 16)
+BLOCK_SIZES = (1, 3, 4096, 1 << 13, 1 << 16)
+WORKER_COUNTS = (1, 2, 3, 7)
 
 
 def block_edge_counts(block: int) -> list[int]:
@@ -337,9 +340,78 @@ class TestBlockStream:
             tracemalloc.stop()
         assert peak < 32e6
 
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    def test_heterodyne_reports_do_not_depend_on_workers(self, monkeypatch, block, workers):
+        monkeypatch.setattr(mc, "_CHUNK_TRIALS", block)
+        monkeypatch.setattr(mc, "_cpu_count", lambda: workers)
+        for trials in block_edge_counts(block):
+            for scheme in ("entangled", "unentangled"):
+                args = (0.6, 0.3 - 0.8j, NoiseSpec(0.25), scheme, trials, 9 + trials)
+                assert sample_heterodyne(*args) == heterodyne_by_whole_array(*args)
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    def test_helstrom_reports_do_not_depend_on_workers(self, monkeypatch, block, workers):
+        monkeypatch.setattr(mc, "_CHUNK_TRIALS", block)
+        monkeypatch.setattr(mc, "_cpu_count", lambda: workers)
+        problem = DiscriminationProblem(QUARTER_TURN, I2, 0.7, 0.3)
+        for trials in block_edge_counts(block):
+            for probe in (optimal_pair_input(QUARTER_TURN), ProbeState.maximally_entangled(2)):
+                args = (problem, probe, trials, 2**63 + trials)
+                assert sample_helstrom(*args) == helstrom_by_whole_array(*args)
+
+    def test_many_workers_with_frequent_thread_switches(self, monkeypatch):
+        # more ranges than CPUs, and the interpreter switching threads every 10 us
+        monkeypatch.setattr(mc, "_CHUNK_TRIALS", 1)
+        monkeypatch.setattr(mc, "_cpu_count", lambda: 7)
+        args = (0.6, 0.3 - 0.8j, NoiseSpec(0.25), "entangled", 2003, 11)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            report = sample_heterodyne(*args)
+        finally:
+            sys.setswitchinterval(interval)
+        assert report == heterodyne_by_whole_array(*args)
+
+    @pytest.mark.parametrize("per_trial", (1, 2, 3))
+    def test_stream_from_any_trial_matches_one_draw(self, monkeypatch, per_trial):
+        # trial offsets 0-9 start at every word position within a 4-word Philox block
+        monkeypatch.setattr(mc, "_CHUNK_TRIALS", 4)
+        expected = one_draw_uniforms(2**64 - 1, 23, per_trial)
+        for first in range(10):
+            blocks = [u.copy() for u in mc._uniform_chunks(2**64 - 1, first, 23, per_trial)]
+            assert all(len(u) == 4 for u in blocks[:-1])
+            assert np.array_equal(np.concatenate(blocks), expected[first:])
+
+    def test_helper_error_surfaces_and_no_helper_outlives_the_call(self, monkeypatch):
+        chunks = mc._uniform_chunks
+
+        def fail_after_the_first_range(seed, first, stop, per_trial):
+            if first > 0:
+                raise ValueError("second range failed")
+            return chunks(seed, first, stop, per_trial)
+
+        monkeypatch.setattr(mc, "_CHUNK_TRIALS", 4)
+        monkeypatch.setattr(mc, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(mc, "_uniform_chunks", fail_after_the_first_range)
+        problem = DiscriminationProblem(QUARTER_TURN, I2)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="second range failed"):
+            sample_heterodyne(0.5, 0.0, NoiseSpec(0.1), "entangled", 8, 1)
+        assert threading.active_count() == before
+        with pytest.raises(ValueError, match="second range failed"):
+            sample_helstrom(problem, ProbeState.maximally_entangled(2), 8, 1)
+        assert threading.active_count() == before
+
 
 def _bits(value: float) -> str:
     return float(value).hex()
+
+
+def exact_sum(blocks) -> float:
+    """The samplers' exact sum of every value in the arrays, rounded once."""
+    return sum(mc._fixed_point_sum(block.copy()) for block in blocks) / (1 << mc._UNIT_BITS)
 
 
 finite_doubles = st.one_of(
@@ -367,8 +439,8 @@ class TestExactSum:
         except OverflowError:
             return  # the bounded ranges above never get here
         array = np.array(values, dtype=float)
-        assert _bits(mc._exact_sum([array])) == _bits(expected)
-        assert _bits(mc._exact_sum(np.array_split(array, pieces))) == _bits(expected)
+        assert _bits(exact_sum([array])) == _bits(expected)
+        assert _bits(exact_sum(np.array_split(array, pieces))) == _bits(expected)
 
     def test_edge_cases(self):
         cases = [
@@ -382,9 +454,9 @@ class TestExactSum:
             [0.1] * 10,
         ]
         for values in cases:
-            assert _bits(mc._exact_sum([np.array(values, dtype=float)])) == _bits(math.fsum(values))
+            assert _bits(exact_sum([np.array(values, dtype=float)])) == _bits(math.fsum(values))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            mc._exact_sum([np.array([1.0, 2.0]), np.array([3.0, bad])])
+            exact_sum([np.array([1.0, 2.0]), np.array([3.0, bad])])
