@@ -35,8 +35,6 @@ from .gauss import (
     NoiseSpec,
     advantage_threshold,
     apply_displacement_noise,
-    coherent_state,
-    displace,
     epr_heterodyne,
     heterodyne,
     noise_boundaries,
@@ -45,8 +43,6 @@ from .gauss import (
     ppt_separability,
     quadrature_variance,
     squeezed_state,
-    symplectic_eigenvalues,
-    tensor,
     tmsv_epr_variance,
     tmsv_state,
     vacuum_state,

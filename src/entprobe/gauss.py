@@ -1,10 +1,14 @@
 """Gaussian states of one or two bosonic modes in the covariance picture.
 
-Single fixed convention throughout: quadratures x = (a† + a)/2 and
-p = (a - a†)/2i, quadrature ordering (x1, p1, x2, p2), vacuum covariance
-I/4, and physicality cov + (i/4) Omega >= 0 with Omega block-diagonal in
-[[0, 1], [-1, 0]].  A heterodyne outcome z therefore has complex-plane
-variance E|z - mean|^2 = 1 on the vacuum.
+Quadratures x = (a† + a)/2 and p = (a - a†)/2i, vacuum variance 1/4.  A
+one-mode state is held in (x, p).  A two-mode state is held in the pair
+frame (x1 - x2, p1 + p2, x1 + x2, p1 - p2), where every readout is a
+read-off: the two-mode squeezed probe is diagonal, built from Delta^2 with
+no subtraction; the EPR measurement reads the first two quadratures; equal
+noise on both modes adds nbar I; and the partial transpose is a swap.
+Physicality is cov + (i/4) Omega >= 0 with Omega the frame's commutator
+form.  A heterodyne outcome z has complex-plane variance E|z - mean|^2 = 1
+on the vacuum.
 """
 
 from __future__ import annotations
@@ -19,18 +23,30 @@ from .linops import COV_SYMMETRY_ATOL, PPT_ATOL, UNCERTAINTY_RTOL, _freeze
 
 VACUUM_VARIANCE = 0.25
 
+# (i/4) Omega per mode count.  Omega is [[0, 1], [-1, 0]] on (x, p); on the pair frame it is
+# F Omega F^T for the frame's rows F over (x1, p1, x2, p2), which pairs x1 - x2 with p1 - p2
+# and x1 + x2 with p1 + p2, each with weight 2.  A congruence keeps a matrix semidefinite.
+_QUARTER_I_FORM = {
+    1: 0.25j * np.array([[0.0, 1.0], [-1.0, 0.0]]),
+    2: 0.5j * np.array([[0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=float),
+}
 
-def symplectic_form(modes: int) -> np.ndarray:
-    omega = np.zeros((2 * modes, 2 * modes))
-    for m in range(modes):
-        omega[2 * m, 2 * m + 1] = 1.0
-        omega[2 * m + 1, 2 * m] = -1.0
-    return omega
+# Covariance that each mode's displacement noise adds per photon: (1/2) I on the mode's
+# (x, p).  In the pair frame that is (I + S)/2 for mode 0 and (I - S)/2 for mode 1, with S
+# swapping the difference and sum quadratures, so equal noise on both adds exactly nbar I.
+_PAIR_SWAP = np.roll(np.eye(4), 2, axis=0)
+_NOISE_PER_PHOTON = {
+    1: (0.5 * np.eye(2),),
+    2: (0.5 * (np.eye(4) + _PAIR_SWAP), 0.5 * (np.eye(4) - _PAIR_SWAP)),
+}
+
+# The partial transpose p2 -> -p2 swaps p1 + p2 and p1 - p2.
+_PARTIAL_TRANSPOSE = [0, 3, 2, 1]
 
 
 @dataclass(frozen=True, eq=False)
 class GaussianState:
-    """Mean vector and covariance matrix of a 1- or 2-mode Gaussian state."""
+    """Mean vector and covariance matrix of a 1-mode state, or of a 2-mode state in the pair frame."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -47,9 +63,8 @@ class GaussianState:
         # a nan or infinite entry makes its asymmetry nan or infinite, so it fails here
         if not np.max(np.abs(cov - cov.T)) <= COV_SYMMETRY_ATOL:
             raise ValueError(f"covariance must be finite and symmetric within {COV_SYMMETRY_ATOL}")
-        check = cov + 0.25j * symplectic_form(mean.size // 2)
         # eigvalsh errs by ~eps times the largest eigenvalue, so scale the slack
-        spectrum = np.linalg.eigvalsh(check)
+        spectrum = np.linalg.eigvalsh(cov + _QUARTER_I_FORM[mean.size // 2])
         if spectrum[0] < -UNCERTAINTY_RTOL * max(1.0, spectrum[-1]):
             raise ValueError("covariance violates the uncertainty bound")
         _freeze(self, mean=mean, cov=cov)
@@ -104,13 +119,10 @@ class NoiseBoundaries(NamedTuple):
 
 
 def vacuum_state(modes: int = 1) -> GaussianState:
+    """The vacuum; on two modes, the zero-gain probe, with pair-frame variances 1/2."""
     if modes not in (1, 2):
         raise ValueError(f"only 1 or 2 modes are supported, got {modes}")
-    return GaussianState(np.zeros(2 * modes), VACUUM_VARIANCE * np.eye(2 * modes))
-
-
-def coherent_state(alpha: complex) -> GaussianState:
-    return displace(vacuum_state(), 0, alpha)
+    return GaussianState(np.zeros(2), VACUUM_VARIANCE * np.eye(2)) if modes == 1 else tmsv_state(0.0)
 
 
 def squeezed_state(s: float, x0: float = 0.0) -> GaussianState:
@@ -129,31 +141,10 @@ def _check_gain(x) -> float:
 
 
 def tmsv_state(x: float) -> GaussianState:
-    """Two-mode squeezed vacuum with downconversion gain parameter |x| < 1."""
-    x = _check_gain(x)
-    r = np.arctanh(abs(x))
-    c = np.cosh(2.0 * r) * VACUUM_VARIANCE
-    s = np.sinh(2.0 * r) * VACUUM_VARIANCE
-    cov = np.array(
-        [
-            [c, 0.0, s, 0.0],
-            [0.0, c, 0.0, -s],
-            [s, 0.0, c, 0.0],
-            [0.0, -s, 0.0, c],
-        ]
-    )
-    return GaussianState(np.zeros(4), cov)
-
-
-def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
-    """Product state of two Gaussian states (at most two modes in total)."""
-    if a.modes + b.modes > 2:
-        raise ValueError("at most two modes are supported")
-    mean = np.concatenate([a.mean, b.mean])
-    cov = np.zeros((mean.size, mean.size))
-    cov[: 2 * a.modes, : 2 * a.modes] = a.cov
-    cov[2 * a.modes :, 2 * a.modes :] = b.cov
-    return GaussianState(mean, cov)
+    """Two-mode squeezed vacuum with downconversion gain parameter |x| < 1: in the pair frame,
+    Var(x1 - x2) = Var(p1 + p2) = Delta^2/2 and Var(x1 + x2) = Var(p1 - p2) = 1/(2 Delta^2)."""
+    delta_sq = tmsv_epr_variance(x)
+    return GaussianState(np.zeros(4), np.diag([delta_sq, delta_sq, 1.0 / delta_sq, 1.0 / delta_sq]) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -166,23 +157,11 @@ def _check_mode(g: GaussianState, mode: int) -> None:
         raise ValueError(f"mode {mode} out of range for a {g.modes}-mode state")
 
 
-def displace(g: GaussianState, mode: int, alpha: complex) -> GaussianState:
-    """Shift the mode's (x, p) mean by (Re alpha, Im alpha); covariance untouched."""
-    _check_mode(g, mode)
-    mean = g.mean.copy()
-    mean[2 * mode] += np.real(alpha)
-    mean[2 * mode + 1] += np.imag(alpha)
-    return GaussianState(mean, g.cov)
-
-
 def apply_displacement_noise(g: GaussianState, mode: int, nbar: float) -> GaussianState:
-    """Random-displacement channel: adds (nbar/2) I to the mode's covariance block."""
+    """Random-displacement channel: adds (nbar/2) I to the covariance of the mode's (x, p)."""
     _check_nbar(nbar)
     _check_mode(g, mode)
-    cov = g.cov.copy()
-    block = slice(2 * mode, 2 * mode + 2)
-    cov[block, block] += 0.5 * nbar * np.eye(2)
-    return GaussianState(g.mean, cov)
+    return GaussianState(g.mean, g.cov + nbar * _NOISE_PER_PHOTON[g.modes][mode])
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +170,14 @@ def apply_displacement_noise(g: GaussianState, mode: int, nbar: float) -> Gaussi
 
 
 def quadrature_variance(g: GaussianState, mode: int, phi):
-    """Variance of x cos(phi) + p sin(phi) on the given mode, for a phase or an array of them."""
+    """Variance of x cos(phi) + p sin(phi) of a 1-mode state, for a phase or an array of them;
+    a 2-mode state holds no lab quadrature as an entry, so it is refused."""
+    if g.modes != 1:
+        raise ValueError(f"a quadrature variance needs a 1-mode state, got {g.modes} modes")
     _check_mode(g, mode)
     c, s = np.cos(phi), np.sin(phi)
-    i = 2 * mode
     v = g.cov
-    return c * c * v[i, i] + s * s * v[i + 1, i + 1] + 2.0 * s * c * v[i, i + 1]
+    return c * c * v[0, 0] + s * s * v[1, 1] + 2.0 * s * c * v[0, 1]
 
 
 def _check_alpha(alpha) -> complex:
@@ -216,17 +197,16 @@ def epr_heterodyne(
     """Outcome law of the joint measurement of (x1 - x2, p1 + p2).
 
     The probed mode is displaced by ``alpha`` and the noise in ``noise`` adds
-    nbar/2 to each of the four quadrature variances, so the law reads off the
-    moments: center (m0 - m2) + i (m1 + m3) + alpha, variance Var(x1 - x2) +
-    Var(p1 + p2) + 2 nbar.  A common phase ``phi`` on the pair cannot move it:
-    the rotated pair reads e^(-i phi) z, reported back in the fixed frame as z.
+    nbar to both measured variances, so the law reads off the first two pair
+    quadratures: center m0 + i m1 + alpha, variance V00 + V11 + 2 nbar.  A
+    common phase ``phi`` on the pair cannot move it: the rotated pair reads
+    e^(-i phi) z, reported back in the fixed frame as z.
     """
     if g.modes != 2:
         raise ValueError(f"an EPR measurement needs a 2-mode state, got {g.modes} mode(s)")
     m, v = g.mean, g.cov
-    center = complex(m[0] - m[2], m[1] + m[3]) + _check_alpha(alpha)
-    variance = (v[0, 0] + v[2, 2] - 2.0 * v[0, 2]) + (v[1, 1] + v[3, 3] + 2.0 * v[1, 3])
-    return HeterodyneLaw(center, float(variance + 2.0 * noise.nbar_per_mode))
+    center = complex(m[0], m[1]) + _check_alpha(alpha)
+    return HeterodyneLaw(center, float(v[0, 0] + v[1, 1] + 2.0 * noise.nbar_per_mode))
 
 
 def heterodyne(
@@ -252,10 +232,11 @@ def advantage_threshold(x: float) -> float:
     """Per-scheme noise level where the entangled probe stops paying off.
 
     Solves delta^2_entangled = delta^2_vacuum, i.e. Delta^2 + 2 nbar =
-    1 + nbar; the solution 1 - Delta^2 tends to one thermal photon as the
-    probe approaches maximal entanglement.
+    1 + nbar, at nbar = 1 - Delta^2 = 2|x|/(1 + |x|): twice the separability
+    edge, formed without the low-gain cancellation of 1 - Delta^2.  It tends
+    to one thermal photon as the probe approaches maximal entanglement.
     """
-    return 1.0 - tmsv_epr_variance(x)
+    return 2.0 * ppt_noise_boundary(x)
 
 
 # ---------------------------------------------------------------------------
@@ -263,25 +244,18 @@ def advantage_threshold(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
-    """Moduli of the eigenvalues of i Omega cov, one per mode, ascending."""
-    cov = np.asarray(cov, dtype=float)
-    modes = cov.shape[0] // 2
-    spectrum = np.abs(np.linalg.eigvals(1j * symplectic_form(modes) @ cov))
-    return np.sort(spectrum)[::2]
-
-
 def ppt_separability(g: GaussianState) -> SeparabilityReport:
     """Partial-transpose physicality test for a two-mode Gaussian state.
 
-    The partial transpose flips the sign of p2; the state is separable
-    exactly when the flipped covariance still satisfies the uncertainty
-    bound, i.e. its smallest symplectic eigenvalue stays at or above 1/4.
+    The frame's rows F obey F F^T = 2 I, so i Omega V is similar to (i/4) F Omega F^T
+    times the pair-frame covariance, whose eigenvalue moduli are the symplectic
+    eigenvalues.  The state is separable exactly when the smallest one of the
+    flipped covariance (p2 -> -p2) stays at or above 1/4.
     """
     if g.modes != 2:
         raise ValueError(f"the test applies to 2-mode states, got {g.modes} mode(s)")
-    flip = np.diag([1.0, 1.0, 1.0, -1.0])
-    nu_min = float(symplectic_eigenvalues(flip @ g.cov @ flip)[0])
+    flipped = g.cov[_PARTIAL_TRANSPOSE][:, _PARTIAL_TRANSPOSE]
+    nu_min = float(np.abs(np.linalg.eigvals(_QUARTER_I_FORM[2] @ flipped)).min())
     return SeparabilityReport(nu_min >= VACUUM_VARIANCE - PPT_ATOL, nu_min)
 
 
@@ -290,8 +264,7 @@ def ppt_noise_boundary(x: float) -> float:
 
     The smallest partial-transpose symplectic eigenvalue of the probe with
     noise n per mode is Delta^2/4 + n/2 (Simon, PRL 84, 2726 (2000)), so the
-    edge sits at n = (1 - Delta^2)/2 = |x|/(1 + |x|), read without the
-    cosh - sinh cancellation of the covariance entries.
+    edge sits at n = (1 - Delta^2)/2 = |x|/(1 + |x|).
     """
     x = _check_gain(x)
     return abs(x) / (1.0 + abs(x))
@@ -311,7 +284,8 @@ def photon_budget(kind: str, param: float = 0.0) -> float:
     """Mean photon number spent preparing the probe.
 
     ``squeezed`` uses sinh^2(s) photons, ``tmsv`` uses 2|x|^2/(1-|x|^2)
-    photons across its two modes, and ``vacuum`` is free.
+    photons across its two modes, with 1 - |x|^2 formed as (1 - |x|)(1 + |x|),
+    and ``vacuum`` is free.
     """
     if kind == "vacuum":
         return 0.0
@@ -319,5 +293,5 @@ def photon_budget(kind: str, param: float = 0.0) -> float:
         return float(np.sinh(param) ** 2)
     if kind == "tmsv":
         x = _check_gain(param)
-        return 2.0 * x * x / (1.0 - x * x)
+        return 2.0 * x * x / ((1.0 - abs(x)) * (1.0 + abs(x)))
     raise ValueError(f"unknown probe kind {kind!r}")

@@ -69,10 +69,11 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
 
 
-def _uniform_chunks(seed: int, first: int, stop: int, per_trial: int):
+def _uniform_chunks(seed: int, first: int, stop: int, per_trial: int, abandon=None):
     """Yield the uniforms of trials ``first`` to ``stop - 1`` of ``trial_uniforms`` in blocks of
-    at most ``_CHUNK_TRIALS`` trials, each written over the last.  One ``advance`` step skips one
-    4-word Philox block; ``random`` gives (word >> 11) 2^-53, and adding 2^-53 is exact."""
+    at most ``_CHUNK_TRIALS`` trials, each written over the last, and stop early once the
+    ``abandon`` event is set.  One ``advance`` step skips one 4-word Philox block; ``random``
+    gives (word >> 11) 2^-53, and adding 2^-53 is exact."""
     _check_seed(seed)
     bitgen = np.random.Philox(key=np.uint64(seed))
     bitgen.advance(first * per_trial // 4)
@@ -80,6 +81,8 @@ def _uniform_chunks(seed: int, first: int, stop: int, per_trial: int):
     draw = np.random.Generator(bitgen).random
     block = np.empty((min(_CHUNK_TRIALS, stop - first), per_trial))
     for start in range(first, stop, _CHUNK_TRIALS):
+        if abandon is not None and abandon.is_set():
+            return
         u = draw(out=block[: stop - start])
         u += 2.0**-53
         yield u
@@ -115,17 +118,20 @@ def _cpu_count() -> int:  # the CPUs this process may run on
 
 
 def _split_sum(trials: int, work) -> int:
-    """Sum of the integers ``work(first, stop)`` over ranges of whole blocks covering [0, trials),
-    one per CPU and at most one per block.  The calling thread runs the first range and helper
-    threads, all joined here, the rest; a helper's exception is raised here, lowest range first."""
+    """Sum of the integers ``work(first, stop, abandon)`` over ranges of whole blocks covering
+    [0, trials), one per CPU and at most one per block.  The calling thread runs the first range
+    and helper threads, all joined here, the rest; a helper's exception is raised here, lowest
+    range first.  An exception in the calling thread, Ctrl-C included, sets the ``abandon``
+    event, which each range checks between blocks, so the helpers stop within a block."""
     blocks = -(-trials // _CHUNK_TRIALS)
     ranges = min(_cpu_count(), blocks)
     edges = [min(trials, blocks * i // ranges * _CHUNK_TRIALS) for i in range(ranges + 1)]
     outcomes = [0] * ranges
+    abandon = threading.Event()
 
     def run(i: int) -> None:
         try:
-            outcomes[i] = work(edges[i], edges[i + 1])
+            outcomes[i] = work(edges[i], edges[i + 1], abandon)
         except Exception as exc:  # raised again from the calling thread
             outcomes[i] = exc
 
@@ -135,8 +141,12 @@ def _split_sum(trials: int, work) -> int:
             helper = threading.Thread(target=run, args=(i,))
             helper.start()
             helpers.append(helper)
-        outcomes[0] = work(edges[0], edges[1])
+        outcomes[0] = work(edges[0], edges[1], abandon)
+        for helper in helpers:
+            helper.join()
     finally:
+        # reached with a helper still running only on an exception, whose sum is never taken
+        abandon.set()
         for helper in helpers:
             helper.join()
     for outcome in outcomes:
@@ -218,10 +228,10 @@ def sample_helstrom(
     q1 = float(np.real(np.vdot(psi1, project @ psi1)))
     q2 = float(np.real(np.vdot(psi2, project @ psi2)))
 
-    def error_count(first: int, stop: int) -> int:
+    def error_count(first: int, stop: int, abandon) -> int:
         return sum(
             int(np.count_nonzero(np.where(u[:, 0] <= problem.p1, u[:, 1] > q1, u[:, 1] <= q2)))
-            for u in _uniform_chunks(seed, first, stop, 2)
+            for u in _uniform_chunks(seed, first, stop, 2, abandon)
         )
 
     empirical = _split_sum(trials, error_count) / trials
@@ -250,8 +260,8 @@ def sample_heterodyne(
 
     ``entangled`` probes with the two-mode squeezed state and is scored
     against Delta^2 + 2 nbar; ``unentangled`` probes with the vacuum and is
-    scored against 1 + nbar.  The sampling law itself comes from the
-    covariance machinery, so the two routes stay independent.
+    scored against 1 + nbar.  The sampling law is read off the probe's
+    moments by ``gauss.epr_heterodyne`` and ``gauss.heterodyne``.
     """
     _check_trials(trials)
     _check_deviation_sum(noise.nbar_per_mode, trials)
@@ -268,11 +278,11 @@ def sample_heterodyne(
     shift = np.array([[law.mean.real], [law.mean.imag]])
     target = np.array([[np.real(alpha)], [np.imag(alpha)]])
 
-    def deviation_sum(first: int, stop: int) -> int:
+    def deviation_sum(first: int, stop: int, abandon) -> int:
         # |z - alpha|^2 in units of 2^-1126, each quadrature (shift + scale g - target)^2
         scratch = np.empty((2, min(_CHUNK_TRIALS, stop - first)))
         total = 0
-        for u in _uniform_chunks(seed, first, stop, 2):
+        for u in _uniform_chunks(seed, first, stop, 2, abandon):
             z = _box_muller(u, scratch[:, : len(u)])
             z *= scale
             z += shift

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
+import mpmath
 import numpy as np
 
 from entprobe import gauss
@@ -233,20 +236,22 @@ def ppt_boundary_by_bisection(x: float, tol: float = 1e-12) -> float:
 
 
 def epr_law_by_rotated_rows(g, alpha=0.0, nbar: float = 0.0, phi: float = 0.0):
-    """``gauss.epr_heterodyne`` the long way round, through intermediate states.
+    """``gauss.epr_heterodyne`` the long way round, in the lab frame.
 
-    The probed mode is displaced by ``alpha``, each mode then passes the
-    displacement-noise channel, the pair (x1 - x2, p1 + p2) rotated by ``phi``
-    is read through two rows over (x1, p1, x2, p2), and the center is rotated
-    back by e^(i phi).  The row algebra and the back-rotation run in exact
-    rational arithmetic on the float entries and on cos phi and sin phi, so
-    the oracle adds no cancellation of its own, even for cosh-sized entries.
+    The pair-frame moments of the 2-mode state go back to the lab ordering
+    (x1, p1, x2, p2), the probed mode is displaced by ``alpha``, each lab
+    variance gains nbar/2, the pair (x1 - x2, p1 + p2) rotated by ``phi`` is
+    read through two rows over the lab quadratures, and the center is rotated
+    back by e^(i phi).  All of it runs in exact rational arithmetic on the
+    float entries and on cos phi and sin phi, so the oracle adds no
+    cancellation of its own, even for cosh-sized entries.
     """
-    state = gauss.displace(g, 0, alpha)
-    for mode in (0, 1):
-        state = gauss.apply_displacement_noise(state, mode, nbar)
-    mean = [Fraction(m) for m in state.mean.tolist()]
-    cov = [[Fraction(v) for v in row] for row in state.cov.tolist()]
+    mean, cov = exact_lab_moments(g)
+    alpha = complex(alpha)
+    mean[0] += Fraction(alpha.real)
+    mean[1] += Fraction(alpha.imag)
+    for i in range(4):
+        cov[i][i] += Fraction(nbar) / 2
     c, s = Fraction(math.cos(phi)), Fraction(math.sin(phi))
     rows = ((c, s, -c, s), (-s, c, s, c))
     re, im = (sum(f * m for f, m in zip(row, mean)) for row in rows)
@@ -256,10 +261,11 @@ def epr_law_by_rotated_rows(g, alpha=0.0, nbar: float = 0.0, phi: float = 0.0):
 
 
 def heterodyne_law_by_rotated_rows(g, alpha=0.0, nbar: float = 0.0):
-    """``gauss.heterodyne`` the long way round: displace, add the noise, pair the
-    mode with a vacuum ancilla and read the EPR law through ``epr_law_by_rotated_rows``."""
-    state = gauss.apply_displacement_noise(gauss.displace(g, 0, alpha), 0, nbar)
-    return epr_law_by_rotated_rows(gauss.tensor(state, gauss.vacuum_state()))
+    """``gauss.heterodyne`` the long way round: displace the mode, add its noise, pair
+    it with a vacuum ancilla in the lab frame and read the EPR law of the pair through
+    ``epr_law_by_rotated_rows``."""
+    state = add_noise(displace(g, 0, alpha), 0, nbar)
+    return epr_law_by_rotated_rows(to_pair(tensor(state, coherent_state(0.0))))
 
 
 def stability_by_loop(s: float, x: float, phis) -> tuple[np.ndarray, np.ndarray]:
@@ -270,3 +276,156 @@ def stability_by_loop(s: float, x: float, phis) -> tuple[np.ndarray, np.ndarray]
     squeezed = np.array([gauss.quadrature_variance(squeezed_state, 0, phi) for phi in phis])
     entangled = np.array([epr_law_by_rotated_rows(entangled_state, phi=phi).variance for phi in phis])
     return squeezed, entangled
+
+
+# ---------------------------------------------------------------------------
+# lab-frame oracles: ordering (x1, p1, x2, p2), vacuum covariance I/4
+# ---------------------------------------------------------------------------
+
+# Rows of the library's pair frame (x1 - x2, p1 + p2, x1 + x2, p1 - p2) over the lab
+# quadratures; PAIR_ROWS @ PAIR_ROWS.T = 2 I, so the way back is PAIR_ROWS.T / 2.
+PAIR_ROWS = np.array([[1, 0, -1, 0], [0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, -1]])
+
+
+class LabState(NamedTuple):
+    """Mean and covariance of 1 or 2 modes in the lab ordering, not validated."""
+
+    mean: np.ndarray
+    cov: np.ndarray
+
+
+def to_pair(lab) -> gauss.GaussianState:
+    """The library's state for lab moments: one mode as it is, two through ``PAIR_ROWS``."""
+    mean, cov = np.asarray(lab.mean, dtype=float), np.asarray(lab.cov, dtype=float)
+    if mean.size == 2:
+        return gauss.GaussianState(mean, cov)
+    return gauss.GaussianState(PAIR_ROWS @ mean, PAIR_ROWS @ cov @ PAIR_ROWS.T)
+
+
+def to_lab(g) -> LabState:
+    """The lab moments of a library state, in floats."""
+    if g.modes == 1:
+        return LabState(g.mean, g.cov)
+    return LabState(PAIR_ROWS.T @ g.mean / 2.0, PAIR_ROWS.T @ g.cov @ PAIR_ROWS / 4.0)
+
+
+def exact_lab_moments(g) -> tuple[list, list]:
+    """The lab moments of a 2-mode library state as lists of Fractions, with no rounding."""
+    back = [[Fraction(int(f), 2) for f in column] for column in PAIR_ROWS.T]
+    mean = [Fraction(m) for m in g.mean.tolist()]
+    cov = [[Fraction(v) for v in row] for row in g.cov.tolist()]
+    lab_mean = [sum(b * m for b, m in zip(row, mean)) for row in back]
+    back_cov = [[sum(b * cov[k][j] for k, b in enumerate(row)) for j in range(4)] for row in back]
+    lab_cov = [[sum(h * b for h, b in zip(hrow, brow)) for brow in back] for hrow in back_cov]
+    return lab_mean, lab_cov
+
+
+def lab_tmsv(x: float) -> LabState:
+    """The two-mode squeezed vacuum as cosh(2r)/4 on every variance and +-sinh(2r)/4
+    between the modes, x = tanh r: the representation whose differences cancel."""
+    r = np.arctanh(abs(x))
+    c, s = np.cosh(2.0 * r) / 4.0, np.sinh(2.0 * r) / 4.0
+    cov = np.array([[c, 0.0, s, 0.0], [0.0, c, 0.0, -s], [s, 0.0, c, 0.0], [0.0, -s, 0.0, c]])
+    return LabState(np.zeros(4), cov)
+
+
+def _check_lab_mode(lab, mode: int) -> None:
+    if not 0 <= mode < len(lab.mean) // 2:
+        raise ValueError(f"mode {mode} out of range for a {len(lab.mean) // 2}-mode state")
+
+
+def displace(lab, mode: int, alpha: complex) -> LabState:
+    """Shift the mode's (x, p) mean by (Re alpha, Im alpha); covariance untouched."""
+    _check_lab_mode(lab, mode)
+    mean = np.array(lab.mean, dtype=float)
+    mean[2 * mode] += np.real(alpha)
+    mean[2 * mode + 1] += np.imag(alpha)
+    return LabState(mean, lab.cov)
+
+
+def coherent_state(alpha: complex) -> LabState:
+    return displace(LabState(np.zeros(2), gauss.VACUUM_VARIANCE * np.eye(2)), 0, alpha)
+
+
+def add_noise(lab, mode: int, nbar: float) -> LabState:
+    """Random-displacement channel: adds (nbar/2) I to the mode's covariance block."""
+    _check_lab_mode(lab, mode)
+    cov = np.array(lab.cov, dtype=float)
+    block = slice(2 * mode, 2 * mode + 2)
+    cov[block, block] += 0.5 * nbar * np.eye(2)
+    return LabState(lab.mean, cov)
+
+
+def tensor(a, b) -> LabState:
+    """Product state of two lab states (at most two modes in total)."""
+    if len(a.mean) + len(b.mean) > 4:
+        raise ValueError("at most two modes are supported")
+    mean = np.concatenate([a.mean, b.mean])
+    cov = np.zeros((mean.size, mean.size))
+    cov[: len(a.mean), : len(a.mean)] = a.cov
+    cov[len(a.mean) :, len(a.mean) :] = b.cov
+    return LabState(mean, cov)
+
+
+def symplectic_form(modes: int) -> np.ndarray:
+    """The lab commutator form, block-diagonal in [[0, 1], [-1, 0]]."""
+    return np.kron(np.eye(modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+
+def symplectic_eigenvalues(cov) -> np.ndarray:
+    """Moduli of the eigenvalues of i Omega cov for a lab covariance, one per mode, ascending."""
+    cov = np.asarray(cov, dtype=float)
+    spectrum = np.abs(np.linalg.eigvals(1j * symplectic_form(cov.shape[0] // 2) @ cov))
+    return np.sort(spectrum)[::2]
+
+
+def pt_eigenvalue_in_lab_frame(g) -> float:
+    """Smallest symplectic eigenvalue of a 2-mode library state with p2 flipped in the lab."""
+    flip = np.diag([1.0, 1.0, 1.0, -1.0])
+    return float(symplectic_eigenvalues(flip @ to_lab(g).cov @ flip)[0])
+
+
+# The mpmath oracles below work at 50 significant digits.
+DIGITS = 50
+
+
+def _lab_probe_cov(x, nbar) -> mpmath.matrix:
+    """The noisy probe's lab covariance, x = tanh r: every variance cosh(2r)/4 + nbar/2,
+    and +-sinh(2r)/4 between the modes."""
+    r = mpmath.atanh(abs(mpmath.mpf(x)))
+    a, s = mpmath.cosh(2 * r) / 4 + mpmath.mpf(nbar) / 2, mpmath.sinh(2 * r) / 4
+    return mpmath.matrix([[a, 0, s, 0], [0, a, 0, -s], [s, 0, a, 0], [0, -s, 0, a]])
+
+
+def _lab_pt_eigenvalue(cov) -> mpmath.mpf:
+    """Smallest modulus in the spectrum of i Omega V with p2 flipped, by ``mpmath.eig``."""
+    flip = mpmath.diag([1, 1, 1, -1])
+    omega = mpmath.matrix(symplectic_form(2).tolist())
+    return min(abs(e) for e in mpmath.eig(1j * omega * flip * cov * flip, left=False, right=False))
+
+
+class LabRoute(NamedTuple):
+    epr_variance: mpmath.mpf
+    pt_eigenvalue: mpmath.mpf
+    photons: mpmath.mpf
+
+
+def lab_route_at_50_digits(x: float, nbar: float) -> LabRoute:
+    """The noisy two-mode probe's readouts through the lab-frame cosh/sinh covariance: the
+    EPR variance Var(x1 - x2) + Var(p1 + p2), the smallest partial-transpose symplectic
+    eigenvalue, and the noiseless photon number, Var(x) + Var(p) - 1/2 summed over the modes."""
+    with mpmath.workdps(DIGITS):
+        v, bare = _lab_probe_cov(x, nbar), _lab_probe_cov(x, 0)
+        return LabRoute(
+            epr_variance=(v[0, 0] + v[2, 2] - 2 * v[0, 2]) + (v[1, 1] + v[3, 3] + 2 * v[1, 3]),
+            pt_eigenvalue=_lab_pt_eigenvalue(v),
+            photons=sum(bare[i, i] for i in range(4)) - 1,
+        )
+
+
+@functools.lru_cache(maxsize=None)
+def lab_edge_at_50_digits(x: float) -> mpmath.mpf:
+    """Noise per mode at which the lab-route PT eigenvalue reaches 1/4, by ``mpmath.findroot``."""
+    with mpmath.workdps(DIGITS):
+        quarter = mpmath.mpf(1) / 4
+        return mpmath.findroot(lambda n: _lab_pt_eigenvalue(_lab_probe_cov(x, n)) - quarter, (0, 2 * quarter))

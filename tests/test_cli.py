@@ -178,7 +178,16 @@ class TestCvEstimate:
         assert code == 0
         _, rows = parse_csv(out)
         empirical = {row["scheme"]: row["delta2_empirical"] for row in rows}
-        assert empirical == {"entangled": "0.36008224662183586", "unentangled": "1.080246739865508"}
+        assert empirical == {"entangled": "0.36008224662183597", "unentangled": "1.080246739865508"}
+
+    def test_high_gain_entangled_scatter(self, capsys):
+        # Delta^2 = 5.0e-9 here, far below the cancellation of cosh- and sinh-sized entries
+        code, out, _ = run_cli(capsys, "cv-estimate", "--x", "0.99999999", "--trials", "1000")
+        assert code == 0
+        _, rows = parse_csv(out)
+        entangled = next(row for row in rows if row["scheme"] == "entangled")
+        assert float(entangled["delta2_empirical"]) > 0.0
+        assert abs(float(entangled["z_score"])) < 5.0
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -240,6 +249,15 @@ class TestThresholdScan:
         code, _, err = run_cli(capsys, "threshold-scan", "--x-grid", "nope")
         assert code == 2
         assert "x-grid" in err
+
+    def test_low_gain_advantage_is_twice_the_edge(self, capsys):
+        # 1 - Delta^2 would cancel here; 2|x|/(1 + |x|) does not
+        code, out, _ = run_cli(capsys, "threshold-scan", "--x-grid", "1e-12,1e-8")
+        assert code == 0
+        _, rows = parse_csv(out)
+        for row in rows:
+            assert float(row["advantage_nbar"]) == 2.0 * float(row["ppt_nbar"])
+        assert rows[0]["ppt_nbar"] == "9.99999999999e-13"
 
     def test_pinned_digits(self, capsys):
         # ppt_nbar is the exact x / (1 + x)
@@ -303,6 +321,14 @@ class TestStability:
         assert float(mid["squeezed_variance"]) == pytest.approx(
             0.25 * np.exp(-4.0), abs=1e-12
         )
+
+    def test_entangled_column_at_the_largest_gain_below_one(self, capsys):
+        # x = 1 - 2^-53, so Delta^2 = 2^-53 / (2 - 2^-53) rounds to 2^-54
+        code, out, err = run_cli(capsys, "stability", "--s", "2", "--x", "0.9999999999999999", "--phi-grid=0:1:2")
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert [row["entangled_variance"] for row in rows] == ["5.551115123125783e-17"] * 2
+        assert float(rows[0]["entangled_variance"]) == 2.0**-54
 
     @pytest.mark.parametrize(
         "s", ["nan", "inf", "400", "-400", repr(math.nextafter(cli.MAX_SQUEEZING, math.inf))]
@@ -674,3 +700,17 @@ class TestCliContract:
             code, out, err = run_cli(capsys, *argv)
             assert (code, err) == (0, ""), argv
             assert out
+
+    def test_startup_imports_neither_mpmath_nor_scipy(self):
+        # the test oracles use both; the command line must not pay for either at start-up
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = "import sys, entprobe.cli; print(sorted({'mpmath', 'scipy'} & set(sys.modules)))"
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entprobe import gauss
 from entprobe.gauss import (
@@ -7,8 +9,6 @@ from entprobe.gauss import (
     NoiseSpec,
     advantage_threshold,
     apply_displacement_noise,
-    coherent_state,
-    displace,
     epr_heterodyne,
     heterodyne,
     noise_boundaries,
@@ -17,22 +17,33 @@ from entprobe.gauss import (
     ppt_separability,
     quadrature_variance,
     squeezed_state,
-    tensor,
     tmsv_epr_variance,
     tmsv_state,
     vacuum_state,
 )
 
 from _helpers import (
+    LabState,
+    add_noise,
+    coherent_state,
+    displace,
     epr_law_by_rotated_rows,
     heterodyne_law_by_rotated_rows,
+    lab_edge_at_50_digits,
+    lab_route_at_50_digits,
+    lab_tmsv,
     ppt_boundary_by_bisection,
+    pt_eigenvalue_in_lab_frame,
+    symplectic_form,
+    tensor,
+    to_lab,
+    to_pair,
 )
 
 
 def two_mode_epr_variance_by_index_sums(state: GaussianState) -> float:
-    """Oracle: Var(x1 - x2) + Var(p1 + p2) spelled out entry by entry."""
-    v = state.cov
+    """Oracle: Var(x1 - x2) + Var(p1 + p2) spelled out entry by entry in the lab frame."""
+    v = to_lab(state).cov
     var_minus = v[0, 0] + v[2, 2] - 2.0 * v[0, 2]
     var_plus = v[1, 1] + v[3, 3] + 2.0 * v[1, 3]
     return float(var_minus + var_plus)
@@ -46,17 +57,22 @@ class TestStatePreparation:
 
     def test_tmsv_zero_gain_is_vacuum(self):
         st = tmsv_state(0.0)
-        assert np.array_equal(st.cov, 0.25 * np.eye(4))
+        # each pair-frame quadrature sums two vacuum quadratures
+        assert np.array_equal(st.cov, 0.5 * np.eye(4))
         assert np.array_equal(st.mean, np.zeros(4))
+        assert np.array_equal(to_lab(st).cov, 0.25 * np.eye(4))
+        assert np.array_equal(vacuum_state(2).cov, st.cov)
 
     def test_tmsv_epr_quadrature_variance(self):
         for x in (0.1, 1.0 / 3.0, 0.5, 0.9):
             st = tmsv_state(x)
             r = np.arctanh(x)
-            var_minus = st.cov[0, 0] + st.cov[2, 2] - 2.0 * st.cov[0, 2]
+            var_minus = st.cov[0, 0]
             expected = (1.0 - x) / (1.0 + x)
             assert var_minus == pytest.approx(np.exp(-2.0 * r) / 2.0, abs=1e-12)
             assert var_minus == pytest.approx(expected / 2.0, abs=1e-12)
+            # the lab-frame cosh/sinh covariance, where these entries cancel
+            np.testing.assert_allclose(to_lab(st).cov, lab_tmsv(x).cov, rtol=0.0, atol=1e-14)
 
     def test_squeezed_variances(self):
         for s in (0.0, 0.4, 1.3):
@@ -87,7 +103,7 @@ class TestStatePreparation:
     def test_all_preparations_physical(self):
         # construction itself enforces the uncertainty bound; just build them
         vacuum_state(2)
-        coherent_state(1.5 - 0.5j)
+        to_pair(coherent_state(1.5 - 0.5j))
         squeezed_state(2.0, x0=1.0)
         tmsv_state(0.99)
 
@@ -129,7 +145,7 @@ class TestDisplacement:
         assert np.array_equal(st.cov, coherent_state(alpha).cov)
 
     def test_covariance_untouched(self):
-        st = tmsv_state(0.6)
+        st = lab_tmsv(0.6)
         assert np.array_equal(displace(st, 1, 2.0 - 1.0j).cov, st.cov)
 
     def test_additivity(self):
@@ -160,10 +176,11 @@ class TestDisplacementNoise:
         np.testing.assert_allclose(twice.cov, once.cov, rtol=1e-15, atol=0.0)
 
     def test_commutes_with_displacement(self):
+        # the displacement is a lab-frame oracle, so each order passes through the lab frame once
         st = tmsv_state(0.4)
-        a = apply_displacement_noise(displace(st, 0, 1.0 + 1.0j), 0, 0.6)
-        b = displace(apply_displacement_noise(st, 0, 0.6), 0, 1.0 + 1.0j)
-        assert np.array_equal(a.cov, b.cov)
+        a = apply_displacement_noise(to_pair(displace(to_lab(st), 0, 1.0 + 1.0j)), 0, 0.6)
+        b = to_pair(displace(to_lab(apply_displacement_noise(st, 0, 0.6)), 0, 1.0 + 1.0j))
+        np.testing.assert_allclose(a.cov, b.cov, rtol=1e-15, atol=1e-15)
         assert np.array_equal(a.mean, b.mean)
 
     def test_zero_noise_identity(self):
@@ -193,7 +210,7 @@ class TestDisplacementNoise:
         st = squeezed_state(1.5)
         for nbar in (0.1, 1.0, 10.0):
             noisy = apply_displacement_noise(st, 0, nbar)
-            omega = gauss.symplectic_form(1)
+            omega = symplectic_form(1)
             assert np.linalg.eigvalsh(noisy.cov + 0.25j * omega).min() >= -1e-10
 
     def test_huge_noise_stays_physical(self):
@@ -217,6 +234,12 @@ class TestQuadratureVariance:
                 np.exp(2.0 * s) * np.sin(phi) ** 2 + np.exp(-2.0 * s) * np.cos(phi) ** 2
             )
             assert quadrature_variance(st, 0, phi) == pytest.approx(expected, abs=1e-12)
+
+    def test_two_mode_state_refused(self):
+        # pair-frame entries are no lab quadrature, so no mode of a 2-mode state is read
+        for mode in (0, 1):
+            with pytest.raises(ValueError, match="1-mode"):
+                quadrature_variance(tmsv_state(0.5), mode, 0.0)
 
 
 class TestHeterodyne:
@@ -287,8 +310,8 @@ def random_noisy_two_mode_state(rng) -> GaussianState:
     local[:2, :2] = _random_local_symplectic(rng)
     local[2:, 2:] = _random_local_symplectic(rng)
     noise = rng.normal(scale=0.3, size=(4, 4))
-    cov = local @ tmsv_state(rng.uniform(-0.95, 0.95)).cov @ local.T + noise @ noise.T
-    return GaussianState(rng.normal(size=4), (cov + cov.T) / 2.0)
+    cov = local @ lab_tmsv(rng.uniform(-0.95, 0.95)).cov @ local.T + noise @ noise.T
+    return to_pair(LabState(rng.normal(size=4), (cov + cov.T) / 2.0))
 
 
 def random_noisy_one_mode_state(rng) -> GaussianState:
@@ -336,6 +359,103 @@ class TestLawAgainstRotatedRows:
         assert len(laws) == 1
 
 
+class TestPairFrame:
+    """The pair-frame state against the lab-frame oracles it replaced."""
+
+    def test_noise_update_matches_lab_channel(self):
+        rng = np.random.default_rng(1004)
+        for _ in range(50):
+            g = random_noisy_two_mode_state(rng)
+            nbar = float(rng.uniform(0.0, 3.0))
+            for mode in (0, 1):
+                expected = to_pair(add_noise(to_lab(g), mode, nbar))
+                got = apply_displacement_noise(g, mode, nbar)
+                np.testing.assert_allclose(got.cov, expected.cov, rtol=0.0, atol=1e-12)
+                assert np.array_equal(got.mean, g.mean)
+
+    def test_equal_noise_on_both_modes_adds_nbar_identity(self):
+        for x in (0.0, 0.5, -0.9, 1.0 - 1e-12):
+            st = tmsv_state(x)
+            for nbar in (0.3, 1.0, 10.0):
+                noisy = _noisy_probe(x, nbar).cov
+                assert np.array_equal(noisy - np.diag(np.diag(noisy)), np.zeros((4, 4)))
+                np.testing.assert_allclose(np.diag(noisy), np.diag(st.cov) + nbar, rtol=1e-15)
+
+    def test_partial_transpose_matches_lab_flip(self):
+        rng = np.random.default_rng(1005)
+        for _ in range(200):
+            g = random_noisy_two_mode_state(rng)
+            nu = ppt_separability(g).min_pt_symplectic_eigenvalue
+            assert nu == pytest.approx(pt_eigenvalue_in_lab_frame(g), rel=1e-10)
+
+    def test_uncertainty_check_matches_lab_bound(self):
+        # a lab covariance is physical exactly when its pair-frame image passes the check
+        to_pair(LabState(np.zeros(4), 0.25 * np.eye(4)))
+        with pytest.raises(ValueError, match="uncertainty"):
+            to_pair(LabState(np.zeros(4), 0.2499 * np.eye(4)))
+        bare = lab_tmsv(0.5).cov
+        too_correlated = bare + 1e-4 * np.array(
+            [[0, 0, 1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, -1, 0, 0]], dtype=float
+        )
+        to_pair(LabState(np.zeros(4), bare))
+        with pytest.raises(ValueError, match="uncertainty"):
+            to_pair(LabState(np.zeros(4), too_correlated))
+
+
+def _relative_error(got: float, expected) -> float:
+    return float(abs((got - expected) / expected))
+
+
+def _noisy_probe(x: float, nbar: float) -> GaussianState:
+    return apply_displacement_noise(apply_displacement_noise(tmsv_state(x), 0, nbar), 1, nbar)
+
+
+class TestAgainstLabRouteAt50Digits:
+    """Every two-mode readout within a relative 1e-12 of the lab-frame cosh/sinh route
+    evaluated at 50 digits, up to |x| = 1 - 10^-15, where that route cancels in floats."""
+
+    NBARS = (0.0, 1e-3, 0.3, 1.0, 10.0)
+
+    def assert_readouts_match(self, x: float, nbar: float):
+        oracle = lab_route_at_50_digits(x, nbar)
+        g = _noisy_probe(x, nbar)
+        for variance in (
+            epr_heterodyne(g).variance,
+            epr_heterodyne(tmsv_state(x), noise=NoiseSpec(nbar)).variance,
+        ):
+            assert _relative_error(variance, oracle.epr_variance) <= 1e-12, (x, nbar)
+        nu = ppt_separability(g).min_pt_symplectic_eigenvalue
+        assert _relative_error(nu, oracle.pt_eigenvalue) <= 1e-12, (x, nbar)
+
+    @pytest.mark.parametrize("sign", (1.0, -1.0))
+    @pytest.mark.parametrize("k", range(1, 16))
+    def test_high_gain_grid(self, k, sign):
+        x = sign * (1.0 - 10.0**-k)
+        for nbar in self.NBARS:
+            self.assert_readouts_match(x, nbar)
+        edge = lab_edge_at_50_digits(x)
+        assert _relative_error(ppt_noise_boundary(x), edge) <= 1e-12
+        assert _relative_error(noise_boundaries(x).ppt_nbar, edge) <= 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(k=st.integers(1, 15), negative=st.booleans(), nbar=st.floats(0.0, 10.0))
+    def test_any_noise_up_to_ten_photons(self, k, negative, nbar):
+        x = (1.0 - 10.0**-k) * (-1.0 if negative else 1.0)
+        self.assert_readouts_match(x, nbar)
+
+    @pytest.mark.parametrize("k", range(1, 16))
+    def test_threshold_and_photons_at_both_ends(self, k):
+        for x in (10.0**-k, 1.0 - 10.0**-k, -(10.0**-k)):
+            oracle = lab_route_at_50_digits(x, 0.0)
+            assert _relative_error(advantage_threshold(x), 1 - oracle.epr_variance) <= 1e-12, x
+            assert _relative_error(noise_boundaries(x).advantage_nbar, 1 - oracle.epr_variance) <= 1e-12
+            assert _relative_error(photon_budget("tmsv", x), oracle.photons) <= 1e-12, x
+
+    def test_advantage_threshold_is_twice_the_edge(self):
+        for x in (1e-12, 1e-8, 0.2, 0.5, 0.8, 1.0 - 1e-15):
+            assert advantage_threshold(x) == 2.0 * ppt_noise_boundary(x)
+
+
 class TestAdvantageThreshold:
     def test_vacuum_gain_no_advantage(self):
         assert advantage_threshold(0.0) == pytest.approx(0.0, abs=1e-15)
@@ -360,7 +480,7 @@ class TestAdvantageThreshold:
 
 class TestSeparability:
     def test_two_mode_vacuum_separable(self):
-        report = ppt_separability(tensor(vacuum_state(), vacuum_state()))
+        report = ppt_separability(to_pair(tensor(vacuum_state(), vacuum_state())))
         assert report.separable
         assert report.min_pt_symplectic_eigenvalue == pytest.approx(0.25, abs=1e-12)
 

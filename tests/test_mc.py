@@ -387,10 +387,10 @@ class TestBlockStream:
     def test_helper_error_surfaces_and_no_helper_outlives_the_call(self, monkeypatch):
         chunks = mc._uniform_chunks
 
-        def fail_after_the_first_range(seed, first, stop, per_trial):
+        def fail_after_the_first_range(seed, first, stop, per_trial, abandon):
             if first > 0:
                 raise ValueError("second range failed")
-            return chunks(seed, first, stop, per_trial)
+            return chunks(seed, first, stop, per_trial, abandon)
 
         monkeypatch.setattr(mc, "_CHUNK_TRIALS", 4)
         monkeypatch.setattr(mc, "_cpu_count", lambda: 2)
@@ -403,6 +403,31 @@ class TestBlockStream:
         with pytest.raises(ValueError, match="second range failed"):
             sample_helstrom(problem, ProbeState.maximally_entangled(2), 8, 1)
         assert threading.active_count() == before
+
+    def test_error_in_the_first_range_stops_the_helper_within_a_block(self, monkeypatch):
+        # the helper's first block waits until the calling thread's range has failed; without
+        # the abandon event it would then run all 100 blocks of its range before the error surfaced
+        caller = threading.get_ident()
+        failed = threading.Event()
+        helper_blocks = []
+        block_sum = mc._fixed_point_sum
+
+        def fail_in_the_first_range(values):
+            if threading.get_ident() == caller:
+                failed.set()
+                raise ValueError("first range failed")
+            failed.wait(timeout=30)
+            helper_blocks.append(len(values))
+            return block_sum(values)
+
+        monkeypatch.setattr(mc, "_CHUNK_TRIALS", 16)
+        monkeypatch.setattr(mc, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(mc, "_fixed_point_sum", fail_in_the_first_range)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="first range failed"):
+            sample_heterodyne(0.5, 0.0, NoiseSpec(0.1), "entangled", 16 * 200, 1)
+        assert threading.active_count() == before
+        assert len(helper_blocks) <= 2
 
 
 def _bits(value: float) -> str:
