@@ -56,9 +56,10 @@ MAX_COVARIANT_DIM = 24
 MAX_SQUEEZING = math.log(sys.float_info.max) / 2.0
 
 # Largest dimension of a parsed unitary: discriminate on wh:d,1,0 vs wh:d,0,1
-# takes 0.4 s and 44 MB resident at d = 256 (1.0 s at 384, 2.4 s and 75 MB at
-# 512, 20 s at 1024) in-process on a 2-core x86-64 VM, growing like d^3.
-MAX_UNITARY_DIM = 256
+# takes 0.22-0.31 s and 56 MB resident at d = 384 (0.08-0.11 s at 256, 0.45 s
+# at 448, 0.71 s and 74 MB at 512, 4.8 s and 193 MB at 1024) in-process on one
+# BLAS thread of a 2-core x86-64 VM, growing like d^3.
+MAX_UNITARY_DIM = 384
 
 
 def _parse_grid(text: str, name: str) -> np.ndarray:

@@ -40,8 +40,10 @@ _NOISE_PER_PHOTON = {
     2: (0.5 * (np.eye(4) + _PAIR_SWAP), 0.5 * (np.eye(4) - _PAIR_SWAP)),
 }
 
-# The partial transpose p2 -> -p2 swaps p1 + p2 and p1 - p2.
-_PARTIAL_TRANSPOSE = [0, 3, 2, 1]
+# The commutator form with the partial transpose p2 -> -p2 applied, which swaps p1 + p2 and
+# p1 - p2: halved, [[0, 1], [-1, 0]] on (x1 - x2, p1 + p2) and on (x1 + x2, p1 - p2).
+_PT_PAIR_FORM = 0.5 * np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+_UPPER = np.triu_indices(4, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,15 +249,34 @@ def advantage_threshold(x: float) -> float:
 def ppt_separability(g: GaussianState) -> SeparabilityReport:
     """Partial-transpose physicality test for a two-mode Gaussian state.
 
-    The frame's rows F obey F F^T = 2 I, so i Omega V is similar to (i/4) F Omega F^T
-    times the pair-frame covariance, whose eigenvalue moduli are the symplectic
-    eigenvalues.  The state is separable exactly when the smallest one of the
-    flipped covariance (p2 -> -p2) stays at or above 1/4.
+    The partial transpose p2 -> -p2 swaps p1 + p2 and p1 - p2, so the flipped
+    state's symplectic eigenvalues nu_+ >= nu_- (Simon, PRL 84, 2726 (2000))
+    are the eigenvalue moduli of (i/2) (J + J) V, with J = [[0, 1], [-1, 0]]
+    on (x1 - x2, p1 + p2) and on (x1 + x2, p1 - p2).  With the Cholesky
+    factor V = L L^T (V is positive definite on every physical state), the
+    real antisymmetric H = L^T (J + J) L / 2 has the same spectrum.  Its
+    self-dual and anti-self-dual halves
+
+        a = (h01 + h23, h02 - h13, h03 + h12) / 2,
+        b = (h01 - h23, h02 + h13, h03 - h12) / 2
+
+    give nu_+ = |a| + |b|, and its Pfaffian gives nu_+ nu_- = det L / 4, so
+    nu_- = det L / (4 (|a| + |b|)).
+
+    No step cancels: nu_+ is a sum of norms, off by eps times itself, and
+    det L is a product, so the Delta^2-sized and 1/Delta^2-sized entries of a
+    high-gain probe only multiply.  The invariant form nu_-^2 = 2 det /
+    (S + sqrt(S^2 - 4 det)), with S = nu_+^2 + nu_-^2 and det = (nu_+ nu_-)^2,
+    loses half its digits in the root wherever nu_+ is near nu_-, as on every
+    pure product state, which sits on the edge.  The state is separable
+    exactly when nu_- stays at or above 1/4.
     """
     if g.modes != 2:
         raise ValueError(f"the test applies to 2-mode states, got {g.modes} mode(s)")
-    flipped = g.cov[_PARTIAL_TRANSPOSE][:, _PARTIAL_TRANSPOSE]
-    nu_min = float(np.abs(np.linalg.eigvals(_QUARTER_I_FORM[2] @ flipped)).min())
+    chol = np.linalg.cholesky(g.cov)
+    h01, h02, h03, h12, h13, h23 = (chol.T @ _PT_PAIR_FORM @ chol)[_UPPER].tolist()
+    nu_max = (math.hypot(h01 + h23, h02 - h13, h03 + h12) + math.hypot(h01 - h23, h02 + h13, h03 - h12)) / 2.0
+    nu_min = math.prod(chol.diagonal().tolist()) / (4.0 * nu_max)
     return SeparabilityReport(nu_min >= VACUUM_VARIANCE - PPT_ATOL, nu_min)
 
 

@@ -385,16 +385,26 @@ def pt_eigenvalue_in_lab_frame(g) -> float:
     return float(symplectic_eigenvalues(flip @ to_lab(g).cov @ flip)[0])
 
 
+def pt_eigenvalue_by_eigvals(g) -> float:
+    """Smallest modulus in the spectrum of (i/4) F Omega F^T times the pair-frame covariance
+    with p1 + p2 and p1 - p2 swapped, by ``np.linalg.eigvals``.  Its error is ~eps times the
+    largest eigenvalue, so it holds to a relative 1e-10 only at moderate gain."""
+    flip = [0, 3, 2, 1]
+    form = 0.5j * np.array([[0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=float)
+    return float(np.abs(np.linalg.eigvals(form @ g.cov[flip][:, flip])).min())
+
+
 # The mpmath oracles below work at 50 significant digits.
 DIGITS = 50
 
 
-def _lab_probe_cov(x, nbar) -> mpmath.matrix:
-    """The noisy probe's lab covariance, x = tanh r: every variance cosh(2r)/4 + nbar/2,
+def _lab_probe_cov(x, nbar0, nbar1) -> mpmath.matrix:
+    """The noisy probe's lab covariance, x = tanh r: mode k's variances cosh(2r)/4 + nbar_k/2,
     and +-sinh(2r)/4 between the modes."""
     r = mpmath.atanh(abs(mpmath.mpf(x)))
-    a, s = mpmath.cosh(2 * r) / 4 + mpmath.mpf(nbar) / 2, mpmath.sinh(2 * r) / 4
-    return mpmath.matrix([[a, 0, s, 0], [0, a, 0, -s], [s, 0, a, 0], [0, -s, 0, a]])
+    c, s = mpmath.cosh(2 * r) / 4, mpmath.sinh(2 * r) / 4
+    a, b = c + mpmath.mpf(nbar0) / 2, c + mpmath.mpf(nbar1) / 2
+    return mpmath.matrix([[a, 0, s, 0], [0, a, 0, -s], [s, 0, b, 0], [0, -s, 0, b]])
 
 
 def _lab_pt_eigenvalue(cov) -> mpmath.mpf:
@@ -402,6 +412,13 @@ def _lab_pt_eigenvalue(cov) -> mpmath.mpf:
     flip = mpmath.diag([1, 1, 1, -1])
     omega = mpmath.matrix(symplectic_form(2).tolist())
     return min(abs(e) for e in mpmath.eig(1j * omega * flip * cov * flip, left=False, right=False))
+
+
+def lab_pt_eigenvalue_at_50_digits(x: float, nbar0: float, nbar1: float) -> mpmath.mpf:
+    """Smallest partial-transpose symplectic eigenvalue of the probe with nbar_k noise
+    photons on mode k, through the lab-frame cosh/sinh covariance."""
+    with mpmath.workdps(DIGITS):
+        return _lab_pt_eigenvalue(_lab_probe_cov(x, nbar0, nbar1))
 
 
 class LabRoute(NamedTuple):
@@ -415,7 +432,7 @@ def lab_route_at_50_digits(x: float, nbar: float) -> LabRoute:
     EPR variance Var(x1 - x2) + Var(p1 + p2), the smallest partial-transpose symplectic
     eigenvalue, and the noiseless photon number, Var(x) + Var(p) - 1/2 summed over the modes."""
     with mpmath.workdps(DIGITS):
-        v, bare = _lab_probe_cov(x, nbar), _lab_probe_cov(x, 0)
+        v, bare = _lab_probe_cov(x, nbar, nbar), _lab_probe_cov(x, 0, 0)
         return LabRoute(
             epr_variance=(v[0, 0] + v[2, 2] - 2 * v[0, 2]) + (v[1, 1] + v[3, 3] + 2 * v[1, 3]),
             pt_eigenvalue=_lab_pt_eigenvalue(v),
@@ -428,4 +445,4 @@ def lab_edge_at_50_digits(x: float) -> mpmath.mpf:
     """Noise per mode at which the lab-route PT eigenvalue reaches 1/4, by ``mpmath.findroot``."""
     with mpmath.workdps(DIGITS):
         quarter = mpmath.mpf(1) / 4
-        return mpmath.findroot(lambda n: _lab_pt_eigenvalue(_lab_probe_cov(x, n)) - quarter, (0, 2 * quarter))
+        return mpmath.findroot(lambda n: _lab_pt_eigenvalue(_lab_probe_cov(x, n, n)) - quarter, (0, 2 * quarter))

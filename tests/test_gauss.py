@@ -30,9 +30,11 @@ from _helpers import (
     epr_law_by_rotated_rows,
     heterodyne_law_by_rotated_rows,
     lab_edge_at_50_digits,
+    lab_pt_eigenvalue_at_50_digits,
     lab_route_at_50_digits,
     lab_tmsv,
     ppt_boundary_by_bisection,
+    pt_eigenvalue_by_eigvals,
     pt_eigenvalue_in_lab_frame,
     symplectic_form,
     tensor,
@@ -443,6 +445,17 @@ class TestAgainstLabRouteAt50Digits:
         x = (1.0 - 10.0**-k) * (-1.0 if negative else 1.0)
         self.assert_readouts_match(x, nbar)
 
+    @pytest.mark.parametrize("sign", (1.0, -1.0))
+    @pytest.mark.parametrize("k", range(1, 16))
+    def test_pt_eigenvalue_with_unequal_noise(self, k, sign):
+        # unequal noise couples the 1/Delta^2-sized and Delta^2-sized pair entries
+        x = sign * (1.0 - 10.0**-k)
+        for nbar0, nbar1 in ((0.0, 0.0), (0.5, 0.5), (0.3, 0.1), (2.0, 0.0), (0.0, 7.0)):
+            g = apply_displacement_noise(apply_displacement_noise(tmsv_state(x), 0, nbar0), 1, nbar1)
+            nu = ppt_separability(g).min_pt_symplectic_eigenvalue
+            oracle = lab_pt_eigenvalue_at_50_digits(x, nbar0, nbar1)
+            assert _relative_error(nu, oracle) <= 1e-12, (x, nbar0, nbar1)
+
     @pytest.mark.parametrize("k", range(1, 16))
     def test_threshold_and_photons_at_both_ends(self, k):
         for x in (10.0**-k, 1.0 - 10.0**-k, -(10.0**-k)):
@@ -534,6 +547,32 @@ class TestSeparability:
     def test_wrong_mode_count(self):
         with pytest.raises(ValueError):
             ppt_separability(vacuum_state())
+
+    def test_matches_eigvals_route_at_moderate_gain(self):
+        for x in np.linspace(-0.9, 0.9, 19):
+            for nbar0, nbar1 in ((0.0, 0.0), (0.3, 0.1), (2.0, 0.0), (0.0, 7.0)):
+                g = apply_displacement_noise(apply_displacement_noise(tmsv_state(x), 0, nbar0), 1, nbar1)
+                nu = ppt_separability(g).min_pt_symplectic_eigenvalue
+                assert nu == pytest.approx(pt_eigenvalue_by_eigvals(g), rel=1e-10), (x, nbar0, nbar1)
+        rng = np.random.default_rng(1006)
+        for _ in range(200):
+            g = random_noisy_two_mode_state(rng)
+            nu = ppt_separability(g).min_pt_symplectic_eigenvalue
+            assert nu == pytest.approx(pt_eigenvalue_by_eigvals(g), rel=1e-10)
+
+    def test_pure_product_states_sit_on_the_edge(self):
+        # both PT eigenvalues equal 1/4 here, where sqrt(D^2 - 4 det) loses half the digits
+        rng = np.random.default_rng(1007)
+        for _ in range(300):
+            modes = []
+            for _mode in range(2):
+                r = rng.uniform(-3.0, 3.0)
+                sym = _rotation(rng.uniform(-np.pi, np.pi)) @ np.diag([np.exp(-r), np.exp(r)])
+                cov = sym @ sym.T * gauss.VACUUM_VARIANCE
+                modes.append(LabState(np.zeros(2), (cov + cov.T) / 2.0))
+            report = ppt_separability(to_pair(tensor(*modes)))
+            assert report.separable
+            assert report.min_pt_symplectic_eigenvalue == pytest.approx(0.25, abs=1e-10)
 
 
 class TestPhotonBudget:

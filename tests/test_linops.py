@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from entprobe import linops
+from entprobe.cli import parse_unitary
 from entprobe.linops import (
     ProbeState,
     devectorize,
@@ -213,6 +214,49 @@ class TestEigUnitary:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
             eig_unitary(np.diag([1.0, 2.0]))
+
+
+def _with_phases(phases, rng) -> np.ndarray:
+    q = haar_unitary(len(phases), rng)
+    return (q * np.exp(1j * np.asarray(phases))) @ q.conj().T
+
+
+def _sized_input(kind: str, d: int):
+    """A d-wide unitary of one kind and its exact phases, ascending (None where not known)."""
+    rng = generator(1000 + d)
+    if kind == "haar":
+        return haar_unitary(d, rng), None
+    if kind == "wh":
+        # relative unitary of the CLI's discriminate example: every cosine is shared by +-phi
+        return parse_unitary(f"wh:{d},0,1").conj().T @ parse_unitary(f"wh:{d},1,0"), None
+    inner = np.sort(rng.uniform(-3.0, 3.0, d // 4 if kind == "kron" else d))
+    if kind == "kron":
+        # every phase exactly four times over
+        return np.kron(_with_phases(inner, rng), np.eye(4)), np.repeat(inner, 4)
+    inner[d // 2 + 1] = inner[d // 2] + 3e-9
+    return _with_phases(inner, rng), np.sort(inner)
+
+
+class TestEigUnitaryAtBenchmarkSizes:
+    """Rebuild, orthonormality and exact phases at the widths the benchmark and CLI reach."""
+
+    @pytest.mark.parametrize("kind", ("haar", "wh", "kron", "close"))
+    @pytest.mark.parametrize("d", (64, 128, 256))
+    def test_rebuild_orthonormality_and_phases(self, d, kind):
+        u, exact = _sized_input(kind, d)
+        phases, vecs = eig_unitary(u)
+        assert np.all(np.diff(phases) >= 0.0)
+        assert np.all(phases > -np.pi) and np.all(phases <= np.pi)
+        assert np.max(np.abs(u @ vecs - vecs * np.exp(1j * phases))) <= 1e-10
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(d))) <= 1e-12
+        if exact is not None:
+            assert np.max(np.abs(phases - exact)) <= 1e-12
+        if kind == "wh":
+            # (Z X^-1)^d is a multiple c of I: the phases are the d roots of c, 2 pi / d apart
+            c = np.linalg.matrix_power(u, d)[0, 0]
+            assert np.max(np.abs(np.exp(1j * d * phases) - c)) <= d * 1e-12
+            gaps = np.diff(np.r_[phases, phases[0] + 2.0 * np.pi])
+            assert np.max(np.abs(gaps - 2.0 * np.pi / d)) <= 1e-12
 
 
 class TestValidators:
