@@ -48,8 +48,8 @@ MAX_GRID_POINTS = 10**6
 # at d = 24 (2.4 s, 240 MB at d = 28) on a 2-core x86-64 VM.
 MAX_WH_GROUP_DIM = 24
 
-# Largest covariant --d: 0.36 s and 64 MB resident at d = 24 (1.4 s, 131 MB at
-# d = 32) on a 2-core x86-64 VM, growing like d^6 with the d^2 x d^2 rank.
+# Largest covariant --d: 0.16-0.20 s, 64 MB resident at d = 24 (0.71-0.81 s, 132 MB at d = 32)
+# on a 2-core x86-64 VM, growing like d^6 with the 1-design certificate and the seed check.
 MAX_COVARIANT_DIM = 24
 
 # e^(2|s|), and with it sinh(s)^2, stays finite exactly up to this squeezing.
@@ -167,23 +167,16 @@ def _check(condition: bool, message: str) -> None:
 _NOT_FLAGS = ("command", "format", "output", "run")
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _emit(ns: argparse.Namespace, rows: list[dict], stream) -> None:
     columns = list(rows[0])
     if ns.format == "csv":
+        # the csv module writes a float in shortest round-trip form and None as an empty cell
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(row[col]) for col in columns])
+        writer.writerows(
+            [("true" if v else "false") if type(v) is bool else v for v in map(row.get, columns)]
+            for row in rows
+        )
     else:
         doc = {
             "version": __version__,
@@ -201,18 +194,13 @@ def _emit(ns: argparse.Namespace, rows: list[dict], stream) -> None:
 
 
 def _gram_rows(group, probe: ProbeState, column: str, cell) -> list[dict]:
-    """A row per ordered pair (g, h): the Gram entry of their outputs and ``cell(j, k, entry)``."""
+    """A row per ordered pair (g, h): their outputs' Gram entry re + i im, ``cell(j, k, re, im)``."""
     gram = output_gram(group, probe)
+    gram_re, gram_im = gram.real.tolist(), gram.imag.tolist()
     return [
-        {
-            "g": lj,
-            "h": lk,
-            "gram_re": float(gram[j, k].real),
-            "gram_im": float(gram[j, k].imag),
-            column: cell(j, k, gram[j, k]),
-        }
-        for j, lj in enumerate(group.labels)
-        for k, lk in enumerate(group.labels)
+        {"g": lj, "h": lk, "gram_re": re, "gram_im": im, column: cell(j, k, re, im)}
+        for j, (lj, row_re, row_im) in enumerate(zip(group.labels, gram_re, gram_im))
+        for k, (lk, re, im) in enumerate(zip(group.labels, row_re, row_im))
     ]
 
 
@@ -224,7 +212,7 @@ def _run_pauli_demo(ns):
     group = pauli_group()
     probe = ProbeState.maximally_entangled(2)
 
-    def p_error(j, k, _):
+    def p_error(j, k, *_):
         problem = DiscriminationProblem(group.elements[j], group.elements[k])
         return float(helstrom_error(problem, probe))
 
@@ -236,7 +224,8 @@ def _run_wh_group(ns):
     _check(2 <= d <= MAX_WH_GROUP_DIM, f"--d must be between 2 and {MAX_WH_GROUP_DIM}, got {d}")
     group = weyl_heisenberg_group(d)
     probe = ProbeState.maximally_entangled(d)
-    return _gram_rows(group, probe, "deviation", lambda j, k, entry: float(abs(entry - (j == k))))
+    # complex abs rounds through hypot, as numpy's scalar abs does
+    return _gram_rows(group, probe, "deviation", lambda j, k, re, im: abs(complex(re, im) - (j == k)))
 
 
 def _run_discriminate(ns):

@@ -163,21 +163,9 @@ def output_gram(group: UnitaryGroup, e: ProbeState) -> np.ndarray:
     return v.conj() @ v.T
 
 
-def output_span_dimension(group: UnitaryGroup, e: ProbeState) -> int:
-    """Rank of the averaged output projector; equals dim times the Schmidt rank."""
-    v = output_vectors(group, e)
-    avg = (v.T @ v.conj()) / len(group)
-    return matrix_rank(avg)
-
-
-def holevo_chi(group: UnitaryGroup, e: ProbeState) -> float:
-    """Accessible-information bound of the output ensemble, in bits.
-
-    When the group's twirl depolarizes completely (certified by
-    ``irreducibility_defect``), the average output state is I/d ⊗ conj(e† e)
-    and every member is pure, so chi = log2(d) + S(e† e): one d x d
-    eigendecomposition, with no d^2 x d^2 state.
-    """
+def _check_one_design(group: UnitaryGroup, e: ProbeState) -> None:
+    """The closed forms below need a probe of the group's dimension and a 1-design: a group
+    whose twirl depolarizes completely, certified by ``irreducibility_defect``."""
     if group.dim != e.dim:
         raise ValueError("group and probe dimensions differ")
     if not group.is_irreducible():
@@ -185,6 +173,20 @@ def holevo_chi(group: UnitaryGroup, e: ProbeState) -> float:
             "group representation failed the irreducibility certificate; "
             "reducible representations are not supported"
         )
+
+
+def output_span_dimension(group: UnitaryGroup, e: ProbeState) -> int:
+    """Output span dimension d * rank(e† e), off the certified average output I/d ⊗ conj(e† e):
+    ``RANK_RTOL`` cuts the Schmidt-weight ratios lambda_k / lambda_max; no d^2 x d^2 state."""
+    _check_one_design(group, e)
+    return group.dim * matrix_rank(e.reduced_state())
+
+
+def holevo_chi(group: UnitaryGroup, e: ProbeState) -> float:
+    """Accessible-information bound of the output ensemble, in bits: behind the 1-design
+    certificate every output is pure and their average is I/d ⊗ conj(e† e), so
+    chi = log2(d) + S(e† e), one d x d eigendecomposition with no d^2 x d^2 state."""
+    _check_one_design(group, e)
     return math.log2(group.dim) + von_neumann_entropy(e.reduced_state())
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linops import COV_SYMMETRY_ATOL, PPT_ATOL, UNCERTAINTY_RTOL, _freeze
+from .linops import COV_PD_RTOL, COV_SYMMETRY_ATOL, PPT_ATOL, UNCERTAINTY_RTOL, _freeze
 
 VACUUM_VARIANCE = 0.25
 
@@ -44,6 +44,9 @@ _NOISE_PER_PHOTON = {
 # p1 - p2: halved, [[0, 1], [-1, 0]] on (x1 - x2, p1 + p2) and on (x1 + x2, p1 - p2).
 _PT_PAIR_FORM = 0.5 * np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
 _UPPER = np.triu_indices(4, 1)
+# Noise far above a finite variance rounds it by eps times itself, which can leave the stored
+# covariance singular; the Cholesky test first scales each variance up by that rounding.
+_PD_SCALE = {size: 1.0 + COV_PD_RTOL * np.eye(size) for size in (2, 4)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,6 +72,10 @@ class GaussianState:
         spectrum = np.linalg.eigvalsh(cov + _QUARTER_I_FORM[mean.size // 2])
         if spectrum[0] < -UNCERTAINTY_RTOL * max(1.0, spectrum[-1]):
             raise ValueError("covariance violates the uncertainty bound")
+        try:
+            np.linalg.cholesky(_PD_SCALE[mean.size] * cov)
+        except np.linalg.LinAlgError:
+            raise ValueError("covariance must be positive definite") from None
         _freeze(self, mean=mean, cov=cov)
 
     @property

@@ -52,6 +52,8 @@ POVM_SEED_PSD_ATOL = 1e-10
 COV_SYMMETRY_ATOL = 1e-12
 # Negative slack of the uncertainty bound, relative to max(1, largest eigenvalue).
 UNCERTAINTY_RTOL = 1e-10
+# Rounding of each variance, relative to itself, added back before a covariance's Cholesky test.
+COV_PD_RTOL = 1e-15
 # Shortfall below 1/4 of the smallest PT symplectic eigenvalue still called separable.
 PPT_ATOL = 1e-10
 

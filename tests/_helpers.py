@@ -12,7 +12,7 @@ import numpy as np
 
 from entprobe import gauss
 from entprobe.discrim import PHASE_DEDUPE_TOL, helstrom_error, output_vectors
-from entprobe.linops import von_neumann_entropy
+from entprobe.linops import matrix_rank, von_neumann_entropy
 from entprobe.mc import TrialReport, _output_vector
 
 TWO_PI = 2.0 * np.pi
@@ -202,6 +202,17 @@ def heterodyne_by_whole_array(x, alpha, noise, scheme: str, trials: int, seed: i
 # ---------------------------------------------------------------------------
 # brute-force oracles for the closed forms of discrim, gauss and mc
 # ---------------------------------------------------------------------------
+
+
+def span_by_average_projector(group, e) -> int:
+    """Output span as the rank of the d^2 x d^2 average output projector, one SVD."""
+    v = output_vectors(group, e)
+    return matrix_rank((v.T @ v.conj()) / len(group))
+
+
+def matched_likelihood_closed_form(e) -> float:
+    """Likelihood of the probe's own polar seed, (sum_k sqrt(lambda_k))^2 = ||e||_1^2."""
+    return float(np.sum(np.linalg.svd(e.e_op, compute_uv=False))) ** 2
 
 
 def holevo_by_ensemble(group, e) -> float:

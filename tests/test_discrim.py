@@ -23,10 +23,22 @@ from entprobe.discrim import (
     tensor_power_spread,
     weyl_heisenberg_group,
 )
-from entprobe.linops import ProbeState, schmidt_coefficients, vectorize, von_neumann_entropy
+from entprobe.linops import (
+    RANK_RTOL,
+    ProbeState,
+    schmidt_coefficients,
+    vectorize,
+    von_neumann_entropy,
+)
 from entprobe.rand import generator, haar_unitary, random_povm_seed, random_probe, random_pure_state
 
-from _helpers import assert_phases_match, holevo_by_ensemble, spread_by_enumeration
+from _helpers import (
+    assert_phases_match,
+    holevo_by_ensemble,
+    matched_likelihood_closed_form,
+    span_by_average_projector,
+    spread_by_enumeration,
+)
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -229,6 +241,14 @@ class TestApplyLocal:
             assert np.allclose(out.e_op, u @ e.e_op, rtol=0.0, atol=1e-9)
 
 
+def schmidt_probe(d: int, weights, rng) -> ProbeState:
+    """Probe with the given Schmidt weights, normalized and padded with zeros, in Haar bases."""
+    w = np.zeros(d)
+    w[: len(weights)] = weights
+    e = haar_unitary(d, rng) @ np.diag(np.sqrt(w / w.sum())) @ haar_unitary(d, rng)
+    return ProbeState(e)
+
+
 class TestOutputSpan:
     def test_pauli_maximally_entangled(self):
         assert output_span_dimension(pauli_group(), ProbeState.maximally_entangled(2)) == 4
@@ -248,6 +268,23 @@ class TestOutputSpan:
             for rank in range(1, d + 1):
                 probe = random_probe(d, rng, rank=rank)
                 assert output_span_dimension(group, probe) == d * rank
+
+    @pytest.mark.parametrize("ratio", [1.0, 1e-6, 1e-14])
+    def test_closed_form_matches_average_projector(self, ratio):
+        # the smallest Schmidt weight is ratio times the others; 1e-6 counts, 1e-14 does not
+        rng = generator(341)
+        groups = [pauli_group()] + [weyl_heisenberg_group(d) for d in range(2, 9)]
+        for group in groups:
+            d = group.dim
+            for rank in range(1, d + 1):
+                probe = schmidt_probe(d, [1.0] * (rank - 1) + [ratio], rng)
+                counted = rank if rank == 1 or ratio > RANK_RTOL else rank - 1
+                assert output_span_dimension(group, probe) == d * counted, (d, rank)
+                assert span_by_average_projector(group, probe) == d * counted, (d, rank)
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="dimensions"):
+            output_span_dimension(pauli_group(), ProbeState.maximally_entangled(3))
 
 
 class TestHolevoChi:
@@ -300,6 +337,24 @@ class TestHolevoChi:
             holevo_chi(reducible, ProbeState.maximally_entangled(2))
 
 
+def diagonal_subgroup(d: int) -> UnitaryGroup:
+    """The phases U(m, 0) of the shift-and-phase group: closed, but reducible."""
+    group = weyl_heisenberg_group(d)
+    return UnitaryGroup(d, group.elements[::d], group.labels[::d])
+
+
+@pytest.mark.parametrize("closed_form", [output_span_dimension, holevo_chi])
+@pytest.mark.parametrize(
+    "group",
+    [UnitaryGroup(2, (I2, SZ), ("I", "Z")), diagonal_subgroup(3), diagonal_subgroup(4)],
+    ids=["I,Z", "U(m,0) d=3", "U(m,0) d=4"],
+)
+def test_closed_forms_reject_reducible_groups(closed_form, group):
+    assert group.closure_defect() < 1e-12
+    with pytest.raises(ValueError, match="irreducibility"):
+        closed_form(group, ProbeState.maximally_entangled(group.dim))
+
+
 class TestCovariantPovm:
     def test_unitary_seed_satisfies_normalization(self):
         from entprobe.linops import partial_trace
@@ -348,7 +403,31 @@ class TestCovariantPovm:
             covariant_povm(group, np.triu(np.ones((4, 4))))
 
 
+def polar_seed(e: ProbeState) -> np.ndarray:
+    """Rank-one seed on the polar unitary of the probe, as the covariant command builds it."""
+    uu, _, vh = np.linalg.svd(e.e_op)
+    seed_vec = (uu @ vh).reshape(-1)
+    return np.outer(seed_vec, seed_vec.conj())
+
+
 class TestAverageLikelihood:
+    def test_polar_seed_closed_form(self):
+        rng = generator(381)
+        for d in range(2, 9):
+            for rank in range(1, d + 1):
+                probe = random_probe(d, rng, rank=rank)
+                assert average_likelihood(polar_seed(probe), probe) == pytest.approx(
+                    matched_likelihood_closed_form(probe), rel=0.0, abs=1e-12
+                ), (d, rank)
+
+    def test_polar_seed_reaches_d_at_maximal_entanglement(self):
+        for d in range(2, 9):
+            probe = ProbeState.maximally_entangled(d)
+            assert matched_likelihood_closed_form(probe) == pytest.approx(d, rel=0.0, abs=1e-12)
+            assert average_likelihood(polar_seed(probe), probe) == pytest.approx(
+                d, rel=0.0, abs=1e-12
+            )
+
     def test_matched_maximally_entangled_probe_saturates(self):
         for d in (2, 3):
             u = haar_unitary(d, generator(38))

@@ -115,6 +115,12 @@ class TestStatePreparation:
         with pytest.raises(ValueError, match="symmetric"):
             GaussianState(np.zeros(2), np.array([[0.25, 0.1], [0.0, 0.25]]))
 
+    def test_negative_variance_beside_a_huge_one_rejected(self):
+        # the uncertainty slack scales with the largest eigenvalue, 0.1 here, so the -0.01
+        # variance passes it; ppt_separability's Cholesky factor used to fail on this state
+        with pytest.raises(ValueError, match="positive definite"):
+            GaussianState(np.zeros(4), np.diag([-0.01, 0.5, 0.5, 1e9]))
+
     @pytest.mark.parametrize(
         "mean, cov",
         [
