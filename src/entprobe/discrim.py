@@ -31,7 +31,6 @@ from .linops import (
     assert_unitary,
     eig_unitary,
     is_unitary,
-    matrix_rank,
     partial_trace,
     vectorize,
     von_neumann_entropy,
@@ -176,10 +175,10 @@ def _check_one_design(group: UnitaryGroup, e: ProbeState) -> None:
 
 
 def output_span_dimension(group: UnitaryGroup, e: ProbeState) -> int:
-    """Output span dimension d * rank(e† e), off the certified average output I/d ⊗ conj(e† e):
-    ``RANK_RTOL`` cuts the Schmidt-weight ratios lambda_k / lambda_max; no d^2 x d^2 state."""
+    """Output span dimension d * (Schmidt number), off the certified average output
+    I/d ⊗ conj(e† e), whose rank is that of e† e; no d^2 x d^2 state."""
     _check_one_design(group, e)
-    return group.dim * matrix_rank(e.reduced_state())
+    return group.dim * e.schmidt_number
 
 
 def holevo_chi(group: UnitaryGroup, e: ProbeState) -> float:

@@ -40,10 +40,6 @@ _NOISE_PER_PHOTON = {
     2: (0.5 * (np.eye(4) + _PAIR_SWAP), 0.5 * (np.eye(4) - _PAIR_SWAP)),
 }
 
-# The commutator form with the partial transpose p2 -> -p2 applied, which swaps p1 + p2 and
-# p1 - p2: halved, [[0, 1], [-1, 0]] on (x1 - x2, p1 + p2) and on (x1 + x2, p1 - p2).
-_PT_PAIR_FORM = 0.5 * np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
-_UPPER = np.triu_indices(4, 1)
 # Noise far above a finite variance rounds it by eps times itself, which can leave the stored
 # covariance singular; the Cholesky test first scales each variance up by that rounding.
 _PD_SCALE = {size: 1.0 + COV_PD_RTOL * np.eye(size) for size in (2, 4)}
@@ -253,37 +249,61 @@ def advantage_threshold(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _pivot_root(pivot: float) -> float:
+    """Square root of a Cholesky pivot, which must be positive (nan fails)."""
+    if not pivot > 0.0:
+        raise ValueError("the stored covariance is singular at working precision")
+    return math.sqrt(pivot)
+
+
 def ppt_separability(g: GaussianState) -> SeparabilityReport:
     """Partial-transpose physicality test for a two-mode Gaussian state.
 
     The partial transpose p2 -> -p2 swaps p1 + p2 and p1 - p2, so the flipped
     state's symplectic eigenvalues nu_+ >= nu_- (Simon, PRL 84, 2726 (2000))
     are the eigenvalue moduli of (i/2) (J + J) V, with J = [[0, 1], [-1, 0]]
-    on (x1 - x2, p1 + p2) and on (x1 + x2, p1 - p2).  With the Cholesky
-    factor V = L L^T (V is positive definite on every physical state), the
-    real antisymmetric H = L^T (J + J) L / 2 has the same spectrum.  Its
-    self-dual and anti-self-dual halves
+    on (x1 - x2, p1 + p2) and on (x1 + x2, p1 - p2).  With the lower Cholesky
+    factor V = L L^T, formed here entry by entry, the real antisymmetric
+    H = L^T (J + J) L / 2 has the same spectrum.  Its self-dual and
+    anti-self-dual halves
 
         a = (h01 + h23, h02 - h13, h03 + h12) / 2,
         b = (h01 - h23, h02 + h13, h03 - h12) / 2
 
     give nu_+ = |a| + |b|, and its Pfaffian gives nu_+ nu_- = det L / 4, so
-    nu_- = det L / (4 (|a| + |b|)).
-
-    No step cancels: nu_+ is a sum of norms, off by eps times itself, and
-    det L is a product, so the Delta^2-sized and 1/Delta^2-sized entries of a
-    high-gain probe only multiply.  The invariant form nu_-^2 = 2 det /
+    nu_- = det L / (4 (|a| + |b|)).  The invariant form nu_-^2 = 2 det /
     (S + sqrt(S^2 - 4 det)), with S = nu_+^2 + nu_-^2 and det = (nu_+ nu_-)^2,
     loses half its digits in the root wherever nu_+ is near nu_-, as on every
-    pure product state, which sits on the edge.  The state is separable
-    exactly when nu_- stays at or above 1/4.
+    pure product state, which sits on the edge.
+
+    With equal noise on both modes the covariance is diagonal, so no step
+    cancels: nu_+ is a sum of norms and det L a product, and the
+    Delta^2-sized and 1/Delta^2-sized entries of a high-gain probe only
+    multiply.  Noise nbar on one mode alone fills all four pair quadratures,
+    and the pivots then subtract nbar-sized terms: against a 50-digit
+    evaluation at x = 0.5 the relative error is 4e-14 at nbar = 1e3, 8e-12 at
+    1e6 and 3e-3 at 1e14.  A pivot rounded to zero or below, as under 1e17
+    photons on one mode, is refused.  The state is separable exactly when nu_- stays at or above 1/4.
     """
     if g.modes != 2:
         raise ValueError(f"the test applies to 2-mode states, got {g.modes} mode(s)")
-    chol = np.linalg.cholesky(g.cov)
-    h01, h02, h03, h12, h13, h23 = (chol.T @ _PT_PAIR_FORM @ chol)[_UPPER].tolist()
+    (v00, v01, v02, v03), (_, v11, v12, v13), (_, _, v22, v23), (_, _, _, v33) = g.cov.tolist()
+    l00 = _pivot_root(v00)
+    l10, l20, l30 = v01 / l00, v02 / l00, v03 / l00
+    l11 = _pivot_root(v11 - l10 * l10)
+    l21, l31 = (v12 - l20 * l10) / l11, (v13 - l30 * l10) / l11
+    l22 = _pivot_root(v22 - l20 * l20 - l21 * l21)
+    l32 = (v23 - l30 * l20 - l31 * l21) / l22
+    l33 = _pivot_root(v33 - l30 * l30 - l31 * l31 - l32 * l32)
+    # H off the factor's columns (l00, l10, l20, l30), (0, l11, l21, l31), (0, 0, l22, l32), (0, 0, 0, l33)
+    h01 = (l00 * l11 + l20 * l31 - l30 * l21) / 2.0
+    h02 = (l20 * l32 - l30 * l22) / 2.0
+    h03 = l20 * l33 / 2.0
+    h12 = (l21 * l32 - l31 * l22) / 2.0
+    h13 = l21 * l33 / 2.0
+    h23 = l22 * l33 / 2.0
     nu_max = (math.hypot(h01 + h23, h02 - h13, h03 + h12) + math.hypot(h01 - h23, h02 + h13, h03 - h12)) / 2.0
-    nu_min = math.prod(chol.diagonal().tolist()) / (4.0 * nu_max)
+    nu_min = l00 * l11 * l22 * l33 / (4.0 * nu_max)
     return SeparabilityReport(nu_min >= VACUUM_VARIANCE - PPT_ATOL, nu_min)
 
 

@@ -176,7 +176,8 @@ class ProbeState:
 
     @property
     def schmidt_number(self) -> int:
-        return matrix_rank(self.e_op)
+        """Rank of e† e: ``RANK_RTOL`` cuts the Schmidt-weight ratios lambda_k / lambda_max."""
+        return matrix_rank(self.reduced_state())
 
     def as_vector(self) -> np.ndarray:
         return vectorize(self.e_op)

@@ -12,7 +12,7 @@ import numpy as np
 
 from entprobe import gauss
 from entprobe.discrim import PHASE_DEDUPE_TOL, helstrom_error, output_vectors
-from entprobe.linops import matrix_rank, von_neumann_entropy
+from entprobe.linops import PPT_ATOL, matrix_rank, von_neumann_entropy
 from entprobe.mc import TrialReport, _output_vector
 
 TWO_PI = 2.0 * np.pi
@@ -403,6 +403,24 @@ def pt_eigenvalue_by_eigvals(g) -> float:
     flip = [0, 3, 2, 1]
     form = 0.5j * np.array([[0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=float)
     return float(np.abs(np.linalg.eigvals(form @ g.cov[flip][:, flip])).min())
+
+
+# The commutator form with the partial transpose p2 -> -p2 applied, which swaps p1 + p2 and
+# p1 - p2: halved, [[0, 1], [-1, 0]] on (x1 - x2, p1 + p2) and on (x1 + x2, p1 - p2).
+_PT_PAIR_FORM = 0.5 * np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+_UPPER = np.triu_indices(4, 1)
+
+
+def pt_eigenvalue_by_lapack_cholesky(g) -> gauss.SeparabilityReport:
+    """``gauss.ppt_separability`` through ``np.linalg.cholesky``: the same nu_+ and
+    nu_- = det L / (4 nu_+), with H = L^T (J + J) L / 2 formed by two 4 x 4 products."""
+    if g.modes != 2:
+        raise ValueError(f"the test applies to 2-mode states, got {g.modes} mode(s)")
+    chol = np.linalg.cholesky(g.cov)
+    h01, h02, h03, h12, h13, h23 = (chol.T @ _PT_PAIR_FORM @ chol)[_UPPER].tolist()
+    nu_max = (math.hypot(h01 + h23, h02 - h13, h03 + h12) + math.hypot(h01 - h23, h02 + h13, h03 - h12)) / 2.0
+    nu_min = math.prod(chol.diagonal().tolist()) / (4.0 * nu_max)
+    return gauss.SeparabilityReport(nu_min >= gauss.VACUUM_VARIANCE - PPT_ATOL, nu_min)
 
 
 # The mpmath oracles below work at 50 significant digits.

@@ -282,6 +282,14 @@ class TestOutputSpan:
                 assert output_span_dimension(group, probe) == d * counted, (d, rank)
                 assert span_by_average_projector(group, probe) == d * counted, (d, rank)
 
+    def test_span_is_d_times_schmidt_number(self):
+        # both read one rank rule, so a weight ratio near the cut counts the same way in each
+        for d in range(2, 7):
+            group = weyl_heisenberg_group(d)
+            for r in 10.0 ** np.arange(-20, -7):
+                probe = ProbeState.from_schmidt([1.0 - r, r] + [0.0] * (d - 2))
+                assert output_span_dimension(group, probe) == d * probe.schmidt_number, (d, r)
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimensions"):
             output_span_dimension(pauli_group(), ProbeState.maximally_entangled(3))

@@ -35,6 +35,7 @@ from _helpers import (
     lab_tmsv,
     ppt_boundary_by_bisection,
     pt_eigenvalue_by_eigvals,
+    pt_eigenvalue_by_lapack_cholesky,
     pt_eigenvalue_in_lab_frame,
     symplectic_form,
     tensor,
@@ -456,7 +457,11 @@ class TestAgainstLabRouteAt50Digits:
     def test_pt_eigenvalue_with_unequal_noise(self, k, sign):
         # unequal noise couples the 1/Delta^2-sized and Delta^2-sized pair entries
         x = sign * (1.0 - 10.0**-k)
-        for nbar0, nbar1 in ((0.0, 0.0), (0.5, 0.5), (0.3, 0.1), (2.0, 0.0), (0.0, 7.0)):
+        # noise on one mode alone makes the factor's pivots cancel nbar-sized terms, so the
+        # relative error grows with nbar; up to 1e3 photons it stays within the bound
+        pairs = ((0.0, 0.0), (0.5, 0.5), (0.3, 0.1), (2.0, 0.0), (0.0, 7.0))
+        one_mode = ((1e2, 0.0), (0.0, 1e2), (1e3, 0.0), (0.0, 1e3))
+        for nbar0, nbar1 in pairs + one_mode:
             g = apply_displacement_noise(apply_displacement_noise(tmsv_state(x), 0, nbar0), 1, nbar1)
             nu = ppt_separability(g).min_pt_symplectic_eigenvalue
             oracle = lab_pt_eigenvalue_at_50_digits(x, nbar0, nbar1)
@@ -566,6 +571,14 @@ class TestSeparability:
             nu = ppt_separability(g).min_pt_symplectic_eigenvalue
             assert nu == pytest.approx(pt_eigenvalue_by_eigvals(g), rel=1e-10)
 
+    @pytest.mark.parametrize("nbar", (1e17, 1e100, 1e200))
+    def test_singular_stored_covariance_refused(self, nbar):
+        # construction scales each variance by its rounding and accepts the state, but the noise
+        # rounds the finite pair-frame variances away and leaves a pivot at zero or below
+        g = apply_displacement_noise(tmsv_state(0.5), 0, nbar)
+        with pytest.raises(ValueError, match=r"^the stored covariance is singular at working precision$"):
+            ppt_separability(g)
+
     def test_pure_product_states_sit_on_the_edge(self):
         # both PT eigenvalues equal 1/4 here, where sqrt(D^2 - 4 det) loses half the digits
         rng = np.random.default_rng(1007)
@@ -579,6 +592,38 @@ class TestSeparability:
             report = ppt_separability(to_pair(tensor(*modes)))
             assert report.separable
             assert report.min_pt_symplectic_eigenvalue == pytest.approx(0.25, abs=1e-10)
+
+
+class TestAgainstLapackCholesky:
+    """The closed-form factor against ``np.linalg.cholesky`` and two 4 x 4 products, which
+    round in another order: the same report within a relative 1e-13."""
+
+    def assert_reports_match(self, g: GaussianState):
+        report, oracle = ppt_separability(g), pt_eigenvalue_by_lapack_cholesky(g)
+        assert report.separable == oracle.separable
+        nu, expected = report.min_pt_symplectic_eigenvalue, oracle.min_pt_symplectic_eigenvalue
+        assert _relative_error(nu, expected) <= 1e-13, (g.cov, nu, expected)
+
+    def test_dense_noisy_states(self):
+        rng = np.random.default_rng(1008)
+        for _ in range(2000):
+            g = random_noisy_two_mode_state(rng)
+            # every entry of the factor is nonzero, so every term of H enters
+            assert np.all(np.linalg.cholesky(g.cov)[np.tril_indices(4)] != 0.0)
+            self.assert_reports_match(g)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        k=st.integers(1, 15),
+        negative=st.booleans(),
+        nbar0=st.floats(0.0, 10.0),
+        nbar1=st.floats(0.0, 10.0),
+    )
+    def test_noisy_probe_at_high_gain(self, k, negative, nbar0, nbar1):
+        x = (1.0 - 10.0**-k) * (-1.0 if negative else 1.0)
+        self.assert_reports_match(
+            apply_displacement_noise(apply_displacement_noise(tmsv_state(x), 0, nbar0), 1, nbar1)
+        )
 
 
 class TestPhotonBudget:
