@@ -17,7 +17,6 @@ from .discrim import (
     covariant_povm,
     helstrom_error,
     holevo_chi,
-    majorization_compare,
     min_overlap_r,
     optimal_pair_input,
     output_gram,
@@ -49,11 +48,8 @@ from .gauss import (
 )
 from .linops import (
     ProbeState,
-    devectorize,
     eig_unitary,
-    overlap,
     partial_trace,
-    schmidt_coefficients,
     vectorize,
     von_neumann_entropy,
 )

@@ -16,15 +16,12 @@ from functools import cached_property
 import numpy as np
 
 from .linops import (
-    CLOSURE_PHASE_TOL,
     DESIGN_ATOL,
-    MAJORIZATION_ATOL,
     NORM_ATOL,
     PHASE_DEDUPE_TOL,
     POVM_SEED_ATOL,
     POVM_SEED_PSD_ATOL,
     PRIOR_SUM_ATOL,
-    PROB_SUM_ATOL,
     UNITARY_ATOL,
     ProbeState,
     _freeze,
@@ -67,25 +64,6 @@ class UnitaryGroup:
 
     def __iter__(self):
         return iter(self.elements)
-
-    def closure_defect(self) -> float:
-        """Worst-case distance of any pairwise product from a phase times a member.
-
-        For each product g*h the best-matching member k is the one maximizing
-        |Tr[u_k† u_g u_h]|; the defect is the max-norm residual after peeling
-        off the fitted phase.  Small defect certifies projective closure.
-        """
-        worst = 0.0
-        for ug in self.elements:
-            for uh in self.elements:
-                prod = ug @ uh
-                traces = np.array([np.vdot(uk, prod) for uk in self.elements])
-                k = int(np.argmax(np.abs(traces)))
-                omega = traces[k] / self.dim
-                if abs(abs(omega) - 1.0) > CLOSURE_PHASE_TOL:
-                    return float("inf")
-                worst = max(worst, float(np.max(np.abs(prod - omega * self.elements[k]))))
-        return worst
 
     def irreducibility_defect(self) -> float:
         """Max-norm gap between the twirl's Choi matrix and I / d: the 1-design defect.
@@ -432,7 +410,7 @@ def copies_for_perfect(problem: DiscriminationProblem, n_max: int) -> int | None
 
 
 # ---------------------------------------------------------------------------
-# average overlap and majorization
+# average overlap
 # ---------------------------------------------------------------------------
 
 
@@ -440,36 +418,3 @@ def schur_overlap_omega(e: ProbeState) -> float:
     """Group-averaged squared overlap of the outputs: purity of the reduced state."""
     red = e.reduced_state()
     return float(np.real(np.trace(red @ red)))
-
-
-def majorization_compare(p, q) -> str:
-    """Prefix-sum dominance order of two probability vectors.
-
-    Returns ``"majorized"`` when p is dominated by q, ``"majorizes"`` for
-    the reverse, ``"equal"`` for both, else ``"incomparable"``.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    for name, vec in (("p", p), ("q", q)):
-        if vec.ndim != 1 or vec.size == 0:
-            raise ValueError(f"{name} must be a non-empty 1-d vector")
-        if np.any(vec < -MAJORIZATION_ATOL):
-            raise ValueError(f"{name} has negative entries")
-        if abs(vec.sum() - 1.0) > PROB_SUM_ATOL:
-            raise ValueError(f"{name} does not sum to 1")
-    size = max(p.size, q.size)
-    pp = np.zeros(size)
-    qq = np.zeros(size)
-    pp[: p.size] = np.sort(p)[::-1]
-    qq[: q.size] = np.sort(q)[::-1]
-    cp = np.cumsum(pp)
-    cq = np.cumsum(qq)
-    p_below = bool(np.all(cp <= cq + MAJORIZATION_ATOL))
-    q_below = bool(np.all(cq <= cp + MAJORIZATION_ATOL))
-    if p_below and q_below:
-        return "equal"
-    if p_below:
-        return "majorized"
-    if q_below:
-        return "majorizes"
-    return "incomparable"

@@ -2,9 +2,8 @@
 
 All operators are plain complex ``numpy`` arrays.  A bipartite vector is
 identified with the matrix of its amplitudes on the product basis: the
-vector with component ``a[i, j]`` on ``|i>|j>`` is ``vectorize(a)``, and
-``devectorize`` inverts it.  Every function returns a fresh array; inputs
-are never mutated.
+vector with component ``a[i, j]`` on ``|i>|j>`` is ``vectorize(a)``.  Every
+function returns a fresh array; inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -28,20 +27,16 @@ ENTROPY_CUTOFF = 1e-15
 NORM_ATOL = 1e-10
 # Schmidt weights down to minus this are clipped to 0; lower ones are rejected.
 SCHMIDT_NEG_ATOL = 1e-12
-# Distance from 1 of the sum of Schmidt weights or of a majorization input.
+# Distance from 1 of the sum of Schmidt weights.
 PROB_SUM_ATOL = 1e-8
 # Distance from 1 of the sum of two hypothesis priors.
 PRIOR_SUM_ATOL = 1e-10
-# Largest negative entry and prefix-sum slack in majorization_compare.
-MAJORIZATION_ATOL = 1e-10
 # Cosines of eigenphases closer than this share one eigenspace in eig_unitary.
 EIG_CLUSTER_TOL = 1e-8
 # Eigenphases within this of -pi fold up to +pi.
 SEAM_TOL = 1e-12
 # Eigenphases closer than this (on the circle) collapse to one polygon vertex.
 PHASE_DEDUPE_TOL = 1e-9
-# Largest ||omega| - 1| of the phase fitted to a group product in closure_defect.
-CLOSURE_PHASE_TOL = 1e-6
 # Largest 1-design defect for which a group's twirl counts as depolarizing.
 DESIGN_ATOL = 1e-8
 # Hermiticity and partial-trace defect of a covariant POVM seed.
@@ -114,19 +109,6 @@ def vectorize(a) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"vectorize needs a square matrix, got {a.shape}")
     return a.reshape(-1).copy()
-
-
-def devectorize(v, d: int) -> np.ndarray:
-    """Inverse of :func:`vectorize` for local dimension ``d``."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if v.size != d * d:
-        raise ValueError(f"vector of length {v.size} is not d*d for d={d}")
-    return v.reshape(d, d).copy()
-
-
-def overlap(a, b) -> complex:
-    """Inner product of two operators as bipartite vectors, Tr[a† b]."""
-    return complex(np.vdot(_as_matrix(a), _as_matrix(b)))
 
 
 def partial_trace(m, d1: int, d2: int, side: int) -> np.ndarray:
@@ -213,11 +195,6 @@ class ProbeState:
         psi = psi / np.linalg.norm(psi)
         phi = phi / np.linalg.norm(phi)
         return cls(np.outer(psi, phi))
-
-
-def schmidt_coefficients(p: ProbeState) -> np.ndarray:
-    """Singular values of the probe amplitude matrix, descending."""
-    return np.linalg.svd(p.e_op, compute_uv=False)
 
 
 def von_neumann_entropy(rho) -> float:

@@ -70,10 +70,11 @@ def _check_seed(seed: int) -> None:
 
 
 def _uniform_chunks(seed: int, first: int, stop: int, per_trial: int, abandon=None):
-    """Yield the uniforms of trials ``first`` to ``stop - 1`` of ``trial_uniforms`` in blocks of
-    at most ``_CHUNK_TRIALS`` trials, each written over the last, and stop early once the
-    ``abandon`` event is set.  One ``advance`` step skips one 4-word Philox block; ``random``
-    gives (word >> 11) 2^-53, and adding 2^-53 is exact."""
+    """Yield the uniforms of trials ``first`` to ``stop - 1``, trial i on Philox stream slice i,
+    in blocks of at most ``_CHUNK_TRIALS`` trials, each written over the last, and stop early
+    once the ``abandon`` event is set.  Each raw 64-bit word maps to ((word >> 11) + 1) 2^-53 in
+    (0, 1], which feeds logarithms safely.  One ``advance`` step skips one 4-word Philox block;
+    ``random`` gives (word >> 11) 2^-53, and adding 2^-53 is exact."""
     _check_seed(seed)
     bitgen = np.random.Philox(key=np.uint64(seed))
     bitgen.advance(first * per_trial // 4)
@@ -86,16 +87,6 @@ def _uniform_chunks(seed: int, first: int, stop: int, per_trial: int, abandon=No
         u = draw(out=block[: stop - start])
         u += 2.0**-53
         yield u
-
-
-def trial_uniforms(seed: int, trials: int, per_trial: int) -> np.ndarray:
-    """Uniforms in (0, 1], shaped (trials, per_trial), trial i on stream slice i.
-
-    Each raw 64-bit Philox word maps to ((word >> 11) + 1) * 2^-53, which
-    never returns 0 and therefore feeds logarithms safely.
-    """
-    blocks = [u.copy() for u in _uniform_chunks(seed, 0, trials, per_trial)]
-    return np.concatenate([np.empty((0, per_trial)), *blocks])
 
 
 def _box_muller(u: np.ndarray, scratch: np.ndarray) -> np.ndarray:

@@ -12,8 +12,8 @@ import numpy as np
 
 from entprobe import gauss
 from entprobe.discrim import PHASE_DEDUPE_TOL, helstrom_error, output_vectors
-from entprobe.linops import PPT_ATOL, matrix_rank, von_neumann_entropy
-from entprobe.mc import TrialReport, _output_vector
+from entprobe.linops import PPT_ATOL, PROB_SUM_ATOL, matrix_rank, von_neumann_entropy
+from entprobe.mc import TrialReport, _output_vector, _uniform_chunks
 
 TWO_PI = 2.0 * np.pi
 
@@ -29,6 +29,94 @@ def assert_phases_match(expected, actual, tol: float = 1e-8):
         # chord distance bounds the arc distance for small separations
         assert distances[best] <= tol, (target, actual)
         actual.pop(best)
+
+
+# ---------------------------------------------------------------------------
+# helpers that only the tests call
+# ---------------------------------------------------------------------------
+
+# Largest ||omega| - 1| of the phase fitted to a group product in closure_defect.
+CLOSURE_PHASE_TOL = 1e-6
+# Largest negative entry and prefix-sum slack in majorization_compare.
+MAJORIZATION_ATOL = 1e-10
+
+
+def closure_defect(group) -> float:
+    """Worst-case distance of any pairwise product of a ``UnitaryGroup`` from a phase times a member.
+
+    For each product g*h the best-matching member k is the one maximizing
+    |Tr[u_k† u_g u_h]|; the defect is the max-norm residual after peeling
+    off the fitted phase.  Small defect certifies projective closure.
+    """
+    worst = 0.0
+    for ug in group.elements:
+        for uh in group.elements:
+            prod = ug @ uh
+            traces = np.array([np.vdot(uk, prod) for uk in group.elements])
+            k = int(np.argmax(np.abs(traces)))
+            omega = traces[k] / group.dim
+            if abs(abs(omega) - 1.0) > CLOSURE_PHASE_TOL:
+                return float("inf")
+            worst = max(worst, float(np.max(np.abs(prod - omega * group.elements[k]))))
+    return worst
+
+
+def majorization_compare(p, q) -> str:
+    """Prefix-sum dominance order of two probability vectors.
+
+    Returns ``"majorized"`` when p is dominated by q, ``"majorizes"`` for
+    the reverse, ``"equal"`` for both, else ``"incomparable"``.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    for name, vec in (("p", p), ("q", q)):
+        if vec.ndim != 1 or vec.size == 0:
+            raise ValueError(f"{name} must be a non-empty 1-d vector")
+        if np.any(vec < -MAJORIZATION_ATOL):
+            raise ValueError(f"{name} has negative entries")
+        if abs(vec.sum() - 1.0) > PROB_SUM_ATOL:
+            raise ValueError(f"{name} does not sum to 1")
+    size = max(p.size, q.size)
+    pp = np.zeros(size)
+    qq = np.zeros(size)
+    pp[: p.size] = np.sort(p)[::-1]
+    qq[: q.size] = np.sort(q)[::-1]
+    cp = np.cumsum(pp)
+    cq = np.cumsum(qq)
+    p_below = bool(np.all(cp <= cq + MAJORIZATION_ATOL))
+    q_below = bool(np.all(cq <= cp + MAJORIZATION_ATOL))
+    if p_below and q_below:
+        return "equal"
+    if p_below:
+        return "majorized"
+    if q_below:
+        return "majorizes"
+    return "incomparable"
+
+
+def trial_uniforms(seed: int, trials: int, per_trial: int) -> np.ndarray:
+    """The sampler's uniforms in (0, 1], shaped (trials, per_trial), trial i on stream slice i,
+    gathered from the blocks of ``mc._uniform_chunks``."""
+    blocks = [u.copy() for u in _uniform_chunks(seed, 0, trials, per_trial)]
+    return np.concatenate([np.empty((0, per_trial)), *blocks])
+
+
+def devectorize(v, d: int) -> np.ndarray:
+    """Inverse of ``linops.vectorize`` for local dimension ``d``."""
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    if v.size != d * d:
+        raise ValueError(f"vector of length {v.size} is not d*d for d={d}")
+    return v.reshape(d, d).copy()
+
+
+def overlap(a, b) -> complex:
+    """Inner product of two operators as bipartite vectors, Tr[a† b]."""
+    return complex(np.vdot(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
+
+
+def schmidt_coefficients(p) -> np.ndarray:
+    """Singular values of a ``ProbeState``'s amplitude matrix, descending."""
+    return np.linalg.svd(p.e_op, compute_uv=False)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +337,8 @@ def ppt_boundary_by_bisection(x: float, tol: float = 1e-12) -> float:
 def epr_law_by_rotated_rows(g, alpha=0.0, nbar: float = 0.0, phi: float = 0.0):
     """``gauss.epr_heterodyne`` the long way round, in the lab frame.
 
-    The pair-frame moments of the 2-mode state go back to the lab ordering
+    The pair-frame moments of the 2-mode state (a library probe or a
+    ``PairState``) go back to the lab ordering
     (x1, p1, x2, p2), the probed mode is displaced by ``alpha``, each lab
     variance gains nbar/2, the pair (x1 - x2, p1 + p2) rotated by ``phi`` is
     read through two rows over the lab quadratures, and the center is rotated
@@ -305,25 +394,40 @@ class LabState(NamedTuple):
     cov: np.ndarray
 
 
-def to_pair(lab) -> gauss.GaussianState:
-    """The library's state for lab moments: one mode as it is, two through ``PAIR_ROWS``."""
+class PairState(NamedTuple):
+    """Mean and covariance of 2 modes in the library's pair frame, not validated: any
+    two-mode Gaussian state, where the library holds only the noisy two-mode probe."""
+
+    mean: np.ndarray
+    cov: np.ndarray
+
+
+def _mean(g) -> np.ndarray:
+    """A state's mean; the library's two-mode probe has none, so zero."""
+    return getattr(g, "mean", np.zeros(4))
+
+
+def to_pair(lab):
+    """Lab moments in the library's frame: one mode as a validated ``GaussianState``, two
+    through ``PAIR_ROWS`` as a ``PairState``."""
     mean, cov = np.asarray(lab.mean, dtype=float), np.asarray(lab.cov, dtype=float)
     if mean.size == 2:
         return gauss.GaussianState(mean, cov)
-    return gauss.GaussianState(PAIR_ROWS @ mean, PAIR_ROWS @ cov @ PAIR_ROWS.T)
+    return PairState(PAIR_ROWS @ mean, PAIR_ROWS @ cov @ PAIR_ROWS.T)
 
 
 def to_lab(g) -> LabState:
-    """The lab moments of a library state, in floats."""
-    if g.modes == 1:
+    """The lab moments of a library state or a ``PairState``, in floats."""
+    if g.cov.shape == (2, 2):
         return LabState(g.mean, g.cov)
-    return LabState(PAIR_ROWS.T @ g.mean / 2.0, PAIR_ROWS.T @ g.cov @ PAIR_ROWS / 4.0)
+    return LabState(PAIR_ROWS.T @ _mean(g) / 2.0, PAIR_ROWS.T @ g.cov @ PAIR_ROWS / 4.0)
 
 
 def exact_lab_moments(g) -> tuple[list, list]:
-    """The lab moments of a 2-mode library state as lists of Fractions, with no rounding."""
+    """The lab moments of a 2-mode library state or ``PairState`` as lists of Fractions, with
+    no rounding."""
     back = [[Fraction(int(f), 2) for f in column] for column in PAIR_ROWS.T]
-    mean = [Fraction(m) for m in g.mean.tolist()]
+    mean = [Fraction(m) for m in _mean(g).tolist()]
     cov = [[Fraction(v) for v in row] for row in g.cov.tolist()]
     lab_mean = [sum(b * m for b, m in zip(row, mean)) for row in back]
     back_cov = [[sum(b * cov[k][j] for k, b in enumerate(row)) for j in range(4)] for row in back]
@@ -445,8 +549,10 @@ def _lab_pt_eigenvalue(cov) -> mpmath.mpf:
 
 def lab_pt_eigenvalue_at_50_digits(x: float, nbar0: float, nbar1: float) -> mpmath.mpf:
     """Smallest partial-transpose symplectic eigenvalue of the probe with nbar_k noise
-    photons on mode k, through the lab-frame cosh/sinh covariance."""
-    with mpmath.workdps(DIGITS):
+    photons on mode k, through the lab-frame cosh/sinh covariance.  ``mpmath.eig`` errs by
+    its precision times the largest entry, so the working precision grows by the decimal
+    digits of the noise and noise far above the eigenvalue costs the result no digits."""
+    with mpmath.workdps(DIGITS + int(math.log10(1.0 + max(nbar0, nbar1)))):
         return _lab_pt_eigenvalue(_lab_probe_cov(x, nbar0, nbar1))
 
 

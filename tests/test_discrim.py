@@ -12,7 +12,6 @@ from entprobe.discrim import (
     covariant_povm,
     helstrom_error,
     holevo_chi,
-    majorization_compare,
     min_overlap_r,
     optimal_pair_input,
     output_gram,
@@ -26,7 +25,6 @@ from entprobe.discrim import (
 from entprobe.linops import (
     RANK_RTOL,
     ProbeState,
-    schmidt_coefficients,
     vectorize,
     von_neumann_entropy,
 )
@@ -34,8 +32,11 @@ from entprobe.rand import generator, haar_unitary, random_povm_seed, random_prob
 
 from _helpers import (
     assert_phases_match,
+    closure_defect,
     holevo_by_ensemble,
+    majorization_compare,
     matched_likelihood_closed_form,
+    schmidt_coefficients,
     span_by_average_projector,
     spread_by_enumeration,
 )
@@ -106,14 +107,14 @@ class TestPauliGroup:
 
     def test_group_certificates(self):
         group = pauli_group()
-        assert group.closure_defect() < 1e-12
+        assert closure_defect(group) < 1e-12
         assert group.is_irreducible()
 
     def test_non_closed_set_flagged(self):
         from entprobe.discrim import UnitaryGroup
 
         loose = UnitaryGroup(2, (I2, haar_unitary(2, generator(29))), ("a", "b"))
-        assert loose.closure_defect() > 1e-6
+        assert closure_defect(loose) > 1e-6
 
     def test_construction_validation(self):
         from entprobe.discrim import UnitaryGroup
@@ -151,7 +152,7 @@ class TestWeylHeisenbergGroup:
 
     def test_projective_closure(self):
         for d in (2, 3):
-            assert weyl_heisenberg_group(d).closure_defect() < 1e-8
+            assert closure_defect(weyl_heisenberg_group(d)) < 1e-8
 
     def test_irreducibility_certificate(self):
         for d in (2, 3, 4):
@@ -358,7 +359,7 @@ def diagonal_subgroup(d: int) -> UnitaryGroup:
     ids=["I,Z", "U(m,0) d=3", "U(m,0) d=4"],
 )
 def test_closed_forms_reject_reducible_groups(closed_form, group):
-    assert group.closure_defect() < 1e-12
+    assert closure_defect(group) < 1e-12
     with pytest.raises(ValueError, match="irreducibility"):
         closed_form(group, ProbeState.maximally_entangled(group.dim))
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from entprobe import gauss
 from entprobe.gauss import (
     GaussianState,
     NoiseSpec,
+    TwoModeProbe,
     advantage_threshold,
     apply_displacement_noise,
     epr_heterodyne,
@@ -23,7 +26,6 @@ from entprobe.gauss import (
 )
 
 from _helpers import (
-    LabState,
     add_noise,
     coherent_state,
     displace,
@@ -62,7 +64,7 @@ class TestStatePreparation:
         st = tmsv_state(0.0)
         # each pair-frame quadrature sums two vacuum quadratures
         assert np.array_equal(st.cov, 0.5 * np.eye(4))
-        assert np.array_equal(st.mean, np.zeros(4))
+        assert (st.x, st.nbar0, st.nbar1) == (0.0, 0.0, 0.0)
         assert np.array_equal(to_lab(st).cov, 0.25 * np.eye(4))
         assert np.array_equal(vacuum_state(2).cov, st.cov)
 
@@ -118,9 +120,12 @@ class TestStatePreparation:
 
     def test_negative_variance_beside_a_huge_one_rejected(self):
         # the uncertainty slack scales with the largest eigenvalue, 0.1 here, so the -0.01
-        # variance passes it; ppt_separability's Cholesky factor used to fail on this state
+        # variance passes it and the Cholesky test refuses it
         with pytest.raises(ValueError, match="positive definite"):
-            GaussianState(np.zeros(4), np.diag([-0.01, 0.5, 0.5, 1e9]))
+            GaussianState(np.zeros(2), np.diag([-0.01, 1e9]))
+        # the two-mode probe carries no variance of its own, and negative noise is refused
+        with pytest.raises(ValueError, match="nonnegative"):
+            apply_displacement_noise(tmsv_state(0.5), 1, -0.01)
 
     @pytest.mark.parametrize(
         "mean, cov",
@@ -138,12 +143,14 @@ class TestStatePreparation:
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="length"):
             GaussianState(np.zeros(6), 0.25 * np.eye(6))
+        with pytest.raises(ValueError, match="tmsv_state"):
+            GaussianState(np.zeros(4), 0.5 * np.eye(4))
         with pytest.raises(ValueError, match="match"):
             GaussianState(np.zeros(2), 0.25 * np.eye(4))
         with pytest.raises(ValueError, match="modes"):
             vacuum_state(3)
         with pytest.raises(ValueError, match="two modes"):
-            tensor(vacuum_state(2), vacuum_state(1))
+            tensor(to_lab(vacuum_state(2)), vacuum_state(1))
 
 
 class TestDisplacement:
@@ -185,10 +192,11 @@ class TestDisplacementNoise:
         np.testing.assert_allclose(twice.cov, once.cov, rtol=1e-15, atol=0.0)
 
     def test_commutes_with_displacement(self):
-        # the displacement is a lab-frame oracle, so each order passes through the lab frame once
+        # the probe holds no mean, so both orders meet in the lab frame: the displacement and
+        # the noise of one order are lab-frame oracles, the noise of the other is the library's
         st = tmsv_state(0.4)
-        a = apply_displacement_noise(to_pair(displace(to_lab(st), 0, 1.0 + 1.0j)), 0, 0.6)
-        b = to_pair(displace(to_lab(apply_displacement_noise(st, 0, 0.6)), 0, 1.0 + 1.0j))
+        a = add_noise(displace(to_lab(st), 0, 1.0 + 1.0j), 0, 0.6)
+        b = displace(to_lab(apply_displacement_noise(st, 0, 0.6)), 0, 1.0 + 1.0j)
         np.testing.assert_allclose(a.cov, b.cov, rtol=1e-15, atol=1e-15)
         assert np.array_equal(a.mean, b.mean)
 
@@ -221,6 +229,13 @@ class TestDisplacementNoise:
             noisy = apply_displacement_noise(st, 0, nbar)
             omega = symplectic_form(1)
             assert np.linalg.eigvalsh(noisy.cov + 0.25j * omega).min() >= -1e-10
+
+    def test_accumulated_noise_must_stay_finite(self):
+        # each step is finite, but the photons they add on one mode overflow
+        noisy = apply_displacement_noise(tmsv_state(0.5), 0, 1e308)
+        with pytest.raises(ValueError, match=r"^noise photon number must be finite and nonnegative, got inf$"):
+            apply_displacement_noise(noisy, 0, 1e308)
+        assert apply_displacement_noise(noisy, 1, 1e308).nbar1 == 1e308
 
     def test_huge_noise_stays_physical(self):
         # the uncertainty check's slack scales with the covariance
@@ -294,6 +309,17 @@ class TestHeterodyne:
         variances = [epr_heterodyne(tmsv_state(x)).variance for x in xs]
         assert np.all(np.diff(variances) < 0.0)
 
+    def test_overflowing_variance_refused(self):
+        # 2 nbar and the noise photons on the modes each overflow a finite sum to inf
+        overflow = r"^the outcome variance overflows: the noise photon numbers are too large$"
+        with pytest.raises(ValueError, match=overflow):
+            epr_heterodyne(tmsv_state(0.5), 0, NoiseSpec(1e308))
+        with pytest.raises(ValueError, match=overflow):
+            epr_heterodyne(_noisy_probe(0.5, 1e308))
+        with pytest.raises(ValueError, match=overflow):
+            heterodyne(apply_displacement_noise(vacuum_state(), 0, 1.5e308), 0, NoiseSpec(1e308))
+        assert epr_heterodyne(tmsv_state(0.5), 0, NoiseSpec(8e307)).variance == 1.6e308
+
     def test_mode_count_checked(self):
         with pytest.raises(ValueError):
             epr_heterodyne(vacuum_state())
@@ -312,15 +338,13 @@ def _random_local_symplectic(rng) -> np.ndarray:
     return _rotation(rng.uniform(-np.pi, np.pi)) @ np.diag([np.exp(-r), np.exp(r)])
 
 
-def random_noisy_two_mode_state(rng) -> GaussianState:
-    """A two-mode squeezed state, locally squeezed and rotated, plus random
-    positive noise, with a random mean."""
-    local = np.zeros((4, 4))
-    local[:2, :2] = _random_local_symplectic(rng)
-    local[2:, 2:] = _random_local_symplectic(rng)
-    noise = rng.normal(scale=0.3, size=(4, 4))
-    cov = local @ lab_tmsv(rng.uniform(-0.95, 0.95)).cov @ local.T + noise @ noise.T
-    return to_pair(LabState(rng.normal(size=4), (cov + cov.T) / 2.0))
+def random_noisy_two_mode_state(rng) -> TwoModeProbe:
+    """The two-mode probe at a random gain with random noise on each mode; one mode is
+    noiseless in a third of the draws."""
+    nbars = rng.uniform(0.0, 3.0, size=2)
+    if rng.random() < 1.0 / 3.0:
+        nbars[rng.integers(2)] = 0.0
+    return TwoModeProbe(rng.uniform(-0.95, 0.95), *nbars.tolist())
 
 
 def random_noisy_one_mode_state(rng) -> GaussianState:
@@ -380,7 +404,6 @@ class TestPairFrame:
                 expected = to_pair(add_noise(to_lab(g), mode, nbar))
                 got = apply_displacement_noise(g, mode, nbar)
                 np.testing.assert_allclose(got.cov, expected.cov, rtol=0.0, atol=1e-12)
-                assert np.array_equal(got.mean, g.mean)
 
     def test_equal_noise_on_both_modes_adds_nbar_identity(self):
         for x in (0.0, 0.5, -0.9, 1.0 - 1e-12):
@@ -398,17 +421,18 @@ class TestPairFrame:
             assert nu == pytest.approx(pt_eigenvalue_in_lab_frame(g), rel=1e-10)
 
     def test_uncertainty_check_matches_lab_bound(self):
-        # a lab covariance is physical exactly when its pair-frame image passes the check
-        to_pair(LabState(np.zeros(4), 0.25 * np.eye(4)))
-        with pytest.raises(ValueError, match="uncertainty"):
-            to_pair(LabState(np.zeros(4), 0.2499 * np.eye(4)))
-        bare = lab_tmsv(0.5).cov
-        too_correlated = bare + 1e-4 * np.array(
-            [[0, 0, 1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, -1, 0, 0]], dtype=float
-        )
-        to_pair(LabState(np.zeros(4), bare))
-        with pytest.raises(ValueError, match="uncertainty"):
-            to_pair(LabState(np.zeros(4), too_correlated))
+        # every probe the library builds meets the lab bound cov + (i/4) Omega >= 0, and the
+        # negative noise that would take a probe past it is refused
+        quarter_i_form = 0.25j * symplectic_form(2)
+        rng = np.random.default_rng(1009)
+        for _ in range(200):
+            lab = to_lab(random_noisy_two_mode_state(rng)).cov
+            assert np.linalg.eigvalsh(lab + quarter_i_form).min() >= -1e-14 * np.abs(lab).max()
+        for x in (0.0, 0.5, -0.9):
+            too_quiet = add_noise(to_lab(tmsv_state(x)), 0, -1e-4).cov
+            assert np.linalg.eigvalsh(too_quiet + quarter_i_form).min() < -1e-6
+            with pytest.raises(ValueError, match="nonnegative"):
+                apply_displacement_noise(tmsv_state(x), 0, -1e-4)
 
 
 def _relative_error(got: float, expected) -> float:
@@ -457,15 +481,14 @@ class TestAgainstLabRouteAt50Digits:
     def test_pt_eigenvalue_with_unequal_noise(self, k, sign):
         # unequal noise couples the 1/Delta^2-sized and Delta^2-sized pair entries
         x = sign * (1.0 - 10.0**-k)
-        # noise on one mode alone makes the factor's pivots cancel nbar-sized terms, so the
-        # relative error grows with nbar; up to 1e3 photons it stays within the bound
-        pairs = ((0.0, 0.0), (0.5, 0.5), (0.3, 0.1), (2.0, 0.0), (0.0, 7.0))
-        one_mode = ((1e2, 0.0), (0.0, 1e2), (1e3, 0.0), (0.0, 1e3))
-        for nbar0, nbar1 in pairs + one_mode:
-            g = apply_displacement_noise(apply_displacement_noise(tmsv_state(x), 0, nbar0), 1, nbar1)
-            nu = ppt_separability(g).min_pt_symplectic_eigenvalue
+        # and noise on one mode alone, or on both, runs up to 1e300 photons
+        pairs = ((0.0, 0.0), (0.5, 0.5), (0.3, 0.1), (2.0, 0.0), (0.0, 7.0), (1e-3, 10.0))
+        one_mode = tuple(pair for nbar in (1e3, 1e14, 1e100, 1e300) for pair in ((nbar, 0.0), (0.0, nbar)))
+        both = ((1e14, 1e14), (1e160, 1e160), (1e300, 1e300), (1e300, 1e-3))
+        for nbar0, nbar1 in pairs + one_mode + both:
+            nu = ppt_separability(TwoModeProbe(x, nbar0, nbar1)).min_pt_symplectic_eigenvalue
             oracle = lab_pt_eigenvalue_at_50_digits(x, nbar0, nbar1)
-            assert _relative_error(nu, oracle) <= 1e-12, (x, nbar0, nbar1)
+            assert _relative_error(nu, oracle) <= 1e-14, (x, nbar0, nbar1)
 
     @pytest.mark.parametrize("k", range(1, 16))
     def test_threshold_and_photons_at_both_ends(self, k):
@@ -478,6 +501,34 @@ class TestAgainstLabRouteAt50Digits:
     def test_advantage_threshold_is_twice_the_edge(self):
         for x in (1e-12, 1e-8, 0.2, 0.5, 0.8, 1.0 - 1e-15):
             assert advantage_threshold(x) == 2.0 * ppt_noise_boundary(x)
+
+
+class TestClosedFormsAgree:
+    """The PT eigenvalue, the separability edge and the EPR variance are three closed forms
+    of one noisy probe: with equal noise n the PT eigenvalue is Delta^2/4 + n/2, it crosses
+    1/4 at ``ppt_noise_boundary``, and every noise photon adds 1 to the EPR variance."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        k=st.integers(1, 15),
+        negative=st.booleans(),
+        nbar=st.floats(0.0, 1e300) | st.floats(0.0, 1.0),
+        nbar0=st.floats(0.0, 1e300),
+        nbar1=st.floats(0.0, 1e300),
+    )
+    def test_pt_eigenvalue_edge_and_epr_variance(self, k, negative, nbar, nbar0, nbar1):
+        x = (1.0 - 10.0**-k) * (-1.0 if negative else 1.0)
+        report = ppt_separability(_noisy_probe(x, nbar))
+        gain = Fraction(abs(x))
+        exact = (1 - gain) / (1 + gain) / 4 + Fraction(nbar) / 2
+        assert _relative_error(Fraction(report.min_pt_symplectic_eigenvalue), exact) <= 1e-15
+        edge = ppt_noise_boundary(x)
+        if nbar >= edge:
+            assert report.separable
+        if nbar <= edge - 4.0 * gauss.PPT_ATOL:
+            assert not report.separable
+        law = epr_heterodyne(TwoModeProbe(x, nbar0, nbar1), noise=NoiseSpec(nbar))
+        assert law.variance == tmsv_epr_variance(x) + nbar0 + nbar1 + 2.0 * nbar
 
 
 class TestAdvantageThreshold:
@@ -504,7 +555,9 @@ class TestAdvantageThreshold:
 
 class TestSeparability:
     def test_two_mode_vacuum_separable(self):
-        report = ppt_separability(to_pair(tensor(vacuum_state(), vacuum_state())))
+        vacuum = vacuum_state(2)
+        assert np.array_equal(to_lab(vacuum).cov, tensor(vacuum_state(), vacuum_state()).cov)
+        report = ppt_separability(vacuum)
         assert report.separable
         assert report.min_pt_symplectic_eigenvalue == pytest.approx(0.25, abs=1e-12)
 
@@ -571,27 +624,35 @@ class TestSeparability:
             nu = ppt_separability(g).min_pt_symplectic_eigenvalue
             assert nu == pytest.approx(pt_eigenvalue_by_eigvals(g), rel=1e-10)
 
-    @pytest.mark.parametrize("nbar", (1e17, 1e100, 1e200))
-    def test_singular_stored_covariance_refused(self, nbar):
-        # construction scales each variance by its rounding and accepts the state, but the noise
-        # rounds the finite pair-frame variances away and leaves a pivot at zero or below
-        g = apply_displacement_noise(tmsv_state(0.5), 0, nbar)
-        with pytest.raises(ValueError, match=r"^the stored covariance is singular at working precision$"):
-            ppt_separability(g)
+    @pytest.mark.parametrize(
+        "x, nbar", ((0.5, 1e17), (0.5, 1e100), (0.5, 1e200), (0.1, 1e14), (0.5, 1e14), (0.9, 1e14))
+    )
+    def test_one_mode_noise_far_above_the_probe(self, x, nbar):
+        # the noise rounds every finite pair-frame variance away, and the closed form never
+        # reads them: nu_- tends to (1 + x^2)/(4 (1 - x^2)) from the 1/16 + A nbar/2 term
+        oracle = lab_pt_eigenvalue_at_50_digits(x, nbar, 0.0)
+        for mode in (0, 1):
+            nu = ppt_separability(apply_displacement_noise(tmsv_state(x), mode, nbar))
+            assert _relative_error(nu.min_pt_symplectic_eigenvalue, oracle) <= 1e-14, mode
+            assert nu.separable
+
+    @pytest.mark.parametrize("nbar", (1e160, 1e300))
+    def test_equal_noise_near_the_float_limit_stays_finite(self, nbar):
+        nu = ppt_separability(_noisy_probe(0.5, nbar)).min_pt_symplectic_eigenvalue
+        assert _relative_error(nu, lab_pt_eigenvalue_at_50_digits(0.5, nbar, nbar)) <= 1e-14
+        assert nu == nbar / 2.0
 
     def test_pure_product_states_sit_on_the_edge(self):
-        # both PT eigenvalues equal 1/4 here, where sqrt(D^2 - 4 det) loses half the digits
+        # at zero gain with one mode noiseless, nu_- = 1/4 whatever the other mode's noise;
+        # with no noise at all both PT eigenvalues equal 1/4, where sqrt(D^2 - 4 det) would
+        # lose half the digits
         rng = np.random.default_rng(1007)
-        for _ in range(300):
-            modes = []
-            for _mode in range(2):
-                r = rng.uniform(-3.0, 3.0)
-                sym = _rotation(rng.uniform(-np.pi, np.pi)) @ np.diag([np.exp(-r), np.exp(r)])
-                cov = sym @ sym.T * gauss.VACUUM_VARIANCE
-                modes.append(LabState(np.zeros(2), (cov + cov.T) / 2.0))
-            report = ppt_separability(to_pair(tensor(*modes)))
-            assert report.separable
-            assert report.min_pt_symplectic_eigenvalue == pytest.approx(0.25, abs=1e-10)
+        nbars = [0.0, 1e-300, *(10.0 ** rng.uniform(-20.0, 300.0, 300)).tolist()]
+        for nbar in nbars:
+            for state in (TwoModeProbe(0.0, 0.0, nbar), TwoModeProbe(-0.0, nbar, 0.0)):
+                report = ppt_separability(state)
+                assert report.separable
+                assert abs(report.min_pt_symplectic_eigenvalue - 0.25) <= 1e-15, nbar
 
 
 class TestAgainstLapackCholesky:
@@ -608,8 +669,8 @@ class TestAgainstLapackCholesky:
         rng = np.random.default_rng(1008)
         for _ in range(2000):
             g = random_noisy_two_mode_state(rng)
-            # every entry of the factor is nonzero, so every term of H enters
-            assert np.all(np.linalg.cholesky(g.cov)[np.tril_indices(4)] != 0.0)
+            # unequal noise couples each difference to its sum, so the factor is not diagonal
+            assert (np.linalg.cholesky(g.cov)[2, 0] != 0.0) == (g.nbar0 != g.nbar1)
             self.assert_reports_match(g)
 
     @settings(max_examples=200, deadline=None, derandomize=True)

@@ -5,17 +5,14 @@ from entprobe import linops
 from entprobe.cli import parse_unitary
 from entprobe.linops import (
     ProbeState,
-    devectorize,
     eig_unitary,
-    overlap,
     partial_trace,
-    schmidt_coefficients,
     vectorize,
     von_neumann_entropy,
 )
 from entprobe.rand import generator, haar_unitary, random_probe
 
-from _helpers import assert_phases_match
+from _helpers import assert_phases_match, devectorize, overlap, schmidt_coefficients
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)

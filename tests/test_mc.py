@@ -19,7 +19,6 @@ from entprobe.mc import (
     sample_helstrom,
     sample_heterodyne,
     stability_scan,
-    trial_uniforms,
 )
 
 from _helpers import (
@@ -27,6 +26,7 @@ from _helpers import (
     helstrom_by_whole_array,
     one_draw_uniforms,
     stability_by_loop,
+    trial_uniforms,
 )
 
 I2 = np.eye(2, dtype=complex)

@@ -105,3 +105,8 @@ def test_readme_lists_every_constant_with_its_value():
         if not any(float(tok) == value for row in rows for tok in NUMBER.findall(row)):
             missing.append(f"{name} = {value!r}")
     assert missing == []
+
+
+def test_readme_lists_no_constant_outside_the_table():
+    rows = re.findall(r"^\| `([A-Z_]+)` \|", README.read_text(), flags=re.MULTILINE)
+    assert rows and sorted(set(rows) - set(table())) == []
