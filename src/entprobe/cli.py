@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -340,10 +341,18 @@ def _run_stability(ns):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that reads every one-dash token it has no option for as a value, so
+    '--priors -0.0,1' and '--x-grid -0.5:0.5:3' parse as their '=' forms do.  Plain argparse
+    takes only a bare negative number for a value; ``-h`` stays the help flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[^-]")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="entprobe", description="entangled-probe measurement scenarios"
-    )
+    parser = _Parser(prog="entprobe", description="entangled-probe measurement scenarios")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -3,8 +3,9 @@
 Randomness comes from the Philox 4x64 counter-based generator keyed by the
 64-bit scenario seed.  Trial i owns a fixed slice of the key stream, so a
 report depends only on (scenario, seed, trials), never on batching or
-thread scheduling.  Normal deviates are produced by Box-Muller on the
-trial's uniforms; the choice is recorded in every report.
+thread scheduling.  A heterodyne trial's squared deviation |z - alpha|^2 is
+read off the Box-Muller radius of its first uniform, -variance ln u0, with
+no angle; the choice is recorded in every report.
 
 The samplers split the trials into one range of blocks of at most
 ``_CHUNK_TRIALS`` trials per CPU, run by the calling thread and helper
@@ -28,7 +29,7 @@ from . import gauss
 from .discrim import DiscriminationProblem, _local_input, helstrom_error
 from .linops import ProbeState, vectorize
 
-RNG_DESCRIPTION = "philox4x64/box-muller"
+RNG_DESCRIPTION = "philox4x64/box-muller-radius"
 
 # Largest trial count a sampler accepts; memory is bounded, run time is not.
 MAX_TRIALS = 10**9
@@ -87,21 +88,6 @@ def _uniform_chunks(seed: int, first: int, stop: int, per_trial: int, abandon=No
         u = draw(out=block[: stop - start])
         u += 2.0**-53
         yield u
-
-
-def _box_muller(u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """One standard normal pair per row of a contiguous (trials, 2) block of uniforms, as a
-    (2, trials) array written over them; ``scratch`` is a (2, trials) array."""
-    radius, angle = scratch
-    np.log(u[:, 0], out=radius)
-    radius *= -2.0
-    np.sqrt(radius, out=radius)
-    np.multiply(u[:, 1], 2.0 * np.pi, out=angle)
-    pair = u.reshape(2, -1)  # the uniforms are spent
-    np.cos(angle, out=pair[0])
-    np.sin(angle, out=pair[1])
-    pair *= radius
-    return pair
 
 
 def _cpu_count() -> int:  # the CPUs this process may run on
@@ -176,9 +162,9 @@ def _check_trials(trials: int) -> None:
 
 
 def _check_deviation_sum(nbar: float, trials: int) -> None:
-    """Box-Muller uniforms are at least 2^-53, so no squared deviation exceeds 53 ln 2 < 37
-    times the outcome variance, which is at most 1 + 2 nbar in both schemes: the sum over the
-    trials must stay finite."""
+    """The uniforms are at least 2^-53, so no squared deviation -variance ln u0 exceeds
+    53 ln 2 < 37 times the outcome variance, which is at most 1 + 2 nbar in both schemes: the
+    sum over the trials must stay finite."""
     if not math.isfinite(37.0 * (1.0 + 2.0 * nbar) * trials):
         raise ValueError(f"nbar {nbar} with {trials} trials overflows the sum of squared deviations")
 
@@ -265,22 +251,19 @@ def sample_heterodyne(
     else:
         raise ValueError(f"scheme must be 'entangled' or 'unentangled', got {scheme!r}")
 
-    scale = math.sqrt(law.variance / 2.0)
-    shift = np.array([[law.mean.real], [law.mean.imag]])
-    target = np.array([[np.real(alpha)], [np.imag(alpha)]])
+    if law.mean != alpha:
+        raise ValueError(f"the outcome law is centred on {law.mean}, not on the signal {alpha}")
 
     def deviation_sum(first: int, stop: int, abandon) -> int:
-        # |z - alpha|^2 in units of 2^-1126, each quadrature (shift + scale g - target)^2
-        scratch = np.empty((2, min(_CHUNK_TRIALS, stop - first)))
+        # |z - alpha|^2 in units of 2^-1126: z - alpha is a Box-Muller pair scaled by
+        # sqrt(variance / 2), so it is variance / 2 times the squared radius -2 ln u0 and the
+        # angle, from the trial's second uniform, drops out
+        scratch = np.empty(min(_CHUNK_TRIALS, stop - first))
         total = 0
         for u in _uniform_chunks(seed, first, stop, 2, abandon):
-            z = _box_muller(u, scratch[:, : len(u)])
-            z *= scale
-            z += shift
-            z -= target
-            z *= z
-            z[0] += z[1]
-            total += _fixed_point_sum(z[0])
+            deviation = np.log(u[:, 0], out=scratch[: len(u)])
+            deviation *= -law.variance
+            total += _fixed_point_sum(deviation)
         return total
 
     empirical = _split_sum(trials, deviation_sum) / (1 << _UNIT_BITS) / trials

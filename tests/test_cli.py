@@ -171,14 +171,18 @@ class TestCvEstimate:
         assert "seed" in err
 
     def test_pinned_digits(self, capsys):
-        # any change to the random stream, Box-Muller or the summation shows here
+        # any change to the random stream, the Box-Muller radius or the summation shows here
         code, out, _ = run_cli(
             capsys, "cv-estimate", "--x", "0.5", "--trials", "1000", "--seed", "3"
         )
         assert code == 0
         _, rows = parse_csv(out)
         empirical = {row["scheme"]: row["delta2_empirical"] for row in rows}
-        assert empirical == {"entangled": "0.36008224662183597", "unentangled": "1.080246739865508"}
+        assert empirical == {"entangled": "0.3600822466218359", "unentangled": "1.0802467398655078"}
+        # the digits of the full Box-Muller pair, angle included, differ only by rounding
+        box_muller = {"entangled": 0.36008224662183597, "unentangled": 1.080246739865508}
+        for scheme, value in box_muller.items():
+            assert float(empirical[scheme]) == pytest.approx(value, rel=1e-14, abs=0.0)
 
     def test_high_gain_entangled_scatter(self, capsys):
         # Delta^2 = 5.0e-9 here, far below the cancellation of cosh- and sinh-sized entries
@@ -306,6 +310,22 @@ class TestGridFlags:
         else:
             argv = ("threshold-scan", f"--x-grid={grid}")
             assert_rejected_before_work(capsys, monkeypatch, cli.gauss, "noise_boundaries", *argv)
+
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            (("discriminate", "--u1", "pauli:z", "--u2", "pauli:x"), "--priors", "-0.0,1"),
+            (("covariant", "--d", "2"), "--schmidt-spec", "-0.0,1"),
+            (("threshold-scan",), "--x-grid", "-0.5:0.5:3"),
+            (("stability", "--s", "0.5", "--x", "0.5"), "--phi-grid", "-1:1:3"),
+        ],
+    )
+    def test_leading_dash_value_parses_as_its_equals_form(self, capsys, command, flag, value):
+        # plain argparse reads '-0.5:0.5:3' as an unknown option and exits 2 with its usage
+        spaced = run_cli(capsys, *command, flag, value)
+        assert spaced == run_cli(capsys, *command, f"{flag}={value}")
+        assert spaced[0] == 0
 
 
 class TestStability:

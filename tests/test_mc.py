@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import threading
@@ -22,6 +23,8 @@ from entprobe.mc import (
 )
 
 from _helpers import (
+    box_muller,
+    heterodyne_by_radius,
     heterodyne_by_whole_array,
     helstrom_by_whole_array,
     one_draw_uniforms,
@@ -59,7 +62,7 @@ class TestSubstreams:
         assert np.array_equal(long[:600], short)
 
     def test_box_muller_moments(self):
-        g1, g2 = mc._box_muller(trial_uniforms(17, 200_000, 2), np.empty((2, 200_000)))
+        g1, g2 = box_muller(trial_uniforms(17, 200_000, 2))
         for g in (g1, g2):
             assert abs(np.mean(g)) < 0.01
             assert abs(np.var(g) - 1.0) < 0.02
@@ -135,6 +138,17 @@ class TestSampleHeterodyne:
         a = sample_heterodyne(0.5, 1.0 + 1.0j, NoiseSpec(0.2), "entangled", 30_000, 77)
         b = sample_heterodyne(0.5, 1.0 + 1.0j, NoiseSpec(0.2), "entangled", 30_000, 77)
         assert a == b
+
+    def test_huge_signal_leaves_the_scatter_unchanged(self):
+        # the deviation is read off the radius, never as (alpha + scatter) - alpha, whose
+        # rounding at |alpha| ~ 1e16 and beyond swamped the scatter
+        for scheme in ("entangled", "unentangled"):
+            reports = [
+                sample_heterodyne(0.5, alpha, NoiseSpec(0.0), scheme, 20_000, 1)
+                for alpha in (0.0, 1e16 * (1 - 1j), 3e17 * (1 - 1j))
+            ]
+            assert len({report.empirical for report in reports}) == 1
+            assert abs(reports[0].z_score) <= 4.0
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
@@ -223,7 +237,7 @@ class TestTrialReport:
 
     def test_rng_metadata_recorded(self):
         report = sample_heterodyne(0.0, 0.0, NoiseSpec(0.0), "unentangled", 10, 0)
-        assert report.rng == "philox4x64/box-muller"
+        assert report.rng == "philox4x64/box-muller-radius"
 
 
 class TestStabilityScan:
@@ -320,7 +334,18 @@ class TestBlockStream:
         for trials in block_edge_counts(block):
             for scheme in ("entangled", "unentangled"):
                 args = (0.6, 0.3 - 0.8j, NoiseSpec(0.25), scheme, trials, 9 + trials)
-                assert sample_heterodyne(*args) == heterodyne_by_whole_array(*args)
+                assert sample_heterodyne(*args) == heterodyne_by_radius(*args)
+
+    @pytest.mark.parametrize("scheme", ("entangled", "unentangled"))
+    def test_heterodyne_reports_keep_the_box_muller_route(self, scheme):
+        # the Box-Muller pair's angle changes only the rounding of |z - alpha|^2
+        grid = ((-0.6, 0.0, 0.5, 0.9), (0.0, 0.25, 3.0), (0.0, 0.3 - 0.8j, 10.0, -6.0 + 8.0j))
+        for x, nbar, alpha in itertools.product(*grid):
+            for trials in block_edge_counts(mc._CHUNK_TRIALS):
+                args = (x, alpha, NoiseSpec(nbar), scheme, trials, 5 + trials)
+                report, oracle = sample_heterodyne(*args), heterodyne_by_whole_array(*args)
+                assert report.analytic == oracle.analytic
+                assert report.empirical == pytest.approx(oracle.empirical, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("block", BLOCK_SIZES)
     def test_helstrom_reports_match_whole_array(self, monkeypatch, block):
@@ -348,7 +373,7 @@ class TestBlockStream:
         for trials in block_edge_counts(block):
             for scheme in ("entangled", "unentangled"):
                 args = (0.6, 0.3 - 0.8j, NoiseSpec(0.25), scheme, trials, 9 + trials)
-                assert sample_heterodyne(*args) == heterodyne_by_whole_array(*args)
+                assert sample_heterodyne(*args) == heterodyne_by_radius(*args)
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @pytest.mark.parametrize("block", BLOCK_SIZES)
@@ -372,7 +397,7 @@ class TestBlockStream:
             report = sample_heterodyne(*args)
         finally:
             sys.setswitchinterval(interval)
-        assert report == heterodyne_by_whole_array(*args)
+        assert report == heterodyne_by_radius(*args)
 
     @pytest.mark.parametrize("per_trial", (1, 2, 3))
     def test_stream_from_any_trial_matches_one_draw(self, monkeypatch, per_trial):
