@@ -344,11 +344,15 @@ def _run_stability(ns):
 class _Parser(argparse.ArgumentParser):
     """An argparse parser that reads every one-dash token it has no option for as a value, so
     '--priors -0.0,1' and '--x-grid -0.5:0.5:3' parse as their '=' forms do.  Plain argparse
-    takes only a bare negative number for a value; ``-h`` stays the help flag."""
+    takes only a bare negative number for a value; ``-h`` stays the help flag.  A usage error
+    prints one stderr line, without the usage block, and exits 2."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-[^-]")
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)  # argparse itself exits 2 on unknown flags
+    ns = build_parser().parse_args(argv)  # exits 2 on a usage error
     try:
         rows = ns.run(ns)
         if ns.output is None:

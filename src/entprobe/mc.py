@@ -11,9 +11,12 @@ The samplers split the trials into one range of blocks of at most
 ``_CHUNK_TRIALS`` trials per CPU, run by the calling thread and helper
 threads; Philox is counter-based, so each range starts at its own words.
 Each range returns an integer, an error count or an exact sum, and integers
-add the same in any order.  The exact sum splits each squared deviation into
-a mantissa and an exponent, sums the mantissas per exponent and rounds once:
-the bits of ``math.fsum`` over all trials, whatever the block size or CPU count.
+add the same in any order.  The exact sum rounds each block's squared
+deviations onto two fixed power-of-two grids below the largest deviation the
+law allows; each grid's parts add in float64 without rounding, and the rare
+remainders are summed mantissa by mantissa per exponent.  The total rounds
+once: the bits of ``math.fsum`` over all trials, whatever the block size or
+CPU count.
 """
 
 from __future__ import annotations
@@ -35,8 +38,10 @@ RNG_DESCRIPTION = "philox4x64/box-muller-radius"
 MAX_TRIALS = 10**9
 
 # Trials per streamed block.  Every numpy call in a block hands the interpreter
-# lock to the other ranges' threads, so on 2 CPUs 2^13 ran the monte-carlo
-# benchmark 15-25 % faster than 2^12; a thread's block arrays take ~0.4 MB.
+# lock to the other ranges' threads.  On 2 CPUs 2^13 ran the monte-carlo
+# benchmark 26 % faster than 2^12 and as fast as 2^14, which took 1.7 MB more
+# peak RSS.  A thread's block arrays take ~0.33 MB (tracemalloc), and the
+# Helstrom sampler's thresholds 0.26 MB more, shared by every thread.
 _CHUNK_TRIALS = 1 << 13
 
 # frexp writes a finite double as m 2^e, m in (-1, 1) a multiple of 2^-53 and
@@ -71,11 +76,12 @@ def _check_seed(seed: int) -> None:
 
 
 def _uniform_chunks(seed: int, first: int, stop: int, per_trial: int, abandon=None):
-    """Yield the uniforms of trials ``first`` to ``stop - 1``, trial i on Philox stream slice i,
-    in blocks of at most ``_CHUNK_TRIALS`` trials, each written over the last, and stop early
-    once the ``abandon`` event is set.  Each raw 64-bit word maps to ((word >> 11) + 1) 2^-53 in
-    (0, 1], which feeds logarithms safely.  One ``advance`` step skips one 4-word Philox block;
-    ``random`` gives (word >> 11) 2^-53, and adding 2^-53 is exact."""
+    """Yield the uniforms of trials ``first`` to ``stop - 1`` less 2^-53, trial i on Philox
+    stream slice i, in blocks of at most ``_CHUNK_TRIALS`` trials, each written over the last,
+    and stop early once the ``abandon`` event is set.  Each raw 64-bit word w gives the uniform
+    ((w >> 11) + 1) 2^-53 in (0, 1], which feeds logarithms safely; ``random`` writes
+    (w >> 11) 2^-53, and each sampler adds the 2^-53, exactly, only where it reads a uniform.
+    One ``advance`` step skips one 4-word Philox block."""
     _check_seed(seed)
     bitgen = np.random.Philox(key=np.uint64(seed))
     bitgen.advance(first * per_trial // 4)
@@ -85,9 +91,7 @@ def _uniform_chunks(seed: int, first: int, stop: int, per_trial: int, abandon=No
     for start in range(first, stop, _CHUNK_TRIALS):
         if abandon is not None and abandon.is_set():
             return
-        u = draw(out=block[: stop - start])
-        u += 2.0**-53
-        yield u
+        yield draw(out=block[: stop - start])
 
 
 def _cpu_count() -> int:  # the CPUs this process may run on
@@ -156,6 +160,33 @@ def _fixed_point_sum(values: np.ndarray) -> int:
     return total << (lowest - 53 + _UNIT_BITS)
 
 
+def _grid_split_sum(values: np.ndarray, top: int) -> int:
+    """Exact sum of finite doubles below 2^top in magnitude, as a count of 2^-1126; overwrites
+    ``values``.
+
+    With n values and b = 53 - bit_length(n - 1) (at most 51), each value rounds onto the
+    2^(top - b) grid and its remainder onto the 2^(top - 2b) grid, each by adding and
+    subtracting 1.5 2^52 times the grid.  Every part is an integer multiple of its grid, at most
+    2^b of it, so ``np.sum`` adds n parts without rounding.  The leftovers are nonzero only for
+    values below 2^(top - 2b + 52), and only those go through ``_fixed_point_sum``.  So does the
+    whole array unless top - b + 53 <= 1023 and top - 2b >= -1022, which keeps every grid and
+    every sum of a value and a splitter a normal double.
+    """
+    bits = min(51, 53 - (values.size - 1).bit_length())
+    if top - bits + 53 > 1023 or top - 2 * bits < -1022:
+        return _fixed_point_sum(values)
+    total = 0
+    for grid in (top - bits, top - 2 * bits):
+        splitter = 1.5 * 2.0 ** (grid + 52)
+        part = values + splitter
+        part -= splitter
+        values -= part
+        total += int(np.sum(part) / 2.0**grid) << (grid + _UNIT_BITS)
+    if values.any():
+        total += _fixed_point_sum(values)
+    return total
+
+
 def _check_trials(trials: int) -> None:
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
@@ -182,6 +213,20 @@ def _output_vector(problem: DiscriminationProblem, probe, which: int) -> np.ndar
     return u @ _local_input(probe, problem.dim)
 
 
+def _acceptance_probabilities(problem: DiscriminationProblem, probe) -> tuple[float, float]:
+    """(q1, q2): the probability that the Helstrom measurement announces hypothesis 1 when
+    hypothesis 1, or 2, is true."""
+    psi1 = _output_vector(problem, probe, 1)
+    psi2 = _output_vector(problem, probe, 2)
+    rho1 = np.outer(psi1, psi1.conj())
+    rho2 = np.outer(psi2, psi2.conj())
+    gap = problem.p1 * rho1 - problem.p2 * rho2
+    evals, evecs = np.linalg.eigh((gap + gap.conj().T) / 2.0)
+    accept = evecs[:, evals >= 0.0]
+    project = accept @ accept.conj().T
+    return tuple(float(np.real(np.vdot(psi, project @ psi))) for psi in (psi1, psi2))
+
+
 def sample_helstrom(
     problem: DiscriminationProblem, probe, trials: int, seed: int
 ) -> TrialReport:
@@ -191,25 +236,32 @@ def sample_helstrom(
     unitary to the probe and measures the projector onto the nonnegative
     eigenspace of p1 rho1 - p2 rho2; the empirical error rate is z-scored
     against the minimum-error formula with its binomial standard error.
+    A trial's first uniform u0 picks hypothesis 1 when u0 <= p1, and its second,
+    u1, announces 1 when u1 <= q1 (q2 under hypothesis 2), the chance of
+    announcing 1.  Each block compares its uniforms, flat, once against
+    (p1, q1) and once against (p1, q2) per trial and counts the error patterns.
     """
     _check_trials(trials)
-    psi1 = _output_vector(problem, probe, 1)
-    psi2 = _output_vector(problem, probe, 2)
-    rho1 = np.outer(psi1, psi1.conj())
-    rho2 = np.outer(psi2, psi2.conj())
-    gap = problem.p1 * rho1 - problem.p2 * rho2
-    evals, evecs = np.linalg.eigh((gap + gap.conj().T) / 2.0)
-    accept = evecs[:, evals >= 0.0]
-    project = accept @ accept.conj().T
-    # probability of announcing hypothesis 1 under each true hypothesis
-    q1 = float(np.real(np.vdot(psi1, project @ psi1)))
-    q2 = float(np.real(np.vdot(psi2, project @ psi2)))
+    q1, q2 = _acceptance_probabilities(problem, probe)
+
+    # a trial's (u0 <= p1, u1 <= q) pair of bools, read as one little-endian 16-bit word, is
+    # 1 when hypothesis 1 is announced as 2 (against q1) and 256 when hypothesis 2 is
+    # announced as 1 (against q2); every range reads the same thresholds.  The blocks hold
+    # u - 2^-53, and u - 2^-53 <= t - 2^-53 exactly when u <= t: the subtraction is exact for
+    # t >= 2^-53 and leaves a negative threshold, which no uniform meets, below it
+    thresholds = [
+        np.tile([problem.p1, q], min(_CHUNK_TRIALS, trials)) - 2.0**-53 for q in (q1, q2)
+    ]
 
     def error_count(first: int, stop: int, abandon) -> int:
-        return sum(
-            int(np.count_nonzero(np.where(u[:, 0] <= problem.p1, u[:, 1] > q1, u[:, 1] <= q2)))
-            for u in _uniform_chunks(seed, first, stop, 2, abandon)
-        )
+        below = np.empty(2 * min(_CHUNK_TRIALS, stop - first), dtype=bool)
+        errors = 0
+        for u in _uniform_chunks(seed, first, stop, 2, abandon):
+            flat = u.reshape(-1)
+            for threshold, error in zip(thresholds, (1, 256)):
+                pairs = np.less_equal(flat, threshold[: flat.size], out=below[: flat.size])
+                errors += int(np.count_nonzero(pairs.view("<u2") == error))
+        return errors
 
     empirical = _split_sum(trials, error_count) / trials
 
@@ -254,6 +306,9 @@ def sample_heterodyne(
     if law.mean != alpha:
         raise ValueError(f"the outcome law is centred on {law.mean}, not on the signal {alpha}")
 
+    # no deviation reaches 53 ln 2 < 37 times the variance (see _check_deviation_sum)
+    top = math.frexp(37.0 * law.variance)[1]
+
     def deviation_sum(first: int, stop: int, abandon) -> int:
         # |z - alpha|^2 in units of 2^-1126: z - alpha is a Box-Muller pair scaled by
         # sqrt(variance / 2), so it is variance / 2 times the squared radius -2 ln u0 and the
@@ -261,9 +316,11 @@ def sample_heterodyne(
         scratch = np.empty(min(_CHUNK_TRIALS, stop - first))
         total = 0
         for u in _uniform_chunks(seed, first, stop, 2, abandon):
-            deviation = np.log(u[:, 0], out=scratch[: len(u)])
+            # u0, written contiguously so that numpy's vector log needs no strided gather
+            deviation = np.add(u[:, 0], 2.0**-53, out=scratch[: len(u)])
+            np.log(deviation, out=deviation)
             deviation *= -law.variance
-            total += _fixed_point_sum(deviation)
+            total += _grid_split_sum(deviation, top)
         return total
 
     empirical = _split_sum(trials, deviation_sum) / (1 << _UNIT_BITS) / trials

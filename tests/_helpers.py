@@ -97,7 +97,7 @@ def majorization_compare(p, q) -> str:
 def trial_uniforms(seed: int, trials: int, per_trial: int) -> np.ndarray:
     """The sampler's uniforms in (0, 1], shaped (trials, per_trial), trial i on stream slice i,
     gathered from the blocks of ``mc._uniform_chunks``."""
-    blocks = [u.copy() for u in _uniform_chunks(seed, 0, trials, per_trial)]
+    blocks = [u + 2.0**-53 for u in _uniform_chunks(seed, 0, trials, per_trial)]
     return np.concatenate([np.empty((0, per_trial)), *blocks])
 
 

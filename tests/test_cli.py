@@ -713,6 +713,28 @@ class TestCliContract:
         assert (code, out, err) == (1, "", "entprobe: internal failure: injected\n")
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("discriminate", "--u1", "pauli:z", "--u2", "pauli:x", "--priors"),
+                "entprobe discriminate: error: argument --priors: expected one argument",
+            ),
+            (
+                ("cv-estimate", "-x", "0.5"),
+                "entprobe cv-estimate: error: the following arguments are required: --x",
+            ),
+            (("wh-group",), "entprobe wh-group: error: the following arguments are required: --d"),
+        ],
+        ids=["missing-value", "one-dash-flag", "missing-flag"],
+    )
+    def test_usage_error_prints_one_line(self, capsys, argv, message):
+        # plain argparse prints its usage block before the error line
+        with pytest.raises(SystemExit) as exited:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert (exited.value.code, captured.out, captured.err) == (2, "", message + "\n")
+
     def test_readme_commands_run(self, capsys):
         commands = readme_commands()
         assert [argv[0] for argv in commands] == [param.id for param in CONTRACT]

@@ -309,6 +309,30 @@ def block_edge_counts(block: int) -> list[int]:
     return sorted({k * block + e for k in (1, 2) for e in (-1, 0, 1)} - {0})
 
 
+# the sampler's own case, extreme priors, orthogonal outputs and a plain local input
+HELSTROM_CASES = {
+    "quarter-turn-local": (
+        DiscriminationProblem(QUARTER_TURN, I2, 0.7, 0.3),
+        optimal_pair_input(QUARTER_TURN),
+    ),
+    "quarter-turn-entangled": (
+        DiscriminationProblem(QUARTER_TURN, I2, 0.7, 0.3),
+        ProbeState.maximally_entangled(2),
+    ),
+    "tiny-prior": (
+        DiscriminationProblem(QUARTER_TURN, I2, 1e-12, 1 - 1e-12),
+        optimal_pair_input(QUARTER_TURN),
+    ),
+    "huge-prior": (
+        DiscriminationProblem(QUARTER_TURN, I2, 1 - 1e-12, 1e-12),
+        ProbeState.maximally_entangled(2),
+    ),
+    "bell": (DiscriminationProblem(I2, SZ), ProbeState.maximally_entangled(2)),
+    "sharp": (DiscriminationProblem(I2, SX), np.array([1.0, 0.0])),
+    "local": (DiscriminationProblem(QUARTER_TURN, I2, 0.3, 0.7), np.array([0.6, 0.8j])),
+}
+
+
 class TestBlockStream:
     """Reports do not depend on the block size: the whole-array samplers agree bit for bit."""
 
@@ -380,11 +404,38 @@ class TestBlockStream:
     def test_helstrom_reports_do_not_depend_on_workers(self, monkeypatch, block, workers):
         monkeypatch.setattr(mc, "_CHUNK_TRIALS", block)
         monkeypatch.setattr(mc, "_cpu_count", lambda: workers)
-        problem = DiscriminationProblem(QUARTER_TURN, I2, 0.7, 0.3)
         for trials in block_edge_counts(block):
-            for probe in (optimal_pair_input(QUARTER_TURN), ProbeState.maximally_entangled(2)):
+            for problem, probe in HELSTROM_CASES.values():
                 args = (problem, probe, trials, 2**63 + trials)
                 assert sample_helstrom(*args) == helstrom_by_whole_array(*args)
+
+    @pytest.mark.parametrize("case", list(HELSTROM_CASES))
+    def test_helstrom_uniforms_on_and_beside_the_thresholds(self, monkeypatch, case):
+        # a stream hits a threshold exactly once in ~2^53 draws, so craft the blocks: every u0
+        # and u1 on the 2^-53 grid point nearest p1, q1 or q2, or one step either side
+        problem, probe = HELSTROM_CASES[case]
+        q1, q2 = mc._acceptance_probabilities(problem, probe)
+        near = {
+            t: [u for u in (np.round(t * 2.0**53) + np.arange(-1, 2)) * 2.0**-53 if 0 < u <= 1]
+            for t in (problem.p1, q1, q2)
+        }
+        uniforms = np.array(list(itertools.product(near[problem.p1], near[q1] + near[q2])))
+
+        def crafted(seed, first, stop, per_trial, abandon):
+            yield uniforms[first:stop] - 2.0**-53  # exact: every uniform is a multiple of 2^-53
+
+        monkeypatch.setattr(mc, "_uniform_chunks", crafted)
+        monkeypatch.setattr(mc, "_cpu_count", lambda: 1)
+        u0, u1 = uniforms.T
+        errors = np.where(u0 <= problem.p1, u1 > q1, u1 <= q2)
+        report = sample_helstrom(problem, probe, len(uniforms), 0)
+        assert report.empirical == np.count_nonzero(errors) / len(uniforms)
+
+    def test_helstrom_thresholds_reach_the_ends(self):
+        # the Bell outputs of I and Z on the maximally entangled probe are orthogonal, but the
+        # projector's rounding leaves q1 = 1 - 3 2^-53; the sharp pair's basis outputs do not
+        assert mc._acceptance_probabilities(*HELSTROM_CASES["bell"]) == (1.0 - 3 * 2.0**-53, 0.0)
+        assert mc._acceptance_probabilities(*HELSTROM_CASES["sharp"]) == (1.0, 0.0)
 
     def test_many_workers_with_frequent_thread_switches(self, monkeypatch):
         # more ranges than CPUs, and the interpreter switching threads every 10 us
@@ -405,7 +456,7 @@ class TestBlockStream:
         monkeypatch.setattr(mc, "_CHUNK_TRIALS", 4)
         expected = one_draw_uniforms(2**64 - 1, 23, per_trial)
         for first in range(10):
-            blocks = [u.copy() for u in mc._uniform_chunks(2**64 - 1, first, 23, per_trial)]
+            blocks = [u + 2.0**-53 for u in mc._uniform_chunks(2**64 - 1, first, 23, per_trial)]
             assert all(len(u) == 4 for u in blocks[:-1])
             assert np.array_equal(np.concatenate(blocks), expected[first:])
 
@@ -435,19 +486,19 @@ class TestBlockStream:
         caller = threading.get_ident()
         failed = threading.Event()
         helper_blocks = []
-        block_sum = mc._fixed_point_sum
+        block_sum = mc._grid_split_sum
 
-        def fail_in_the_first_range(values):
+        def fail_in_the_first_range(values, top):
             if threading.get_ident() == caller:
                 failed.set()
                 raise ValueError("first range failed")
             failed.wait(timeout=30)
             helper_blocks.append(len(values))
-            return block_sum(values)
+            return block_sum(values, top)
 
         monkeypatch.setattr(mc, "_CHUNK_TRIALS", 16)
         monkeypatch.setattr(mc, "_cpu_count", lambda: 2)
-        monkeypatch.setattr(mc, "_fixed_point_sum", fail_in_the_first_range)
+        monkeypatch.setattr(mc, "_grid_split_sum", fail_in_the_first_range)
         before = threading.active_count()
         with pytest.raises(ValueError, match="first range failed"):
             sample_heterodyne(0.5, 0.0, NoiseSpec(0.1), "entangled", 16 * 200, 1)
@@ -510,3 +561,90 @@ class TestExactSum:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             exact_sum([np.array([1.0, 2.0]), np.array([3.0, bad])])
+
+
+def grid_split_sum(values, top: int) -> float:
+    """The heterodyne block sum of ``values``, each below 2^top in magnitude, rounded once."""
+    return mc._grid_split_sum(np.array(values, dtype=float), top) / (1 << mc._UNIT_BITS)
+
+
+def radius_deviations(variance: float, size: int, seed: int) -> tuple[np.ndarray, int]:
+    """A block of the heterodyne sampler's squared deviations and its top exponent."""
+    u = one_draw_uniforms(seed, size, 1)[:, 0]
+    return -variance * np.log(u), math.frexp(37.0 * variance)[1]
+
+
+@pytest.fixture
+def whole_block_sums(monkeypatch):
+    """The sizes of the arrays that reach ``mc._fixed_point_sum``, one per call."""
+    sizes = []
+    block_sum = mc._fixed_point_sum
+
+    def record(values):
+        sizes.append(values.size)
+        return block_sum(values)
+
+    monkeypatch.setattr(mc, "_fixed_point_sum", record)
+    return sizes
+
+
+class TestGridSplitSum:
+    """The heterodyne block kernel sums on two grids, exactly: the bits of math.fsum."""
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    def test_values_just_below_the_top(self, size, whole_block_sums):
+        # each upper part is then close to 2^b times its grid, so the grid sums reach 2^53
+        # units; the random low bits make any rounding on the way show
+        gaps = np.random.default_rng(size).integers(1, 2**40, size) * 2.0**-53
+        for top in (-60, 0, 5, 900):
+            for values in (np.full(size, math.nextafter(2.0**top, 0.0)), 2.0**top * (1.0 - gaps)):
+                expected = mc._fixed_point_sum(values.copy())
+                whole_block_sums.clear()
+                assert mc._grid_split_sum(values.copy(), top) == expected
+                assert whole_block_sums == []  # no leftovers
+                assert _bits(expected / (1 << mc._UNIT_BITS)) == _bits(math.fsum(values.tolist()))
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @pytest.mark.parametrize("x, nbar", [(0.5, 0.25), (1 - 1e-15, 0.0), (-0.9, 3.0)])
+    def test_sampler_blocks(self, size, x, nbar):
+        variance = gauss.epr_heterodyne(gauss.tmsv_state(x), 0.0, NoiseSpec(nbar)).variance
+        values, top = radius_deviations(variance, size, 2**64 - size)
+        expected = mc._fixed_point_sum(values.copy())
+        assert mc._grid_split_sum(values.copy(), top) == expected
+        assert _bits(grid_split_sum(values, top)) == _bits(math.fsum(values.tolist()))
+
+    def test_huge_variance_falls_back_to_the_whole_block(self, whole_block_sums):
+        variance = gauss.epr_heterodyne(gauss.tmsv_state(0.5), 0.0, NoiseSpec(1e303)).variance
+        values, top = radius_deviations(variance, 2000, 3)
+        assert top - 42 + 53 > 1023  # 2000 values leave 42 bits per grid
+        assert _bits(grid_split_sum(values, top)) == _bits(math.fsum(values.tolist()))
+        assert whole_block_sums == [2000]
+
+    def test_subnormal_lower_grid_falls_back_to_the_whole_block(self, whole_block_sums):
+        # 2^13 values leave 40 bits per grid, so the lower grid is 2^-1040; these values sit
+        # on the upper one and would leave no remainder for a leftover sum
+        values = np.resize([1.5, 1.0, 1.25, 0.0], 1 << 13) * 2.0**-961
+        assert _bits(grid_split_sum(values, -960)) == _bits(math.fsum(values.tolist()))
+        assert whole_block_sums == [1 << 13]
+
+    def test_leftovers_near_zero(self, whole_block_sums):
+        # u this close to 1, and the subnormal, put a last bit below the lower grid
+        u = 1.0 - np.array([1.0, 2.0, 3.0, 2.0**20, 2.0**30]) * 2.0**-53
+        values = np.concatenate([-0.7 * np.log(u), [0.0, -0.0, 5e-324, 0.6, 25.0]])
+        values = np.resize(values, 1 << 13)
+        top = math.frexp(37.0 * 0.7)[1]
+        assert _bits(grid_split_sum(values, top)) == _bits(math.fsum(values.tolist()))
+        assert whole_block_sums == [1 << 13]
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True),
+            min_size=1,
+            max_size=40,
+        ),
+        st.integers(-1000, 960),
+    )
+    def test_matches_fsum(self, fractions, top):
+        values = [math.ldexp(f, top) for f in fractions]
+        assert _bits(grid_split_sum(values, top)) == _bits(math.fsum(values))
