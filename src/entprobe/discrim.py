@@ -287,6 +287,33 @@ def helstrom_error(problem: DiscriminationProblem, probe) -> float:
     return 0.5 * (1.0 - np.sqrt(radicand))
 
 
+def helstrom_acceptance(p1: float, p2: float, c: float) -> tuple[float, float]:
+    """(q1, q2): the chances that the Helstrom measurement announces hypothesis 1 when
+    hypothesis 1, or 2, is true, for pure outputs with overlap modulus ``c`` and priors p1, p2.
+
+    The measurement projects onto the nonnegative eigenspace of p1 rho1 - p2 rho2.  Let
+    w = 1 - c^2 and S = sqrt((p1 - p2)^2 + 4 p1 p2 w).  When the hypothesis of prior a is
+    true and b is the other prior, the chance of announcing the other one is (1 - N / S) / 2
+    with N = a - b + 2 b w.  Since S^2 - N^2 = 4 b^2 w c^2, it is also
+    2 b^2 w c^2 / (S (S + N)), the form used when N >= 0; so neither form cancels, and
+    orthogonal outputs give exactly (1, 0).  When S = 0 (equal outputs at equal priors) the
+    whole space is accepted.
+    """
+    # a probe normalized within NORM_ATOL can put c just above 1
+    w = max(0.0, (1.0 - c) * (1.0 + c))
+    s = math.sqrt((p1 - p2) ** 2 + 4.0 * p1 * p2 * w)
+    if s == 0.0:
+        return 1.0, 1.0
+
+    def miss(a: float, b: float) -> float:
+        n = a - b + 2.0 * b * w
+        if n >= 0.0:
+            return 2.0 * b * b * w * c * c / (s * (s + n))
+        return min(1.0, 0.5 * (1.0 - n / s))
+
+    return 1.0 - miss(p1, p2), miss(p2, p1)
+
+
 # ---------------------------------------------------------------------------
 # eigenvalue-polygon geometry
 # ---------------------------------------------------------------------------

@@ -84,25 +84,6 @@ def assert_unitary(u) -> np.ndarray:
     return u
 
 
-def is_density(rho) -> bool:
-    """True for a Hermitian, positive-semidefinite, trace-one matrix."""
-    rho = _as_matrix(rho)
-    if rho.shape[0] != rho.shape[1]:
-        return False
-    if np.max(np.abs(rho - rho.conj().T)) > DENSITY_ATOL:
-        return False
-    if abs(np.trace(rho) - 1.0) > DENSITY_ATOL:
-        return False
-    return bool(np.linalg.eigvalsh(rho).min() >= -DENSITY_ATOL)
-
-
-def assert_density(rho) -> np.ndarray:
-    rho = _as_matrix(rho)
-    if not is_density(rho):
-        raise ValueError(f"matrix is not a density operator within {DENSITY_ATOL}")
-    return rho
-
-
 def vectorize(a) -> np.ndarray:
     """Flatten a square matrix row-major into the bipartite vector it carries."""
     a = _as_matrix(a)
@@ -198,9 +179,16 @@ class ProbeState:
 
 
 def von_neumann_entropy(rho) -> float:
-    """Entropy -sum(lam log2 lam) of a density matrix, in bits."""
-    rho = assert_density(rho)
-    evals = np.linalg.eigvalsh(rho)
+    """Entropy -sum(lam log2 lam) of a density matrix, in bits; refuses a matrix that is not
+    square, Hermitian, of trace one and positive semidefinite within ``DENSITY_ATOL``."""
+    rho = _as_matrix(rho)
+    if not (
+        rho.shape[0] == rho.shape[1]
+        and np.max(np.abs(rho - rho.conj().T)) <= DENSITY_ATOL
+        and abs(np.trace(rho) - 1.0) <= DENSITY_ATOL
+        and (evals := np.linalg.eigvalsh(rho)).min() >= -DENSITY_ATOL
+    ):
+        raise ValueError(f"matrix is not a density operator within {DENSITY_ATOL}")
     evals = evals[evals > ENTROPY_CUTOFF]
     return float(-(evals * (np.log(evals) / np.log(2.0))).sum())
 

@@ -5,7 +5,9 @@ Randomness comes from the Philox 4x64 counter-based generator keyed by the
 report depends only on (scenario, seed, trials), never on batching or
 thread scheduling.  A heterodyne trial's squared deviation |z - alpha|^2 is
 read off the Box-Muller radius of its first uniform, -variance ln u0, with
-no angle; the choice is recorded in every report.
+no angle; the choice is recorded in every report.  A Helstrom trial compares
+its uniforms with the priors and the measurement's acceptance probabilities,
+which ``discrim`` writes in closed form; this module holds no linear algebra.
 
 The samplers split the trials into one range of blocks of at most
 ``_CHUNK_TRIALS`` trials per CPU, run by the calling thread and helper
@@ -29,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gauss
-from .discrim import DiscriminationProblem, _local_input, helstrom_error
-from .linops import ProbeState, vectorize
+from .discrim import DiscriminationProblem, _input_overlap, helstrom_acceptance, helstrom_error
 
 RNG_DESCRIPTION = "philox4x64/box-muller-radius"
 
@@ -206,27 +207,6 @@ def _z_score(empirical: float, analytic: float, std_error: float) -> float:
     return (empirical - analytic) / std_error
 
 
-def _output_vector(problem: DiscriminationProblem, probe, which: int) -> np.ndarray:
-    u = problem.u1 if which == 1 else problem.u2
-    if isinstance(probe, ProbeState):
-        return vectorize(u @ probe.e_op)
-    return u @ _local_input(probe, problem.dim)
-
-
-def _acceptance_probabilities(problem: DiscriminationProblem, probe) -> tuple[float, float]:
-    """(q1, q2): the probability that the Helstrom measurement announces hypothesis 1 when
-    hypothesis 1, or 2, is true."""
-    psi1 = _output_vector(problem, probe, 1)
-    psi2 = _output_vector(problem, probe, 2)
-    rho1 = np.outer(psi1, psi1.conj())
-    rho2 = np.outer(psi2, psi2.conj())
-    gap = problem.p1 * rho1 - problem.p2 * rho2
-    evals, evecs = np.linalg.eigh((gap + gap.conj().T) / 2.0)
-    accept = evecs[:, evals >= 0.0]
-    project = accept @ accept.conj().T
-    return tuple(float(np.real(np.vdot(psi, project @ psi))) for psi in (psi1, psi2))
-
-
 def sample_helstrom(
     problem: DiscriminationProblem, probe, trials: int, seed: int
 ) -> TrialReport:
@@ -238,11 +218,13 @@ def sample_helstrom(
     against the minimum-error formula with its binomial standard error.
     A trial's first uniform u0 picks hypothesis 1 when u0 <= p1, and its second,
     u1, announces 1 when u1 <= q1 (q2 under hypothesis 2), the chance of
-    announcing 1.  Each block compares its uniforms, flat, once against
-    (p1, q1) and once against (p1, q2) per trial and counts the error patterns.
+    announcing 1, read in closed form off the priors and the outputs' overlap
+    by ``discrim.helstrom_acceptance``; no d^2 x d^2 state is built.  Each
+    block compares its uniforms, flat, once against (p1, q1) and once against
+    (p1, q2) per trial and counts the error patterns.
     """
     _check_trials(trials)
-    q1, q2 = _acceptance_probabilities(problem, probe)
+    q1, q2 = helstrom_acceptance(problem.p1, problem.p2, abs(_input_overlap(problem, probe)))
 
     # a trial's (u0 <= p1, u1 <= q) pair of bools, read as one little-endian 16-bit word, is
     # 1 when hypothesis 1 is announced as 2 (against q1) and 256 when hypothesis 2 is

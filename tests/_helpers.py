@@ -12,8 +12,15 @@ import numpy as np
 
 from entprobe import gauss
 from entprobe.discrim import PHASE_DEDUPE_TOL, helstrom_error, output_vectors
-from entprobe.linops import PPT_ATOL, PROB_SUM_ATOL, matrix_rank, von_neumann_entropy
-from entprobe.mc import TrialReport, _output_vector, _uniform_chunks
+from entprobe.linops import (
+    DENSITY_ATOL,
+    PPT_ATOL,
+    PROB_SUM_ATOL,
+    ProbeState,
+    matrix_rank,
+    von_neumann_entropy,
+)
+from entprobe.mc import TrialReport, _uniform_chunks
 
 TWO_PI = 2.0 * np.pi
 
@@ -39,6 +46,19 @@ def assert_phases_match(expected, actual, tol: float = 1e-8):
 CLOSURE_PHASE_TOL = 1e-6
 # Largest negative entry and prefix-sum slack in majorization_compare.
 MAJORIZATION_ATOL = 1e-10
+
+
+def is_density(rho) -> bool:
+    """True for a square, Hermitian, positive-semidefinite, trace-one matrix, each within
+    ``DENSITY_ATOL``: the checks ``von_neumann_entropy`` makes, one at a time."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[0] != rho.shape[1]:
+        return False
+    if np.max(np.abs(rho - rho.conj().T)) > DENSITY_ATOL:
+        return False
+    if abs(np.trace(rho) - 1.0) > DENSITY_ATOL:
+        return False
+    return bool(np.linalg.eigvalsh(rho).min() >= -DENSITY_ATOL)
 
 
 def closure_defect(group) -> float:
@@ -227,18 +247,39 @@ def _z_score(empirical: float, analytic: float, std_error: float) -> float:
     return 0.0 if std_error == 0.0 else (empirical - analytic) / std_error
 
 
-def helstrom_by_whole_array(problem, probe, trials: int, seed: int) -> TrialReport:
-    """``mc.sample_helstrom`` with all trials held in memory at once."""
-    psi1 = _output_vector(problem, probe, 1)
-    psi2 = _output_vector(problem, probe, 2)
+def helstrom_thresholds_by_projector(problem, probe) -> tuple[float, float]:
+    """(q1, q2) of the Helstrom measurement, read off the projector onto the nonnegative
+    eigenspace of p1 rho1 - p2 rho2, a dense d^2 x d^2 matrix (d x d for a local input) built
+    from output vectors formed here."""
+    if isinstance(probe, ProbeState):
+        psi1, psi2 = ((u @ probe.e_op).reshape(-1) for u in (problem.u1, problem.u2))
+    else:
+        psi1, psi2 = (u @ np.asarray(probe, dtype=complex) for u in (problem.u1, problem.u2))
     rho1 = np.outer(psi1, psi1.conj())
     rho2 = np.outer(psi2, psi2.conj())
     gap = problem.p1 * rho1 - problem.p2 * rho2
     evals, evecs = np.linalg.eigh((gap + gap.conj().T) / 2.0)
     accept = evecs[:, evals >= 0.0]
     project = accept @ accept.conj().T
-    q1 = float(np.real(np.vdot(psi1, project @ psi1)))
-    q2 = float(np.real(np.vdot(psi2, project @ psi2)))
+    return tuple(float(np.real(np.vdot(psi, project @ psi))) for psi in (psi1, psi2))
+
+
+def helstrom_acceptance_at_60_digits(p1: float, p2: float, c: float):
+    """(q1, q2) = ((1 + (p1 - p2 + 2 p2 w) / S) / 2, (1 - (p2 - p1 + 2 p1 w) / S) / 2) at 60
+    digits from the float inputs, w = 1 - c^2 and S^2 = (p1 - p2)^2 + 4 p1 p2 w; None when S = 0."""
+    with mpmath.workdps(60):
+        p1, p2, c = map(mpmath.mpf, (p1, p2, c))
+        w = 1 - c * c
+        s = mpmath.sqrt((p1 - p2) ** 2 + 4 * p1 * p2 * w)
+        if s == 0:
+            return None
+        return (1 + (p1 - p2 + 2 * p2 * w) / s) / 2, (1 - (p2 - p1 + 2 * p1 * w) / s) / 2
+
+
+def helstrom_by_whole_array(problem, probe, trials: int, seed: int) -> TrialReport:
+    """``mc.sample_helstrom`` with all trials held in memory at once, its thresholds read off
+    the dense projector."""
+    q1, q2 = helstrom_thresholds_by_projector(problem, probe)
 
     u = one_draw_uniforms(seed, trials, 2)
     is_first = u[:, 0] <= problem.p1

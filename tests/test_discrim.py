@@ -1,15 +1,21 @@
 import inspect
+import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from entprobe.discrim import (
     DiscriminationProblem,
     UnitaryGroup,
+    _input_overlap,
     apply_local,
     average_likelihood,
     copies_for_perfect,
     covariant_povm,
+    helstrom_acceptance,
     helstrom_error,
     holevo_chi,
     min_overlap_r,
@@ -23,6 +29,8 @@ from entprobe.discrim import (
     weyl_heisenberg_group,
 )
 from entprobe.linops import (
+    NORM_ATOL,
+    PRIOR_SUM_ATOL,
     RANK_RTOL,
     ProbeState,
     vectorize,
@@ -33,6 +41,8 @@ from entprobe.rand import generator, haar_unitary, random_povm_seed, random_prob
 from _helpers import (
     assert_phases_match,
     closure_defect,
+    helstrom_acceptance_at_60_digits,
+    helstrom_thresholds_by_projector,
     holevo_by_ensemble,
     majorization_compare,
     matched_likelihood_closed_form,
@@ -520,6 +530,60 @@ class TestHelstrom:
         problem = DiscriminationProblem(SZ, SX)
         assert np.array_equal(problem.relative_unitary, SX.conj().T @ SZ)
         assert not problem.relative_unitary.flags.writeable
+
+
+# priors p1 with p2 = total - p1 for each total PRIOR_SUM_ATOL admits, and overlap moduli
+ACCEPTANCE_P1 = (0.0, 1e-300, 1e-12, 1e-6, 0.3, 0.5, 0.7, 1 - 1e-6, 1 - 1e-12, 1.0)
+ACCEPTANCE_TOTALS = (1.0, 1.0 + 5e-11, 1.0 - 5e-11)
+ACCEPTANCE_C = (
+    (0.0, 1e-300, 1e-9, 1e-3, 0.25, 0.5, math.sqrt(0.5), 0.9)
+    + (1 - 1e-8, 1 - 1e-12, 1 - 2.0**-53, 1.0)
+)
+
+
+def acceptance_priors():
+    for p1 in ACCEPTANCE_P1:
+        for total in ACCEPTANCE_TOTALS:
+            if total - p1 >= 0.0:
+                yield p1, total - p1
+
+
+class TestHelstromAcceptance:
+    def test_matches_60_digits(self):
+        for (p1, p2), c in itertools.product(acceptance_priors(), ACCEPTANCE_C):
+            exact = helstrom_acceptance_at_60_digits(p1, p2, c)
+            if exact is not None:
+                for q, reference in zip(helstrom_acceptance(p1, p2, c), exact):
+                    assert abs(q - reference) <= 2.0**-51, (p1, p2, c)
+
+    @given(
+        st.floats(0.0, 1.0),
+        st.floats(-PRIOR_SUM_ATOL, PRIOR_SUM_ATOL),
+    )
+    def test_orthogonal_outputs_are_told_apart_exactly(self, p1, excess):
+        p2 = 1.0 + excess - p1
+        if p2 >= 0.0:
+            assert helstrom_acceptance(p1, p2, 0.0) == (1.0, 0.0)
+
+    def test_equal_outputs_follow_the_likelier_hypothesis(self):
+        # the tie p1 = p2 = 0.5 accepts the whole space, as the projector onto the
+        # nonnegative eigenspace of the zero matrix does; a probe normalized within NORM_ATOL
+        # can make the overlap modulus exceed 1
+        for (p1, p2), c in itertools.product(acceptance_priors(), (1.0, 1.0 + NORM_ATOL)):
+            expected = (1.0, 1.0) if p1 >= p2 else (0.0, 0.0)
+            assert helstrom_acceptance(p1, p2, c) == expected, (p1, p2, c)
+
+    @pytest.mark.parametrize("d", (2, 3, 5))
+    def test_matches_the_dense_projector(self, d):
+        # the closed form is the measurement the projector route builds, on Haar pairs with
+        # local and entangled probes at moderate priors
+        rng = generator(70 + d)
+        for p1 in (0.2, 0.5, 0.9):
+            problem = DiscriminationProblem(haar_unitary(d, rng), haar_unitary(d, rng), p1, 1 - p1)
+            for probe in (random_pure_state(d, rng), random_probe(d, rng)):
+                c = abs(_input_overlap(problem, probe))
+                expected = helstrom_thresholds_by_projector(problem, probe)
+                assert helstrom_acceptance(p1, 1 - p1, c) == pytest.approx(expected, abs=1e-12)
 
 
 class TestMinOverlap:

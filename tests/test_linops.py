@@ -12,7 +12,13 @@ from entprobe.linops import (
 )
 from entprobe.rand import generator, haar_unitary, random_probe
 
-from _helpers import assert_phases_match, devectorize, overlap, schmidt_coefficients
+from _helpers import (
+    assert_phases_match,
+    devectorize,
+    is_density,
+    overlap,
+    schmidt_coefficients,
+)
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -263,9 +269,15 @@ class TestValidators:
         assert not linops.is_unitary(np.ones((2, 3)))
 
     def test_density_flags(self):
-        assert linops.is_density(np.diag([0.5, 0.5]))
-        assert not linops.is_density(np.diag([0.6, 0.6]))
-        assert not linops.is_density(np.diag([1.5, -0.5]))
+        # von_neumann_entropy reads its one spectrum only for matrices the checks pass, and
+        # refuses exactly those the one-check-at-a-time oracle refuses
+        assert is_density(np.diag([0.5, 0.5]))
+        assert von_neumann_entropy(np.diag([0.5, 0.5])) == 1.0
+        refused = (np.diag([0.6, 0.6]), np.diag([1.5, -0.5]), np.array([[0.5, 0.1], [0.0, 0.5]]))
+        for rho in refused:
+            assert not is_density(rho)
+            with pytest.raises(ValueError, match="not a density operator"):
+                von_neumann_entropy(rho)
 
     def test_non_matrix_inputs_rejected(self):
         with pytest.raises(ValueError, match="2-d"):

@@ -11,9 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entprobe import gauss, mc
-from entprobe.discrim import DiscriminationProblem, optimal_pair_input
+from entprobe.discrim import (
+    DiscriminationProblem,
+    _input_overlap,
+    helstrom_acceptance,
+    helstrom_error,
+    optimal_pair_input,
+)
 from entprobe.gauss import NoiseSpec, tmsv_epr_variance
 from entprobe.linops import ProbeState
+from entprobe.rand import generator, haar_unitary, random_probe
 from entprobe.mc import (
     MAX_TRIALS,
     TrialReport,
@@ -309,7 +316,9 @@ def block_edge_counts(block: int) -> list[int]:
     return sorted({k * block + e for k in (1, 2) for e in (-1, 0, 1)} - {0})
 
 
-# the sampler's own case, extreme priors, orthogonal outputs and a plain local input
+# the sampler's own case, extreme priors, orthogonal outputs, a plain local input and a
+# d = 8 Haar pair on an entangled probe
+_HAAR = generator(8)
 HELSTROM_CASES = {
     "quarter-turn-local": (
         DiscriminationProblem(QUARTER_TURN, I2, 0.7, 0.3),
@@ -330,6 +339,10 @@ HELSTROM_CASES = {
     "bell": (DiscriminationProblem(I2, SZ), ProbeState.maximally_entangled(2)),
     "sharp": (DiscriminationProblem(I2, SX), np.array([1.0, 0.0])),
     "local": (DiscriminationProblem(QUARTER_TURN, I2, 0.3, 0.7), np.array([0.6, 0.8j])),
+    "haar-8": (
+        DiscriminationProblem(haar_unitary(8, _HAAR), haar_unitary(8, _HAAR), 0.4, 0.6),
+        random_probe(8, _HAAR),
+    ),
 }
 
 
@@ -414,7 +427,7 @@ class TestBlockStream:
         # a stream hits a threshold exactly once in ~2^53 draws, so craft the blocks: every u0
         # and u1 on the 2^-53 grid point nearest p1, q1 or q2, or one step either side
         problem, probe = HELSTROM_CASES[case]
-        q1, q2 = mc._acceptance_probabilities(problem, probe)
+        q1, q2 = helstrom_acceptance(problem.p1, problem.p2, abs(_input_overlap(problem, probe)))
         near = {
             t: [u for u in (np.round(t * 2.0**53) + np.arange(-1, 2)) * 2.0**-53 if 0 < u <= 1]
             for t in (problem.p1, q1, q2)
@@ -430,12 +443,15 @@ class TestBlockStream:
         errors = np.where(u0 <= problem.p1, u1 > q1, u1 <= q2)
         report = sample_helstrom(problem, probe, len(uniforms), 0)
         assert report.empirical == np.count_nonzero(errors) / len(uniforms)
+        if helstrom_error(problem, probe) == 0.0:
+            assert report.empirical == 0.0
 
     def test_helstrom_thresholds_reach_the_ends(self):
-        # the Bell outputs of I and Z on the maximally entangled probe are orthogonal, but the
-        # projector's rounding leaves q1 = 1 - 3 2^-53; the sharp pair's basis outputs do not
-        assert mc._acceptance_probabilities(*HELSTROM_CASES["bell"]) == (1.0 - 3 * 2.0**-53, 0.0)
-        assert mc._acceptance_probabilities(*HELSTROM_CASES["sharp"]) == (1.0, 0.0)
+        # the Bell outputs of I and Z on the maximally entangled probe, and the sharp pair's
+        # basis outputs, are orthogonal: every trial is told apart
+        for problem, probe in (HELSTROM_CASES["bell"], HELSTROM_CASES["sharp"]):
+            c = abs(_input_overlap(problem, probe))
+            assert helstrom_acceptance(problem.p1, problem.p2, c) == (1.0, 0.0)
 
     def test_many_workers_with_frequent_thread_switches(self, monkeypatch):
         # more ranges than CPUs, and the interpreter switching threads every 10 us
