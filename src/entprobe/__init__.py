@@ -29,7 +29,6 @@ from .discrim import (
     weyl_heisenberg_group,
 )
 from .gauss import (
-    GaussianState,
     HeterodyneLaw,
     NoiseSpec,
     advantage_threshold,

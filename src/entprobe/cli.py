@@ -53,9 +53,6 @@ MAX_WH_GROUP_DIM = 24
 # on a 2-core x86-64 VM, growing like d^6 with the 1-design certificate and the seed check.
 MAX_COVARIANT_DIM = 24
 
-# e^(2|s|), and with it sinh(s)^2, stays finite exactly up to this squeezing.
-MAX_SQUEEZING = math.log(sys.float_info.max) / 2.0
-
 # Largest dimension of a parsed unitary: discriminate on wh:d,1,0 vs wh:d,0,1
 # takes 0.22-0.31 s and 56 MB resident at d = 384 (0.08-0.11 s at 256, 0.45 s
 # at 448, 0.71 s and 74 MB at 512, 4.8 s and 193 MB at 1024) in-process on one
@@ -320,10 +317,9 @@ def _run_threshold_scan(ns):
 
 def _run_stability(ns):
     phi_grid = _parse_grid(ns.phi_grid, "--phi-grid")
-    s = ns.s
-    _check(abs(s) <= MAX_SQUEEZING, f"--s must satisfy |s| <= {MAX_SQUEEZING}, got {s}")
+    _library_check("--s", gauss._check_squeezing, ns.s)
     _library_check("--x", gauss._check_gain, ns.x)
-    scan = mc.stability_scan(s, ns.x, phi_grid)
+    scan = mc.stability_scan(ns.s, ns.x, phi_grid)
     return [
         {
             "phi": float(phi),

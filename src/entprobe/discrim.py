@@ -280,11 +280,24 @@ def helstrom_error(problem: DiscriminationProblem, probe) -> float:
     """Minimum error probability for the two output states of the given input.
 
     ``probe`` is either a local pure state vector or a :class:`ProbeState`
-    carrying an ancilla; only the modulus of the induced overlap enters.
+    carrying an ancilla; only the modulus c of the induced overlap enters.  The
+    error (p1 + p2 - S) / 2 equals 2 p1 p2 c^2 / ((p1 + p2) + S), with S as in
+    ``helstrom_acceptance``, since (p1 + p2)^2 - S^2 = 4 p1 p2 c^2: no step
+    cancels, so it keeps its digits at small c.
     """
-    c = abs(_input_overlap(problem, probe))
-    radicand = max(0.0, 1.0 - 4.0 * problem.p1 * problem.p2 * c * c)
-    return 0.5 * (1.0 - np.sqrt(radicand))
+    # c just above 1 (see _helstrom_root) would lift the error past the smaller prior
+    c = min(1.0, abs(_input_overlap(problem, probe)))
+    p1, p2 = problem.p1, problem.p2
+    _, s = _helstrom_root(p1, p2, c)
+    return 2.0 * p1 * p2 * c * c / ((p1 + p2) + s)
+
+
+def _helstrom_root(p1: float, p2: float, c: float) -> tuple[float, float]:
+    """(w, S) with w = 1 - c^2, formed as (1 - c)(1 + c) and clamped at 0, and
+    S = sqrt((p1 - p2)^2 + 4 p1 p2 w), the eigenvalue gap of p1 rho1 - p2 rho2."""
+    # a probe normalized within NORM_ATOL can put c just above 1
+    w = max(0.0, (1.0 - c) * (1.0 + c))
+    return w, math.sqrt((p1 - p2) ** 2 + 4.0 * p1 * p2 * w)
 
 
 def helstrom_acceptance(p1: float, p2: float, c: float) -> tuple[float, float]:
@@ -299,9 +312,7 @@ def helstrom_acceptance(p1: float, p2: float, c: float) -> tuple[float, float]:
     orthogonal outputs give exactly (1, 0).  When S = 0 (equal outputs at equal priors) the
     whole space is accepted.
     """
-    # a probe normalized within NORM_ATOL can put c just above 1
-    w = max(0.0, (1.0 - c) * (1.0 + c))
-    s = math.sqrt((p1 - p2) ** 2 + 4.0 * p1 * p2 * w)
+    w, s = _helstrom_root(p1, p2, c)
     if s == 0.0:
         return 1.0, 1.0
 

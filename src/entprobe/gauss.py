@@ -1,65 +1,46 @@
 """Gaussian states of one or two bosonic modes.
 
-Quadratures x = (a† + a)/2 and p = (a - a†)/2i, vacuum variance 1/4.  A
-one-mode state is held as its mean and covariance in (x, p).  The one
-two-mode family is the two-mode squeezed probe with gain |x| < 1 and n0, n1
-photons of random-displacement noise on its modes, held as the three floats
-(x, n0, n1); every two-mode readout is a closed form in them, and its
-covariance in the pair frame (x1 - x2, p1 + p2, x1 + x2, p1 - p2) is derived
-on request.  A heterodyne outcome z has complex-plane variance
-E|z - mean|^2 = 1 on the vacuum.
+Quadratures x = (a† + a)/2 and p = (a - a†)/2i, vacuum variance 1/4.  The
+one-mode family is the vacuum squeezed by s along x with nbar photons of
+random-displacement noise, held as the two floats (s, nbar): Var(x) =
+e^(-2s)/4 + nbar/2 and Var(p) = e^(2s)/4 + nbar/2.  The two-mode family is
+the two-mode squeezed probe with gain |x| < 1 and n0, n1 photons of
+random-displacement noise on its modes, held as the three floats (x, n0, n1).
+Every readout is a closed form in them; neither family holds a mean, and a
+signal displacement enters as the alpha of the heterodyne laws.  A
+heterodyne outcome z has complex-plane variance E|z - mean|^2 = 1 on the
+vacuum.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .linops import COV_PD_RTOL, COV_SYMMETRY_ATOL, PPT_ATOL, UNCERTAINTY_RTOL, _freeze
+from .linops import PPT_ATOL
 
 VACUUM_VARIANCE = 0.25
 
-# (i/4) Omega with Omega = [[0, 1], [-1, 0]] on (x, p): physicality is cov + (i/4) Omega >= 0.
-_QUARTER_I_FORM = 0.25j * np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-# Noise far above a finite variance rounds it by eps times itself, which can leave the stored
-# covariance singular; the Cholesky test first scales each variance up by that rounding.
-_PD_SCALE = 1.0 + COV_PD_RTOL * np.eye(2)
+# e^(2|s|), and with it sinh(s)^2, stays finite exactly up to this squeezing.
+MAX_SQUEEZING = math.log(sys.float_info.max) / 2.0
 
 
-@dataclass(frozen=True, eq=False)
-class GaussianState:
-    """Mean vector and covariance matrix of a 1-mode state in (x, p)."""
+@dataclass(frozen=True)
+class OneModeProbe:
+    """Vacuum squeezed by s along x, with nbar photons of random-displacement noise."""
 
-    mean: np.ndarray
-    cov: np.ndarray
+    s: float
+    nbar: float = 0.0
 
     modes = 1
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        cov = np.asarray(self.cov, dtype=float)
-        if mean.size != 2:
-            raise ValueError(f"mean must have length 2, got {mean.size}; build a 2-mode probe with tmsv_state")
-        if cov.shape != (2, 2):
-            raise ValueError(f"covariance shape {cov.shape} does not match a 1-mode mean")
-        if not all(map(math.isfinite, mean.tolist())):
-            raise ValueError("mean must be finite")
-        # a nan or infinite entry makes its asymmetry nan or infinite, so it fails here
-        if not np.max(np.abs(cov - cov.T)) <= COV_SYMMETRY_ATOL:
-            raise ValueError(f"covariance must be finite and symmetric within {COV_SYMMETRY_ATOL}")
-        # eigvalsh errs by ~eps times the largest eigenvalue, so scale the slack
-        spectrum = np.linalg.eigvalsh(cov + _QUARTER_I_FORM)
-        if spectrum[0] < -UNCERTAINTY_RTOL * max(1.0, spectrum[-1]):
-            raise ValueError("covariance violates the uncertainty bound")
-        try:
-            np.linalg.cholesky(_PD_SCALE * cov)
-        except np.linalg.LinAlgError:
-            raise ValueError("covariance must be positive definite") from None
-        _freeze(self, mean=mean, cov=cov)
+        object.__setattr__(self, "s", _check_squeezing(self.s))
+        object.__setattr__(self, "nbar", _check_nbar(self.nbar))
 
 
 @dataclass(frozen=True)
@@ -77,19 +58,6 @@ class TwoModeProbe:
         object.__setattr__(self, "nbar0", _check_nbar(self.nbar0))
         object.__setattr__(self, "nbar1", _check_nbar(self.nbar1))
 
-    @property
-    def cov(self) -> np.ndarray:
-        """Read-only pair-frame covariance: Delta^2/2 and 1/(2 Delta^2) on the diagonal, each
-        plus (nbar0 + nbar1)/2, and (nbar0 - nbar1)/2 between each difference and sum."""
-        delta_sq = tmsv_epr_variance(self.x)
-        common, split = self.nbar0 / 2.0 + self.nbar1 / 2.0, self.nbar0 / 2.0 - self.nbar1 / 2.0
-        low, high = delta_sq / 2.0 + common, 1.0 / delta_sq / 2.0 + common
-        cov = np.array(
-            [[low, 0.0, split, 0.0], [0.0, low, 0.0, split], [split, 0.0, high, 0.0], [0.0, split, 0.0, high]]
-        )
-        cov.setflags(write=False)
-        return cov
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -99,6 +67,14 @@ class NoiseSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "nbar_per_mode", _check_nbar(self.nbar_per_mode))
+
+
+def _check_squeezing(s) -> float:
+    """A squeezing parameter as a float, which must satisfy |s| <= MAX_SQUEEZING (nan fails)."""
+    s = float(s)
+    if not abs(s) <= MAX_SQUEEZING:
+        raise ValueError(f"squeezing must satisfy |s| <= {MAX_SQUEEZING}, got {s}")
+    return s
 
 
 def _check_nbar(nbar) -> float:
@@ -137,18 +113,16 @@ class NoiseBoundaries(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def vacuum_state(modes: int = 1) -> GaussianState | TwoModeProbe:
-    """The vacuum; on two modes, the zero-gain probe, with pair-frame variances 1/2."""
+def vacuum_state(modes: int = 1) -> OneModeProbe | TwoModeProbe:
+    """The vacuum: the unsqueezed one-mode probe, or on two modes the zero-gain probe."""
     if modes not in (1, 2):
         raise ValueError(f"only 1 or 2 modes are supported, got {modes}")
-    return GaussianState(np.zeros(2), VACUUM_VARIANCE * np.eye(2)) if modes == 1 else tmsv_state(0.0)
+    return OneModeProbe(0.0) if modes == 1 else tmsv_state(0.0)
 
 
-def squeezed_state(s: float, x0: float = 0.0) -> GaussianState:
-    """Probe squeezed along x: Var(x) = e^(-2s)/4, displaced by x0 before squeezing."""
-    cov = np.diag([np.exp(-2.0 * s), np.exp(2.0 * s)]) * VACUUM_VARIANCE
-    mean = np.array([x0 * np.exp(-s), 0.0])
-    return GaussianState(mean, cov)
+def squeezed_state(s: float) -> OneModeProbe:
+    """Probe squeezed along x: Var(x) = e^(-2s)/4 and Var(p) = e^(2s)/4, |s| <= MAX_SQUEEZING."""
+    return OneModeProbe(s)
 
 
 def _check_gain(x) -> float:
@@ -176,13 +150,13 @@ def _check_mode(g, mode: int) -> None:
 
 
 def apply_displacement_noise(g, mode: int, nbar: float):
-    """Random-displacement channel: adds (nbar/2) I to the covariance of the mode's (x, p); on
-    the two-mode probe it adds nbar to that mode's noise photons, which must stay finite."""
+    """Random-displacement channel: adds (nbar/2) I to the covariance of the mode's (x, p), that
+    is, nbar to the mode's noise photons, which must stay finite."""
     nbar = _check_nbar(nbar)
     _check_mode(g, mode)
-    if isinstance(g, TwoModeProbe):
-        return replace(g, nbar1=g.nbar1 + nbar) if mode else replace(g, nbar0=g.nbar0 + nbar)
-    return GaussianState(g.mean, g.cov + nbar / 2.0 * np.eye(2))
+    if isinstance(g, OneModeProbe):
+        return replace(g, nbar=g.nbar + nbar)
+    return replace(g, nbar1=g.nbar1 + nbar) if mode else replace(g, nbar0=g.nbar0 + nbar)
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +164,26 @@ def apply_displacement_noise(g, mode: int, nbar: float):
 # ---------------------------------------------------------------------------
 
 
+def _xp_variances(g: OneModeProbe) -> tuple[float, float]:
+    """(Var(x), Var(p)) = (e^(-2s)/4 + nbar/2, e^(2s)/4 + nbar/2) as Python floats, which
+    overflow to inf without a warning; both stay finite, since e^(2|s|) does up to
+    MAX_SQUEEZING and nbar is finite."""
+    return (
+        float(np.exp(-2.0 * g.s)) * VACUUM_VARIANCE + g.nbar / 2.0,
+        float(np.exp(2.0 * g.s)) * VACUUM_VARIANCE + g.nbar / 2.0,
+    )
+
+
 def quadrature_variance(g, mode: int, phi):
-    """Variance of x cos(phi) + p sin(phi) of a 1-mode state, for a phase or an array of them;
-    a 2-mode state holds no lab quadrature as an entry, so it is refused."""
+    """Variance cos^2(phi) Var(x) + sin^2(phi) Var(p) of x cos(phi) + p sin(phi) of a 1-mode
+    probe, for a phase or an array of them; a 2-mode probe holds no lab quadrature, so it is
+    refused."""
     if g.modes != 1:
         raise ValueError(f"a quadrature variance needs a 1-mode state, got {g.modes} modes")
     _check_mode(g, mode)
     c, s = np.cos(phi), np.sin(phi)
-    v = g.cov
-    return c * c * v[0, 0] + s * s * v[1, 1] + 2.0 * s * c * v[0, 1]
+    var_x, var_p = _xp_variances(g)
+    return c * c * var_x + s * s * var_p
 
 
 def _check_alpha(alpha) -> complex:
@@ -236,16 +221,17 @@ def epr_heterodyne(
 
 
 def heterodyne(
-    g: GaussianState, alpha: complex = 0.0, noise: NoiseSpec = NO_NOISE
+    g: OneModeProbe, alpha: complex = 0.0, noise: NoiseSpec = NO_NOISE
 ) -> HeterodyneLaw:
-    """Single-mode heterodyne law: the EPR law of the mode beside a vacuum ancilla,
-    whose quadratures add 2 * VACUUM_VARIANCE, so the vacuum probe yields E|z - alpha|^2 = 1.
+    """Single-mode heterodyne law: the EPR law of the mode, displaced by ``alpha``, beside a
+    vacuum ancilla, whose quadratures add 2 * VACUUM_VARIANCE: center alpha, variance
+    Var(x) + Var(p) + 1/2 + nbar, so the vacuum probe yields E|z - alpha|^2 = 1.
     """
     if g.modes != 1:
         raise ValueError(f"single-mode heterodyne needs a 1-mode state, got {g.modes}")
-    (m0, m1), ((v00, _), (_, v11)) = g.mean.tolist(), g.cov.tolist()
-    variance = v00 + v11 + 2.0 * VACUUM_VARIANCE + noise.nbar_per_mode
-    return _law(complex(m0, m1) + _check_alpha(alpha), variance)
+    var_x, var_p = _xp_variances(g)
+    variance = var_x + var_p + 2.0 * VACUUM_VARIANCE + noise.nbar_per_mode
+    return _law(_check_alpha(alpha), variance)
 
 
 def tmsv_epr_variance(x: float) -> float:
@@ -329,7 +315,7 @@ def photon_budget(kind: str, param: float = 0.0) -> float:
     if kind == "vacuum":
         return 0.0
     if kind == "squeezed":
-        return float(np.sinh(param) ** 2)
+        return float(np.sinh(_check_squeezing(param)) ** 2)
     if kind == "tmsv":
         x = _check_gain(param)
         return 2.0 * x * x / ((1.0 - abs(x)) * (1.0 + abs(x)))

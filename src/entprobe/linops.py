@@ -13,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # The numeric thresholds of every validity and geometry decision in entprobe;
-# the other modules import them from here.
+# the other modules import them from here.  The Gaussian probes are a few floats
+# whose readouts are closed forms, so they need only PPT_ATOL; the squeezing
+# limit gauss.MAX_SQUEEZING is the float range, not a tolerance.
 
 # Relative singular-value / eigenvalue cutoff used for every rank decision.
 RANK_RTOL = 1e-10
@@ -43,12 +45,6 @@ DESIGN_ATOL = 1e-8
 POVM_SEED_ATOL = 1e-8
 # Most negative eigenvalue of a covariant POVM seed.
 POVM_SEED_PSD_ATOL = 1e-10
-# Largest asymmetry of a Gaussian covariance matrix.
-COV_SYMMETRY_ATOL = 1e-12
-# Negative slack of the uncertainty bound, relative to max(1, largest eigenvalue).
-UNCERTAINTY_RTOL = 1e-10
-# Rounding of each variance, relative to itself, added back before a covariance's Cholesky test.
-COV_PD_RTOL = 1e-15
 # Shortfall below 1/4 of the smallest PT symplectic eigenvalue still called separable.
 PPT_ATOL = 1e-10
 

@@ -276,6 +276,19 @@ def helstrom_acceptance_at_60_digits(p1: float, p2: float, c: float):
         return (1 + (p1 - p2 + 2 * p2 * w) / s) / 2, (1 - (p2 - p1 + 2 * p1 * w) / s) / 2
 
 
+def helstrom_error_at_40_digits(p1: float, p2: float, c: float):
+    """The Helstrom error (p1 + p2 - S) / 2, S^2 = (p1 - p2)^2 + 4 p1 p2 (1 - c^2), from the
+    float inputs.  The subtraction cancels about 2 log10(1/c) + log10(1/min(p1, p2)) digits, so
+    the working precision grows by as many and the result keeps 40."""
+
+    def lost(x: float) -> int:
+        return math.ceil(-math.log10(x)) if 0.0 < x < 1.0 else 0
+
+    with mpmath.workdps(40 + 2 * lost(c) + lost(min(p1, p2))):
+        p1, p2, c = map(mpmath.mpf, (p1, p2, c))
+        return (p1 + p2 - mpmath.sqrt((p1 - p2) ** 2 + 4 * p1 * p2 * (1 - c * c))) / 2
+
+
 def helstrom_by_whole_array(problem, probe, trials: int, seed: int) -> TrialReport:
     """``mc.sample_helstrom`` with all trials held in memory at once, its thresholds read off
     the dense projector."""
@@ -425,9 +438,9 @@ def epr_law_by_rotated_rows(g, alpha=0.0, nbar: float = 0.0, phi: float = 0.0):
 
 
 def heterodyne_law_by_rotated_rows(g, alpha=0.0, nbar: float = 0.0):
-    """``gauss.heterodyne`` the long way round: displace the mode, add its noise, pair
-    it with a vacuum ancilla in the lab frame and read the EPR law of the pair through
-    ``epr_law_by_rotated_rows``."""
+    """``gauss.heterodyne`` the long way round: build the mode densely (a library probe
+    through ``squeezed_lab``), displace it, add its noise, pair it with a vacuum ancilla in
+    the lab frame and read the EPR law of the pair through ``epr_law_by_rotated_rows``."""
     state = add_noise(displace(g, 0, alpha), 0, nbar)
     return epr_law_by_rotated_rows(to_pair(tensor(state, coherent_state(0.0))))
 
@@ -466,33 +479,104 @@ class PairState(NamedTuple):
     cov: np.ndarray
 
 
-def _mean(g) -> np.ndarray:
-    """A state's mean; the library's two-mode probe has none, so zero."""
-    return getattr(g, "mean", np.zeros(4))
+# The dense one-mode constructor's tolerances: the largest asymmetry of a covariance, the
+# uncertainty-bound slack relative to max(1, largest eigenvalue), and the rounding of each
+# variance, relative to itself, added back before the Cholesky test.
+COV_SYMMETRY_ATOL = 1e-12
+UNCERTAINTY_RTOL = 1e-10
+COV_PD_RTOL = 1e-15
+
+# (i/4) Omega with Omega = [[0, 1], [-1, 0]] on (x, p): physicality is cov + (i/4) Omega >= 0.
+_QUARTER_I_FORM = 0.25j * np.array([[0.0, 1.0], [-1.0, 0.0]])
+# Noise far above a finite variance rounds it by eps times itself, which can leave the stored
+# covariance singular; the Cholesky test first scales each variance up by that rounding.
+_PD_SCALE = 1.0 + COV_PD_RTOL * np.eye(2)
+
+
+def one_mode_state(mean, cov) -> LabState:
+    """A one-mode state from any mean and 2 x 2 covariance, validated: the mean finite, the
+    covariance symmetric within ``COV_SYMMETRY_ATOL``, within the uncertainty bound by an
+    ``eigvalsh`` of cov + (i/4) Omega, and positive definite by a Cholesky test."""
+    mean = np.asarray(mean, dtype=float).reshape(-1)
+    cov = np.asarray(cov, dtype=float)
+    if mean.size != 2:
+        raise ValueError(f"mean must have length 2, got {mean.size}; build a 2-mode probe with tmsv_state")
+    if cov.shape != (2, 2):
+        raise ValueError(f"covariance shape {cov.shape} does not match a 1-mode mean")
+    if not all(map(math.isfinite, mean.tolist())):
+        raise ValueError("mean must be finite")
+    # a nan or infinite entry makes its asymmetry nan or infinite, so it fails here
+    if not np.max(np.abs(cov - cov.T)) <= COV_SYMMETRY_ATOL:
+        raise ValueError(f"covariance must be finite and symmetric within {COV_SYMMETRY_ATOL}")
+    # eigvalsh errs by ~eps times the largest eigenvalue, so scale the slack
+    spectrum = np.linalg.eigvalsh(cov + _QUARTER_I_FORM)
+    if spectrum[0] < -UNCERTAINTY_RTOL * max(1.0, spectrum[-1]):
+        raise ValueError("covariance violates the uncertainty bound")
+    try:
+        np.linalg.cholesky(_PD_SCALE * cov)
+    except np.linalg.LinAlgError:
+        raise ValueError("covariance must be positive definite") from None
+    return LabState(mean, cov)
+
+
+def squeezed_lab(g: gauss.OneModeProbe) -> LabState:
+    """A library one-mode probe built densely: the squeezer diag(e^-s, e^s) applied to the
+    vacuum covariance I/4 by two matrix products, (nbar/2) I added, and the result passed
+    through ``one_mode_state``."""
+    squeezer = np.diag([np.exp(-g.s), np.exp(g.s)])
+    cov = squeezer @ (gauss.VACUUM_VARIANCE * np.eye(2)) @ squeezer.T + g.nbar / 2.0 * np.eye(2)
+    return one_mode_state(np.zeros(2), cov)
+
+
+def pair_cov(g: gauss.TwoModeProbe) -> np.ndarray:
+    """Read-only pair-frame covariance of the two-mode probe: Delta^2/2 and 1/(2 Delta^2) on
+    the diagonal, each plus (nbar0 + nbar1)/2, and (nbar0 - nbar1)/2 between each difference
+    and sum."""
+    delta_sq = gauss.tmsv_epr_variance(g.x)
+    common, split = g.nbar0 / 2.0 + g.nbar1 / 2.0, g.nbar0 / 2.0 - g.nbar1 / 2.0
+    low, high = delta_sq / 2.0 + common, 1.0 / delta_sq / 2.0 + common
+    cov = np.array(
+        [[low, 0.0, split, 0.0], [0.0, low, 0.0, split], [split, 0.0, high, 0.0], [0.0, split, 0.0, high]]
+    )
+    cov.setflags(write=False)
+    return cov
+
+
+def _pair_moments(g) -> tuple[np.ndarray, np.ndarray]:
+    """Pair-frame mean and covariance of a ``PairState`` or of the library's two-mode probe,
+    which holds no mean, so zero."""
+    if isinstance(g, PairState):
+        return g.mean, g.cov
+    return np.zeros(4), pair_cov(g)
 
 
 def to_pair(lab):
-    """Lab moments in the library's frame: one mode as a validated ``GaussianState``, two
+    """Lab moments in the library's frame: one mode as a validated ``one_mode_state``, two
     through ``PAIR_ROWS`` as a ``PairState``."""
     mean, cov = np.asarray(lab.mean, dtype=float), np.asarray(lab.cov, dtype=float)
     if mean.size == 2:
-        return gauss.GaussianState(mean, cov)
+        return one_mode_state(mean, cov)
     return PairState(PAIR_ROWS @ mean, PAIR_ROWS @ cov @ PAIR_ROWS.T)
 
 
 def to_lab(g) -> LabState:
-    """The lab moments of a library state or a ``PairState``, in floats."""
-    if g.cov.shape == (2, 2):
-        return LabState(g.mean, g.cov)
-    return LabState(PAIR_ROWS.T @ _mean(g) / 2.0, PAIR_ROWS.T @ g.cov @ PAIR_ROWS / 4.0)
+    """The lab moments of a ``LabState``, a library probe (one mode through ``squeezed_lab``)
+    or a ``PairState``, in floats."""
+    if isinstance(g, LabState):
+        return g
+    if isinstance(g, gauss.OneModeProbe):
+        return squeezed_lab(g)
+    mean, cov = _pair_moments(g)
+    return LabState(PAIR_ROWS.T @ mean / 2.0, PAIR_ROWS.T @ cov @ PAIR_ROWS / 4.0)
 
 
 def exact_lab_moments(g) -> tuple[list, list]:
     """The lab moments of a 2-mode library state or ``PairState`` as lists of Fractions, with
     no rounding."""
     back = [[Fraction(int(f), 2) for f in column] for column in PAIR_ROWS.T]
-    mean = [Fraction(m) for m in _mean(g).tolist()]
-    cov = [[Fraction(v) for v in row] for row in g.cov.tolist()]
+    mean, cov = _pair_moments(g)
+    mean = [Fraction(m) for m in mean.tolist()]
+    cov = [[Fraction(v) for v in row] for row in cov.tolist()]
     lab_mean = [sum(b * m for b, m in zip(row, mean)) for row in back]
     back_cov = [[sum(b * cov[k][j] for k, b in enumerate(row)) for j in range(4)] for row in back]
     lab_cov = [[sum(h * b for h, b in zip(hrow, brow)) for brow in back] for hrow in back_cov]
@@ -515,6 +599,7 @@ def _check_lab_mode(lab, mode: int) -> None:
 
 def displace(lab, mode: int, alpha: complex) -> LabState:
     """Shift the mode's (x, p) mean by (Re alpha, Im alpha); covariance untouched."""
+    lab = to_lab(lab)
     _check_lab_mode(lab, mode)
     mean = np.array(lab.mean, dtype=float)
     mean[2 * mode] += np.real(alpha)
@@ -528,6 +613,7 @@ def coherent_state(alpha: complex) -> LabState:
 
 def add_noise(lab, mode: int, nbar: float) -> LabState:
     """Random-displacement channel: adds (nbar/2) I to the mode's covariance block."""
+    lab = to_lab(lab)
     _check_lab_mode(lab, mode)
     cov = np.array(lab.cov, dtype=float)
     block = slice(2 * mode, 2 * mode + 2)
@@ -536,7 +622,8 @@ def add_noise(lab, mode: int, nbar: float) -> LabState:
 
 
 def tensor(a, b) -> LabState:
-    """Product state of two lab states (at most two modes in total)."""
+    """Product state of two lab states or library probes (at most two modes in total)."""
+    a, b = to_lab(a), to_lab(b)
     if len(a.mean) + len(b.mean) > 4:
         raise ValueError("at most two modes are supported")
     mean = np.concatenate([a.mean, b.mean])
@@ -570,7 +657,7 @@ def pt_eigenvalue_by_eigvals(g) -> float:
     largest eigenvalue, so it holds to a relative 1e-10 only at moderate gain."""
     flip = [0, 3, 2, 1]
     form = 0.5j * np.array([[0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=float)
-    return float(np.abs(np.linalg.eigvals(form @ g.cov[flip][:, flip])).min())
+    return float(np.abs(np.linalg.eigvals(form @ pair_cov(g)[flip][:, flip])).min())
 
 
 # The commutator form with the partial transpose p2 -> -p2 applied, which swaps p1 + p2 and
@@ -584,7 +671,7 @@ def pt_eigenvalue_by_lapack_cholesky(g) -> gauss.SeparabilityReport:
     nu_- = det L / (4 nu_+), with H = L^T (J + J) L / 2 formed by two 4 x 4 products."""
     if g.modes != 2:
         raise ValueError(f"the test applies to 2-mode states, got {g.modes} mode(s)")
-    chol = np.linalg.cholesky(g.cov)
+    chol = np.linalg.cholesky(pair_cov(g))
     h01, h02, h03, h12, h13, h23 = (chol.T @ _PT_PAIR_FORM @ chol)[_UPPER].tolist()
     nu_max = (math.hypot(h01 + h23, h02 - h13, h03 + h12) + math.hypot(h01 - h23, h02 + h13, h03 - h12)) / 2.0
     nu_min = math.prod(chol.diagonal().tolist()) / (4.0 * nu_max)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entprobe import cli, discrim, mc
+from entprobe import cli, discrim, gauss, mc
 from entprobe.cli import FlagDomainError, main, parse_unitary
 from entprobe.discrim import weyl_heisenberg_group
 from entprobe.linops import eig_unitary
@@ -351,14 +351,14 @@ class TestStability:
         assert float(rows[0]["entangled_variance"]) == 2.0**-54
 
     @pytest.mark.parametrize(
-        "s", ["nan", "inf", "400", "-400", repr(math.nextafter(cli.MAX_SQUEEZING, math.inf))]
+        "s", ["nan", "inf", "400", "-400", repr(math.nextafter(gauss.MAX_SQUEEZING, math.inf))]
     )
     def test_squeezing_must_stay_finite(self, capsys, monkeypatch, s):
         argv = ("stability", "--s", s, "--x", "0.5", "--phi-grid=0:1:3")
         err = assert_rejected_before_work(capsys, monkeypatch, mc, "stability_scan", *argv)
         assert "--s" in err
 
-    @pytest.mark.parametrize("s", [cli.MAX_SQUEEZING, -cli.MAX_SQUEEZING])
+    @pytest.mark.parametrize("s", [gauss.MAX_SQUEEZING, -gauss.MAX_SQUEEZING])
     def test_largest_squeezing_runs(self, capsys, s):
         argv = ("stability", f"--s={s!r}", "--x", "0.5", "--phi-grid=-3:3:7")
         code, out, err = run_cli(capsys, *argv)

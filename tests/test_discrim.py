@@ -1,10 +1,11 @@
 import inspect
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entprobe.discrim import (
@@ -42,6 +43,7 @@ from _helpers import (
     assert_phases_match,
     closure_defect,
     helstrom_acceptance_at_60_digits,
+    helstrom_error_at_40_digits,
     helstrom_thresholds_by_projector,
     holevo_by_ensemble,
     majorization_compare,
@@ -584,6 +586,67 @@ class TestHelstromAcceptance:
                 c = abs(_input_overlap(problem, probe))
                 expected = helstrom_thresholds_by_projector(problem, probe)
                 assert helstrom_acceptance(p1, 1 - p1, c) == pytest.approx(expected, abs=1e-12)
+
+
+def pair_with_overlap(t: float, sign: float, p1: float = 0.5, p2: float = 0.5):
+    """The qubit hypotheses diag(1, sign sqrt(1 - t^2) + i t) and I with the local input
+    (1, 1)/sqrt(2): overlap modulus |1 + sign sqrt(1 - t^2) + i t| / 2, which runs from about
+    t/2 (sign -1, down to the smallest t) to 1 (sign +1, t = 0)."""
+    phase = complex(sign * math.sqrt((1.0 - t) * (1.0 + t)), t)
+    problem = DiscriminationProblem(np.diag([1.0, phase]), I2, p1, p2)
+    probe = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    return problem, probe, abs(_input_overlap(problem, probe))
+
+
+# t of ``pair_with_overlap``: with both signs the overlap moduli span [0, 1], from 0 and the
+# smallest subnormal through the cancelling range of the (1 - sqrt(1 - 4 p1 p2 c^2)) / 2 form
+ERROR_T = (0.0, 5e-324, 1e-300, 1e-150, 1e-20, 2.1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9, 1.0)
+
+
+class TestHelstromErrorForm:
+    """``helstrom_error`` is 2 p1 p2 c^2 / ((p1 + p2) + S): no step cancels at small c."""
+
+    def test_matches_40_digits(self):
+        for (p1, p2), t, sign in itertools.product(acceptance_priors(), ERROR_T, (-1.0, 1.0)):
+            problem, probe, c = pair_with_overlap(t, sign, p1, p2)
+            exact = helstrom_error_at_40_digits(p1, p2, c)
+            error = helstrom_error(problem, probe)
+            assert abs(error - exact) <= 4 * math.ulp(float(exact)), (p1, p2, t, sign, error, exact)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        priors=st.sampled_from(list(acceptance_priors())) | st.floats(0.0, 1.0).map(lambda p: (p, 1.0 - p)),
+        t=st.floats(0.0, 1.0) | st.floats(0.0, 1e-9),
+        sign=st.sampled_from((-1.0, 1.0)),
+    )
+    def test_is_the_error_of_the_acceptance_probabilities(self, priors, t, sign):
+        # the error is p1 (1 - q1) + p2 q2 of the one Helstrom measurement, within a few ulps
+        # of the error and of the rounding each q carries
+        p1, p2 = priors
+        problem, probe, c = pair_with_overlap(t, sign, p1, p2)
+        error = helstrom_error(problem, probe)
+        q1, q2 = helstrom_acceptance(p1, p2, c)
+        expected = Fraction(p1) * (1 - Fraction(q1)) + Fraction(p2) * Fraction(q2)
+        slack = 4 * (math.ulp(error) + p1 * math.ulp(q1) + p2 * math.ulp(q2))
+        assert abs(Fraction(error) - expected) <= Fraction(slack), (p1, p2, t, sign)
+
+    def test_small_overlap_keeps_its_digits(self):
+        # the two discriminate inputs whose p_error the cancelling form lost: 0.0 and a
+        # relative 3e-11 off
+        for angle in (3.1415926515, 3.14):
+            problem = DiscriminationProblem(np.diag([1.0, np.exp(1j * angle)]), I2)
+            psi = problem.polygon.witness()
+            c = abs(_input_overlap(problem, psi))
+            exact = helstrom_error_at_40_digits(0.5, 0.5, c)
+            assert abs(helstrom_error(problem, psi) - exact) <= 2 * math.ulp(float(exact)), angle
+        assert helstrom_error(problem, psi) == 1.5853408268986997e-07
+
+    def test_overlap_just_above_one_clamped(self):
+        # a probe normalized within NORM_ATOL can put c above 1; the error stays the smaller prior
+        problem = DiscriminationProblem(SZ, SZ, 0.3, 0.7)
+        probe = np.array([1.0, 0.0]) * (1.0 + 0.4 * NORM_ATOL)
+        assert abs(_input_overlap(problem, probe)) > 1.0
+        assert helstrom_error(problem, probe) == pytest.approx(0.3, rel=0.0, abs=1e-16)
 
 
 class TestMinOverlap:

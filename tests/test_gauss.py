@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entprobe
 from entprobe import gauss
 from entprobe.gauss import (
-    GaussianState,
+    MAX_SQUEEZING,
     NoiseSpec,
+    OneModeProbe,
     TwoModeProbe,
     advantage_threshold,
     apply_displacement_noise,
@@ -35,6 +38,8 @@ from _helpers import (
     lab_pt_eigenvalue_at_50_digits,
     lab_route_at_50_digits,
     lab_tmsv,
+    one_mode_state,
+    pair_cov,
     ppt_boundary_by_bisection,
     pt_eigenvalue_by_eigvals,
     pt_eigenvalue_by_lapack_cholesky,
@@ -46,7 +51,7 @@ from _helpers import (
 )
 
 
-def two_mode_epr_variance_by_index_sums(state: GaussianState) -> float:
+def two_mode_epr_variance_by_index_sums(state: TwoModeProbe) -> float:
     """Oracle: Var(x1 - x2) + Var(p1 + p2) spelled out entry by entry in the lab frame."""
     v = to_lab(state).cov
     var_minus = v[0, 0] + v[2, 2] - 2.0 * v[0, 2]
@@ -57,22 +62,25 @@ def two_mode_epr_variance_by_index_sums(state: GaussianState) -> float:
 class TestStatePreparation:
     def test_vacuum(self):
         st = vacuum_state()
-        assert np.array_equal(st.mean, np.zeros(2))
-        assert np.array_equal(st.cov, 0.25 * np.eye(2))
+        assert st == OneModeProbe(0.0) == squeezed_state(0.0)
+        assert (st.s, st.nbar) == (0.0, 0.0)
+        lab = to_lab(st)
+        assert np.array_equal(lab.mean, np.zeros(2))
+        assert np.array_equal(lab.cov, 0.25 * np.eye(2))
 
     def test_tmsv_zero_gain_is_vacuum(self):
         st = tmsv_state(0.0)
         # each pair-frame quadrature sums two vacuum quadratures
-        assert np.array_equal(st.cov, 0.5 * np.eye(4))
+        assert np.array_equal(pair_cov(st), 0.5 * np.eye(4))
         assert (st.x, st.nbar0, st.nbar1) == (0.0, 0.0, 0.0)
         assert np.array_equal(to_lab(st).cov, 0.25 * np.eye(4))
-        assert np.array_equal(vacuum_state(2).cov, st.cov)
+        assert vacuum_state(2) == st
 
     def test_tmsv_epr_quadrature_variance(self):
         for x in (0.1, 1.0 / 3.0, 0.5, 0.9):
             st = tmsv_state(x)
             r = np.arctanh(x)
-            var_minus = st.cov[0, 0]
+            var_minus = pair_cov(st)[0, 0]
             expected = (1.0 - x) / (1.0 + x)
             assert var_minus == pytest.approx(np.exp(-2.0 * r) / 2.0, abs=1e-12)
             assert var_minus == pytest.approx(expected / 2.0, abs=1e-12)
@@ -106,23 +114,23 @@ class TestStatePreparation:
                 check(float("nan"))
 
     def test_all_preparations_physical(self):
-        # construction itself enforces the uncertainty bound; just build them
+        # the dense one-mode constructor enforces the uncertainty bound; just build them
         vacuum_state(2)
         to_pair(coherent_state(1.5 - 0.5j))
-        squeezed_state(2.0, x0=1.0)
+        to_lab(squeezed_state(2.0))
         tmsv_state(0.99)
 
     def test_unphysical_covariance_rejected(self):
         with pytest.raises(ValueError, match="uncertainty"):
-            GaussianState(np.zeros(2), 0.01 * np.eye(2))
+            one_mode_state(np.zeros(2), 0.01 * np.eye(2))
         with pytest.raises(ValueError, match="symmetric"):
-            GaussianState(np.zeros(2), np.array([[0.25, 0.1], [0.0, 0.25]]))
+            one_mode_state(np.zeros(2), np.array([[0.25, 0.1], [0.0, 0.25]]))
 
     def test_negative_variance_beside_a_huge_one_rejected(self):
         # the uncertainty slack scales with the largest eigenvalue, 0.1 here, so the -0.01
         # variance passes it and the Cholesky test refuses it
         with pytest.raises(ValueError, match="positive definite"):
-            GaussianState(np.zeros(2), np.diag([-0.01, 1e9]))
+            one_mode_state(np.zeros(2), np.diag([-0.01, 1e9]))
         # the two-mode probe carries no variance of its own, and negative noise is refused
         with pytest.raises(ValueError, match="nonnegative"):
             apply_displacement_noise(tmsv_state(0.5), 1, -0.01)
@@ -138,19 +146,135 @@ class TestStatePreparation:
     )
     def test_non_finite_state_rejected(self, mean, cov):
         with pytest.raises(ValueError, match="finite"):
-            GaussianState(mean, cov)
+            one_mode_state(mean, cov)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="length"):
-            GaussianState(np.zeros(6), 0.25 * np.eye(6))
+            one_mode_state(np.zeros(6), 0.25 * np.eye(6))
         with pytest.raises(ValueError, match="tmsv_state"):
-            GaussianState(np.zeros(4), 0.5 * np.eye(4))
+            one_mode_state(np.zeros(4), 0.5 * np.eye(4))
         with pytest.raises(ValueError, match="match"):
-            GaussianState(np.zeros(2), 0.25 * np.eye(4))
+            one_mode_state(np.zeros(2), 0.25 * np.eye(4))
         with pytest.raises(ValueError, match="modes"):
             vacuum_state(3)
         with pytest.raises(ValueError, match="two modes"):
             tensor(to_lab(vacuum_state(2)), vacuum_state(1))
+
+
+# Squeezing values outside the library's domain |s| <= MAX_SQUEEZING.
+OUT_OF_RANGE_SQUEEZING = (
+    float("nan"),
+    float("inf"),
+    -float("inf"),
+    400.0,
+    -400.0,
+    math.nextafter(MAX_SQUEEZING, math.inf),
+    -math.nextafter(MAX_SQUEEZING, math.inf),
+)
+
+
+class TestOneModeProbe:
+    """The one-mode probe is the two floats (s, nbar), checked on construction only."""
+
+    @pytest.mark.parametrize("s", OUT_OF_RANGE_SQUEEZING)
+    def test_squeezing_outside_the_domain_refused(self, s):
+        message = rf"^squeezing must satisfy \|s\| <= {MAX_SQUEEZING}, got {s}$"
+        for build in (OneModeProbe, squeezed_state, lambda s: photon_budget("squeezed", s)):
+            with pytest.raises(ValueError, match=message):
+                build(s)
+
+    @pytest.mark.parametrize("s", (MAX_SQUEEZING, -MAX_SQUEEZING))
+    def test_largest_squeezing_stays_finite(self, s):
+        assert MAX_SQUEEZING == math.log(np.finfo(float).max) / 2.0
+        phis = np.linspace(-np.pi, np.pi, 33)
+        for g in (squeezed_state(s), OneModeProbe(s, 1e308)):
+            assert np.all(np.isfinite(quadrature_variance(g, 0, phis)))
+            assert all(map(math.isfinite, gauss._xp_variances(g)))
+        assert math.isfinite(heterodyne(squeezed_state(s), 1.0 - 2.0j, NoiseSpec(1e300)).variance)
+        assert math.isfinite(photon_budget("squeezed", s))
+
+    def test_fields_are_checked_floats(self):
+        g = OneModeProbe(np.float64(0.5), 2)
+        assert (type(g.s), type(g.nbar)) == (float, float)
+        for nbar in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="nonnegative"):
+                OneModeProbe(0.5, nbar)
+        with pytest.raises(TypeError):
+            squeezed_state(1.0, 1.0)
+
+    def test_noise_adds_photons(self):
+        g = apply_displacement_noise(squeezed_state(-0.7), 0, 0.3)
+        assert g == OneModeProbe(-0.7, 0.3)
+        assert apply_displacement_noise(g, 0, 0.45).nbar == 0.3 + 0.45
+        with pytest.raises(ValueError, match="out of range"):
+            apply_displacement_noise(g, 1, 0.1)
+        # each step is finite, but the photons they add overflow
+        with pytest.raises(ValueError, match=r"^noise photon number must be finite and nonnegative, got inf$"):
+            apply_displacement_noise(OneModeProbe(0.0, 1e308), 0, 1e308)
+
+    def test_closed_forms_at_pinned_values(self):
+        # the stability scan's squeezed column at s = 2 and its photon count, bit for bit
+        g = squeezed_state(2.0)
+        assert quadrature_variance(g, 0, 0.0) == np.exp(-4.0) * 0.25
+        assert gauss._xp_variances(g) == (float(np.exp(-4.0)) / 4.0, float(np.exp(4.0)) / 4.0)
+        assert photon_budget("squeezed", 2.0) == 13.154116418008241
+        law = heterodyne(OneModeProbe(0.0, 0.5), 0.25 - 1.0j, NoiseSpec(0.7))
+        assert law == gauss.HeterodyneLaw(0.25 - 1.0j, 0.25 + 0.25 + 0.5 + 0.5 + 0.7)
+
+    def test_not_exported(self):
+        # like the two-mode probe, the one-mode probe is reached through its constructors
+        assert not hasattr(entprobe, "OneModeProbe") and not hasattr(entprobe, "TwoModeProbe")
+        assert not hasattr(entprobe, "GaussianState") and not hasattr(gauss, "GaussianState")
+
+
+def _ulps(got: float, exact: Fraction) -> float:
+    """Distance of a float from an exact value, in units of the exact value's last place."""
+    return float(abs(Fraction(got) - exact) / Fraction(math.ulp(float(exact))))
+
+
+# The one-mode family of the oracle tests: squeezing either way, noiseless or noisy far above.
+SQUEEZING = st.floats(-20.0, 20.0)
+ONE_MODE_NBAR = st.just(0.0) | st.floats(1e-3, 1e300)
+
+
+class TestOneModeAgainstDenseRoute:
+    """The closed forms in (s, nbar) against the dense constructor of ``_helpers``, which
+    squeezes the vacuum covariance by two matrix products, checks it, and is read in exact
+    rational arithmetic."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(s=SQUEEZING, nbar=ONE_MODE_NBAR, phi=st.floats(-np.pi, np.pi))
+    def test_quadrature_variance(self, s, nbar, phi):
+        g = OneModeProbe(s, nbar)
+        cov = [[Fraction(v) for v in row] for row in to_lab(g).cov.tolist()]
+        row = (Fraction(math.cos(phi)), Fraction(math.sin(phi)))
+        exact = sum(row[i] * cov[i][j] * row[j] for i in range(2) for j in range(2))
+        assert _ulps(quadrature_variance(g, 0, phi), exact) <= 8.0, (s, nbar, phi)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        s=SQUEEZING,
+        nbar=ONE_MODE_NBAR,
+        extra=ONE_MODE_NBAR,
+        re=st.floats(-1e3, 1e3),
+        im=st.floats(-1e3, 1e3),
+    )
+    def test_heterodyne(self, s, nbar, extra, re, im):
+        g, alpha = OneModeProbe(s, nbar), complex(re, im)
+        law = heterodyne(g, alpha, NoiseSpec(extra))
+        expected = heterodyne_law_by_rotated_rows(g, alpha, extra)
+        assert law.mean == expected.mean == alpha
+        assert _ulps(law.variance, Fraction(expected.variance)) <= 8.0, (s, nbar, extra)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(s=SQUEEZING | st.sampled_from((MAX_SQUEEZING, -MAX_SQUEEZING)), nbar=ONE_MODE_NBAR)
+    def test_library_probes_meet_the_uncertainty_bound(self, s, nbar):
+        # cov + (i/4) Omega >= 0, by the checks the dense constructor makes, on the variances
+        # the readouts use, for the probe as built and as reached through the channel
+        for g in (OneModeProbe(s, nbar), apply_displacement_noise(squeezed_state(s), 0, nbar)):
+            var_x, var_p = gauss._xp_variances(g)
+            one_mode_state(np.zeros(2), np.diag([var_x, var_p]))
+            assert Fraction(var_x) * Fraction(var_p) >= Fraction(1, 16) * (1 - Fraction(2, 2**52))
 
 
 class TestDisplacement:
@@ -178,18 +302,18 @@ class TestDisplacement:
 class TestDisplacementNoise:
     def test_composition_law_bitwise_on_representable_values(self):
         # dyadic strengths keep both addition orders exact, so the compared
-        # covariances must agree bit for bit
-        st = vacuum_state(2)
-        twice = apply_displacement_noise(apply_displacement_noise(st, 0, 0.25), 0, 0.5)
-        once = apply_displacement_noise(st, 0, 0.75)
-        assert np.array_equal(twice.cov, once.cov)
+        # probes must agree bit for bit
+        for st in (vacuum_state(2), vacuum_state(), squeezed_state(0.7)):
+            twice = apply_displacement_noise(apply_displacement_noise(st, 0, 0.25), 0, 0.5)
+            once = apply_displacement_noise(st, 0, 0.75)
+            assert twice == once
 
     def test_composition_law_generic_values(self):
         # generic strengths can differ by one rounding of the final sum
         st = tmsv_state(0.5)
         twice = apply_displacement_noise(apply_displacement_noise(st, 0, 0.3), 0, 0.45)
         once = apply_displacement_noise(st, 0, 0.75)
-        np.testing.assert_allclose(twice.cov, once.cov, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(pair_cov(twice), pair_cov(once), rtol=1e-15, atol=0.0)
 
     def test_commutes_with_displacement(self):
         # the probe holds no mean, so both orders meet in the lab frame: the displacement and
@@ -201,9 +325,8 @@ class TestDisplacementNoise:
         assert np.array_equal(a.mean, b.mean)
 
     def test_zero_noise_identity(self):
-        st = tmsv_state(0.5)
-        out = apply_displacement_noise(st, 0, 0.0)
-        assert np.array_equal(out.cov, st.cov)
+        for st in (tmsv_state(0.5), squeezed_state(-1.5)):
+            assert apply_displacement_noise(st, 0, 0.0) == st
 
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
@@ -227,8 +350,9 @@ class TestDisplacementNoise:
         st = squeezed_state(1.5)
         for nbar in (0.1, 1.0, 10.0):
             noisy = apply_displacement_noise(st, 0, nbar)
+            assert noisy == OneModeProbe(1.5, nbar)
             omega = symplectic_form(1)
-            assert np.linalg.eigvalsh(noisy.cov + 0.25j * omega).min() >= -1e-10
+            assert np.linalg.eigvalsh(to_lab(noisy).cov + 0.25j * omega).min() >= -1e-10
 
     def test_accumulated_noise_must_stay_finite(self):
         # each step is finite, but the photons they add on one mode overflow
@@ -347,11 +471,11 @@ def random_noisy_two_mode_state(rng) -> TwoModeProbe:
     return TwoModeProbe(rng.uniform(-0.95, 0.95), *nbars.tolist())
 
 
-def random_noisy_one_mode_state(rng) -> GaussianState:
-    sym = _random_local_symplectic(rng)
-    noise = rng.normal(scale=0.3, size=(2, 2))
-    cov = sym @ sym.T * gauss.VACUUM_VARIANCE + noise @ noise.T
-    return GaussianState(rng.normal(size=2), (cov + cov.T) / 2.0)
+def random_noisy_one_mode_state(rng) -> OneModeProbe:
+    """The one-mode probe squeezed by up to two e-folds either way with random noise; it is
+    noiseless in a third of the draws."""
+    nbar = 0.0 if rng.random() < 1.0 / 3.0 else float(rng.uniform(0.0, 3.0))
+    return OneModeProbe(rng.uniform(-2.0, 2.0), nbar)
 
 
 class TestLawAgainstRotatedRows:
@@ -403,15 +527,15 @@ class TestPairFrame:
             for mode in (0, 1):
                 expected = to_pair(add_noise(to_lab(g), mode, nbar))
                 got = apply_displacement_noise(g, mode, nbar)
-                np.testing.assert_allclose(got.cov, expected.cov, rtol=0.0, atol=1e-12)
+                np.testing.assert_allclose(pair_cov(got), expected.cov, rtol=0.0, atol=1e-12)
 
     def test_equal_noise_on_both_modes_adds_nbar_identity(self):
         for x in (0.0, 0.5, -0.9, 1.0 - 1e-12):
             st = tmsv_state(x)
             for nbar in (0.3, 1.0, 10.0):
-                noisy = _noisy_probe(x, nbar).cov
+                noisy = pair_cov(_noisy_probe(x, nbar))
                 assert np.array_equal(noisy - np.diag(np.diag(noisy)), np.zeros((4, 4)))
-                np.testing.assert_allclose(np.diag(noisy), np.diag(st.cov) + nbar, rtol=1e-15)
+                np.testing.assert_allclose(np.diag(noisy), np.diag(pair_cov(st)) + nbar, rtol=1e-15)
 
     def test_partial_transpose_matches_lab_flip(self):
         rng = np.random.default_rng(1005)
@@ -439,7 +563,7 @@ def _relative_error(got: float, expected) -> float:
     return float(abs((got - expected) / expected))
 
 
-def _noisy_probe(x: float, nbar: float) -> GaussianState:
+def _noisy_probe(x: float, nbar: float) -> TwoModeProbe:
     return apply_displacement_noise(apply_displacement_noise(tmsv_state(x), 0, nbar), 1, nbar)
 
 
@@ -659,18 +783,18 @@ class TestAgainstLapackCholesky:
     """The closed-form factor against ``np.linalg.cholesky`` and two 4 x 4 products, which
     round in another order: the same report within a relative 1e-13."""
 
-    def assert_reports_match(self, g: GaussianState):
+    def assert_reports_match(self, g: TwoModeProbe):
         report, oracle = ppt_separability(g), pt_eigenvalue_by_lapack_cholesky(g)
         assert report.separable == oracle.separable
         nu, expected = report.min_pt_symplectic_eigenvalue, oracle.min_pt_symplectic_eigenvalue
-        assert _relative_error(nu, expected) <= 1e-13, (g.cov, nu, expected)
+        assert _relative_error(nu, expected) <= 1e-13, (g, nu, expected)
 
     def test_dense_noisy_states(self):
         rng = np.random.default_rng(1008)
         for _ in range(2000):
             g = random_noisy_two_mode_state(rng)
             # unequal noise couples each difference to its sum, so the factor is not diagonal
-            assert (np.linalg.cholesky(g.cov)[2, 0] != 0.0) == (g.nbar0 != g.nbar1)
+            assert (np.linalg.cholesky(pair_cov(g))[2, 0] != 0.0) == (g.nbar0 != g.nbar1)
             self.assert_reports_match(g)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
