@@ -1,9 +1,10 @@
 """Command-line front end: one subcommand per scenario, CSV or JSON tables out.
 
 Data goes to stdout (or ``--output``), diagnostics to stderr.  Exit status 0
-on success, 2 for a flag outside its domain, 1 for an internal numerical
-failure.  Floats are printed in shortest round-trip form, so re-parsing an
-emitted table reproduces the values exactly.
+on success, 2 for a flag outside its domain or an ``--output`` path that
+cannot be opened, 1 for an internal numerical failure, and 141 when the
+reader closes stdout early.  Floats are printed in shortest round-trip form,
+so re-parsing an emitted table reproduces the values exactly.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
 import sys
 
@@ -399,14 +401,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The status a shell reports for a filter that SIGPIPE ends, 128 + 13.
+_CLOSED_STDOUT = 141
+
+
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)  # exits 2 on a usage error
     try:
         rows = ns.run(ns)
         if ns.output is None:
-            _emit(ns, rows, sys.stdout)
+            try:
+                _emit(ns, rows, sys.stdout)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # the reader has all it wanted ('| head'); stdout now writes to the null
+                # device, so the interpreter's last flush meets no closed pipe either
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                return _CLOSED_STDOUT
         else:
-            with open(ns.output, "w") as fh:
+            try:
+                fh = open(ns.output, "w")
+            except OSError as err:
+                message = f"--output: cannot open {ns.output!r}: {err.strerror}"
+                raise FlagDomainError(message) from None
+            with fh:
                 _emit(ns, rows, fh)
     except FlagDomainError as err:
         print(f"entprobe: {err}", file=sys.stderr)

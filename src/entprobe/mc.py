@@ -13,12 +13,11 @@ The samplers split the trials into one range of blocks of at most
 ``_CHUNK_TRIALS`` trials per CPU, run by the calling thread and helper
 threads; Philox is counter-based, so each range starts at its own words.
 Each range returns an integer, an error count or an exact sum, and integers
-add the same in any order.  The exact sum rounds each block's squared
-deviations onto two fixed power-of-two grids below the largest deviation the
-law allows; each grid's parts add in float64 without rounding, and the rare
-remainders are summed mantissa by mantissa per exponent.  The total rounds
-once: the bits of ``math.fsum`` over all trials, whatever the block size or
-CPU count.
+add the same in any order.  The exact sum scales each block's squared
+deviations by a power of two into [0, 1), rounds them onto two fixed grids
+and sums the parts of each grid and what is left in float64, all without
+rounding for blocks of up to 2^16 trials.  The total rounds once: the bits of
+``math.fsum`` over all trials, whatever the block size or CPU count.
 """
 
 from __future__ import annotations
@@ -42,14 +41,13 @@ MAX_TRIALS = 10**9
 # lock to the other ranges' threads.  On 2 CPUs 2^13 ran the monte-carlo
 # benchmark 26 % faster than 2^12 and as fast as 2^14, which took 1.7 MB more
 # peak RSS.  A thread's block arrays take ~0.33 MB (tracemalloc), and the
-# Helstrom sampler's thresholds 0.26 MB more, shared by every thread.
+# Helstrom sampler's thresholds 0.26 MB more, shared by every thread.  The
+# heterodyne block sum is exact for blocks of at most 2^16 trials.
 _CHUNK_TRIALS = 1 << 13
 
 # frexp writes a finite double as m 2^e, m in (-1, 1) a multiple of 2^-53 and
 # e >= -1073, so every finite double is an integer multiple of 2^-1126.
 _UNIT_BITS = 1126
-# Adding and subtracting this rounds an m to a multiple of 2^-26.
-_SPLITTER = 1.5 * 2.0**26
 
 
 @dataclass(frozen=True)
@@ -137,55 +135,24 @@ def _split_sum(trials: int, work) -> int:
     return sum(outcomes)
 
 
-def _fixed_point_sum(values: np.ndarray) -> int:
-    """Exact sum of at most 2^26 finite doubles, as a count of 2^-1126; overwrites ``values``.
-
-    Each frexp mantissa splits into a high part on the 2^-26 grid and a low
-    part below 2^-27 on the 2^-53 grid.  ``bincount`` sums both parts per
-    exponent in float64, exactly, since no sum needs more than 53 bits; the
-    bins then fold into one Python int, highest exponent first.
-    """
-    if values.size == 0:
-        return 0
-    mantissa, exponent = np.frexp(values, out=(values, np.empty(values.shape, np.intp)))
-    if not np.isfinite(mantissa).all():
-        raise ValueError("an exact sum needs finite values")
-    high = mantissa + _SPLITTER
-    high -= _SPLITTER
-    mantissa -= high  # now the low part
-    lowest = int(exponent.min())
-    exponent -= lowest
-    total = 0
-    for h, lo in zip(*(np.bincount(exponent, part)[::-1].tolist() for part in (high, mantissa))):
-        total = (total << 1) + int(h * 2.0**53) + int(lo * 2.0**53)
-    return total << (lowest - 53 + _UNIT_BITS)
-
-
 def _grid_split_sum(values: np.ndarray, top: int) -> int:
-    """Exact sum of finite doubles below 2^top in magnitude, as a count of 2^-1126; overwrites
-    ``values``.
+    """2^top times the exact sum of at most 2^16 doubles in [0, 1) on the 2^-112 grid, as a
+    count of 2^-1126; overwrites ``values``.
 
-    With n values and b = 53 - bit_length(n - 1) (at most 51), each value rounds onto the
-    2^(top - b) grid and its remainder onto the 2^(top - 2b) grid, each by adding and
-    subtracting 1.5 2^52 times the grid.  Every part is an integer multiple of its grid, at most
-    2^b of it, so ``np.sum`` adds n parts without rounding.  The leftovers are nonzero only for
-    values below 2^(top - 2b + 52), and only those go through ``_fixed_point_sum``.  So does the
-    whole array unless top - b + 53 <= 1023 and top - 2b >= -1022, which keeps every grid and
-    every sum of a value and a splitter a normal double.
-    """
+    With n values and b = min(51, 53 - bit_length(n - 1)) >= 37, each value rounds onto the
+    2^-b grid and its remainder onto the 2^-2b grid, each by adding and subtracting 1.5 2^52
+    times the grid.  A part is at most 2^b times its grid, and what is left at most 2^(111 - 2b)
+    times 2^-112, so each ``np.sum`` of n terms stays within 2^53 units and never rounds."""
     bits = min(51, 53 - (values.size - 1).bit_length())
-    if top - bits + 53 > 1023 or top - 2 * bits < -1022:
-        return _fixed_point_sum(values)
     total = 0
-    for grid in (top - bits, top - 2 * bits):
-        splitter = 1.5 * 2.0 ** (grid + 52)
+    for grid in (bits, 2 * bits):
+        splitter = 1.5 * 2.0 ** (52 - grid)
         part = values + splitter
         part -= splitter
         values -= part
-        total += int(np.sum(part) / 2.0**grid) << (grid + _UNIT_BITS)
-    if values.any():
-        total += _fixed_point_sum(values)
-    return total
+        total += int(np.sum(part) * 2.0**grid) << (112 - grid)
+    total += int(np.sum(values) * 2.0**112)
+    return total << (top + _UNIT_BITS - 112)
 
 
 def _check_trials(trials: int) -> None:
@@ -196,7 +163,8 @@ def _check_trials(trials: int) -> None:
 def _check_deviation_sum(nbar: float, trials: int) -> None:
     """The uniforms are at least 2^-53, so no squared deviation -variance ln u0 exceeds
     53 ln 2 < 37 times the outcome variance, which is at most 1 + 2 nbar in both schemes: the
-    sum over the trials must stay finite."""
+    sum over the trials must stay finite.  Divided by 2^top > 37 variance, each lies in [0, 1),
+    where ``_grid_split_sum`` adds blocks of up to 2^16 of them exactly."""
     if not math.isfinite(37.0 * (1.0 + 2.0 * nbar) * trials):
         raise ValueError(f"nbar {nbar} with {trials} trials overflows the sum of squared deviations")
 
@@ -288,8 +256,12 @@ def sample_heterodyne(
     if law.mean != alpha:
         raise ValueError(f"the outcome law is centred on {law.mean}, not on the signal {alpha}")
 
-    # no deviation reaches 53 ln 2 < 37 times the variance (see _check_deviation_sum)
+    # no deviation reaches 53 ln 2 < 37 times the variance (see _check_deviation_sum), so the
+    # scale -variance 2^-top lies in (-1/37, -1/74].  Each ln u0 is 0 or below -2^-53 (1 - 2^-53),
+    # so a scaled deviation is 2^-top times -variance ln u0 exactly (neither product leaves the
+    # normal range), lies in [0, 1) and is 0 or above 2^-60: a multiple of 2^-112
     top = math.frexp(37.0 * law.variance)[1]
+    scale = math.ldexp(-law.variance, -top)
 
     def deviation_sum(first: int, stop: int, abandon) -> int:
         # |z - alpha|^2 in units of 2^-1126: z - alpha is a Box-Muller pair scaled by
@@ -301,7 +273,7 @@ def sample_heterodyne(
             # u0, written contiguously so that numpy's vector log needs no strided gather
             deviation = np.add(u[:, 0], 2.0**-53, out=scratch[: len(u)])
             np.log(deviation, out=deviation)
-            deviation *= -law.variance
+            deviation *= scale
             total += _grid_split_sum(deviation, top)
         return total
 

@@ -20,7 +20,7 @@ from entprobe.linops import (
     matrix_rank,
     von_neumann_entropy,
 )
-from entprobe.mc import TrialReport, _uniform_chunks
+from entprobe.mc import _UNIT_BITS, TrialReport, _uniform_chunks
 
 TWO_PI = 2.0 * np.pi
 
@@ -241,6 +241,34 @@ def one_draw_uniforms(seed: int, trials: int, per_trial: int) -> np.ndarray:
     words = np.random.Philox(key=np.uint64(seed)).random_raw(trials * per_trial)
     words = np.asarray(words, dtype=np.uint64).reshape(trials, per_trial)
     return ((words >> np.uint64(11)) + np.uint64(1)).astype(float) * 2.0**-53
+
+
+# Adding and subtracting this rounds an m to a multiple of 2^-26.
+_SPLITTER = 1.5 * 2.0**26
+
+
+def _fixed_point_sum(values: np.ndarray) -> int:
+    """Exact sum of at most 2^26 finite doubles, as a count of 2^-1126; overwrites ``values``.
+
+    Each frexp mantissa splits into a high part on the 2^-26 grid and a low
+    part below 2^-27 on the 2^-53 grid.  ``bincount`` sums both parts per
+    exponent in float64, exactly, since no sum needs more than 53 bits; the
+    bins then fold into one Python int, highest exponent first.
+    """
+    if values.size == 0:
+        return 0
+    mantissa, exponent = np.frexp(values, out=(values, np.empty(values.shape, np.intp)))
+    if not np.isfinite(mantissa).all():
+        raise ValueError("an exact sum needs finite values")
+    high = mantissa + _SPLITTER
+    high -= _SPLITTER
+    mantissa -= high  # now the low part
+    lowest = int(exponent.min())
+    exponent -= lowest
+    total = 0
+    for h, lo in zip(*(np.bincount(exponent, part)[::-1].tolist() for part in (high, mantissa))):
+        total = (total << 1) + int(h * 2.0**53) + int(lo * 2.0**53)
+    return total << (lowest - 53 + _UNIT_BITS)
 
 
 def _z_score(empirical: float, analytic: float, std_error: float) -> float:

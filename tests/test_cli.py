@@ -25,6 +25,25 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def child_env() -> dict:
+    """The environment of a separate interpreter that imports these sources first."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_entry_point(*argv):
+    """``python -m entprobe.cli`` in a separate interpreter: (return code, stdout, stderr)."""
+    result = subprocess.run(
+        [sys.executable, "-m", "entprobe.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=child_env(),
+    )
+    return result.returncode, result.stdout, result.stderr
+
+
 def parse_csv(text):
     records = list(csv.reader(io.StringIO(text)))
     header = records[0]
@@ -427,18 +446,9 @@ class TestCovariant:
 
     def test_overflowing_weight_sum_prints_one_line(self):
         # a separate interpreter, so that no warning filter of the test run hides a numpy warning
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        argv = ["covariant", "--d", "2", "--schmidt-spec", "1e308,1e308"]
-        result = subprocess.run(
-            [sys.executable, "-m", "entprobe.cli", *argv],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env={**os.environ, "PYTHONPATH": path},
-        )
-        assert (result.returncode, result.stdout) == (2, "")
-        assert result.stderr == "entprobe: --schmidt-spec: Schmidt weights must sum to 1, got inf\n"
+        code, out, err = run_entry_point("covariant", "--d", "2", "--schmidt-spec", "1e308,1e308")
+        assert (code, out) == (2, "")
+        assert err == "entprobe: --schmidt-spec: Schmidt weights must sum to 1, got inf\n"
 
 
 class TestWhGroup:
@@ -745,14 +755,38 @@ class TestCliContract:
 
     def test_startup_imports_neither_mpmath_nor_scipy(self):
         # the test oracles use both; the command line must not pay for either at start-up
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         probe = "import sys, entprobe.cli; print(sorted({'mpmath', 'scipy'} & set(sys.modules)))"
         result = subprocess.run(
             [sys.executable, "-c", probe],
             capture_output=True,
             text=True,
             timeout=60,
-            env={**os.environ, "PYTHONPATH": path},
+            env=child_env(),
         )
         assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+    @pytest.mark.parametrize("name", ["", "missing/table.csv"], ids=["directory", "missing-parent"])
+    def test_unopenable_output_exits_two(self, tmp_path, name):
+        path = str(tmp_path / name)
+        code, out, err = run_entry_point("pauli-demo", "--output", path)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"entprobe: --output: cannot open {path!r}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_closed_stdout_ends_the_run_quietly(self):
+        # the reader takes the header and closes the pipe, as '| head -n 1' does; the 65 536
+        # rows left overflow the pipe's buffer, so the next write meets the closed end
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "entprobe.cli", "wh-group", "--d", "16"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+        )
+        try:
+            header = proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert header == b"g,h,gram_re,gram_im,deviation\n"
+        assert (proc.returncode, err) == (141, b"")

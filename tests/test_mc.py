@@ -30,6 +30,7 @@ from entprobe.mc import (
 )
 
 from _helpers import (
+    _fixed_point_sum,
     box_muller,
     heterodyne_by_radius,
     heterodyne_by_whole_array,
@@ -316,6 +317,25 @@ def block_edge_counts(block: int) -> list[int]:
     return sorted({k * block + e for k in (1, 2) for e in (-1, 0, 1)} - {0})
 
 
+def nbar_edge(trials: int) -> float:
+    """The largest noise whose sum of squared deviations over ``trials`` trials
+    ``mc._check_deviation_sum`` accepts."""
+
+    def accepted(nbar: float) -> bool:
+        try:
+            mc._check_deviation_sum(nbar, trials)
+        except ValueError:
+            return False
+        return True
+
+    nbar = sys.float_info.max / 74.0 / trials
+    while accepted(math.nextafter(nbar, math.inf)):
+        nbar = math.nextafter(nbar, math.inf)
+    while not accepted(nbar):
+        nbar = math.nextafter(nbar, 0.0)
+    return nbar
+
+
 # the sampler's own case, extreme priors, orthogonal outputs, a plain local input and a
 # d = 8 Haar pair on an entangled probe
 _HAAR = generator(8)
@@ -351,6 +371,10 @@ class TestBlockStream:
 
     def test_default_block_size_is_covered(self):
         assert mc._CHUNK_TRIALS in BLOCK_SIZES
+
+    def test_blocks_fit_the_exact_sum(self):
+        # _grid_split_sum is exact for blocks of up to 2^16 values, the largest size tested
+        assert mc._CHUNK_TRIALS <= 1 << 16 == max(BLOCK_SIZES)
 
     @pytest.mark.parametrize("block", BLOCK_SIZES)
     def test_uniforms_match_one_draw(self, monkeypatch, block):
@@ -411,6 +435,19 @@ class TestBlockStream:
             for scheme in ("entangled", "unentangled"):
                 args = (0.6, 0.3 - 0.8j, NoiseSpec(0.25), scheme, trials, 9 + trials)
                 assert sample_heterodyne(*args) == heterodyne_by_radius(*args)
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    def test_heterodyne_reports_at_the_ends_of_the_variance(self, monkeypatch, block, workers):
+        # x one step below 1 gives the entangled law its least variance, ~2^-54, and the noise
+        # at the overflow edge for each trial count the largest variance the sampler accepts
+        monkeypatch.setattr(mc, "_CHUNK_TRIALS", block)
+        monkeypatch.setattr(mc, "_cpu_count", lambda: workers)
+        for trials in block_edge_counts(block):
+            for x, nbar in ((math.nextafter(1.0, 0.0), 0.0), (0.5, nbar_edge(trials))):
+                for scheme in ("entangled", "unentangled"):
+                    args = (x, 0.3 - 0.8j, NoiseSpec(nbar), scheme, trials, 9 + trials)
+                    assert sample_heterodyne(*args) == heterodyne_by_radius(*args)
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @pytest.mark.parametrize("block", BLOCK_SIZES)
@@ -527,8 +564,8 @@ def _bits(value: float) -> str:
 
 
 def exact_sum(blocks) -> float:
-    """The samplers' exact sum of every value in the arrays, rounded once."""
-    return sum(mc._fixed_point_sum(block.copy()) for block in blocks) / (1 << mc._UNIT_BITS)
+    """The oracle's exact sum of every value in the arrays, rounded once."""
+    return sum(_fixed_point_sum(block.copy()) for block in blocks) / (1 << mc._UNIT_BITS)
 
 
 finite_doubles = st.one_of(
@@ -546,7 +583,7 @@ spread_magnitudes = st.builds(
 
 
 class TestExactSum:
-    """The streamed exact sum rounds once, to the bits of math.fsum."""
+    """The exact-sum oracle of the kernel tests rounds once, to the bits of math.fsum."""
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(st.lists(finite_doubles | spread_magnitudes, max_size=40), st.integers(1, 5))
@@ -579,88 +616,66 @@ class TestExactSum:
             exact_sum([np.array([1.0, 2.0]), np.array([3.0, bad])])
 
 
-def grid_split_sum(values, top: int) -> float:
-    """The heterodyne block sum of ``values``, each below 2^top in magnitude, rounded once."""
-    return mc._grid_split_sum(np.array(values, dtype=float), top) / (1 << mc._UNIT_BITS)
+def sampler_deviations(u: np.ndarray, variance: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """The squared deviations -variance ln u of the uniforms u, the same scaled into [0, 1) as
+    the heterodyne sampler hands them to its block sum, and the exponent top of the scale."""
+    top = math.frexp(37.0 * variance)[1]
+    logs = np.log(u)
+    return -variance * logs, logs * math.ldexp(-variance, -top), top
 
 
-def radius_deviations(variance: float, size: int, seed: int) -> tuple[np.ndarray, int]:
-    """A block of the heterodyne sampler's squared deviations and its top exponent."""
-    u = one_draw_uniforms(seed, size, 1)[:, 0]
-    return -variance * np.log(u), math.frexp(37.0 * variance)[1]
+def assert_block_sum_is_exact(u: np.ndarray, variance: float) -> None:
+    """The block sum of the sampler's deviations equals the oracle's exact sum, and rounds to
+    the bits of math.fsum."""
+    deviations, scaled, top = sampler_deviations(u, variance)
+    total = mc._grid_split_sum(scaled, top)
+    assert total == _fixed_point_sum(deviations.copy())
+    assert _bits(total / (1 << mc._UNIT_BITS)) == _bits(math.fsum(deviations.tolist()))
 
 
-@pytest.fixture
-def whole_block_sums(monkeypatch):
-    """The sizes of the arrays that reach ``mc._fixed_point_sum``, one per call."""
-    sizes = []
-    block_sum = mc._fixed_point_sum
-
-    def record(values):
-        sizes.append(values.size)
-        return block_sum(values)
-
-    monkeypatch.setattr(mc, "_fixed_point_sum", record)
-    return sizes
+# uniforms so close to 1 that the last bit of their deviation lies below the lower grid, so that
+# only the remainder's sum holds it; with the least and the largest uniform, 2^-53 and 1, they
+# are the edges of the sampler's uniforms
+NEAR_ONE = 1.0 - np.array([1.0, 2.0, 3.0, 2.0**20, 2.0**30]) * 2.0**-53
+U_EDGES = np.concatenate([[2.0**-53], NEAR_ONE, [1.0]])
 
 
 class TestGridSplitSum:
     """The heterodyne block kernel sums on two grids, exactly: the bits of math.fsum."""
 
     @pytest.mark.parametrize("size", BLOCK_SIZES)
-    def test_values_just_below_the_top(self, size, whole_block_sums):
+    def test_values_just_below_the_top(self, size):
         # each upper part is then close to 2^b times its grid, so the grid sums reach 2^53
         # units; the random low bits make any rounding on the way show
         gaps = np.random.default_rng(size).integers(1, 2**40, size) * 2.0**-53
         for top in (-60, 0, 5, 900):
-            for values in (np.full(size, math.nextafter(2.0**top, 0.0)), 2.0**top * (1.0 - gaps)):
-                expected = mc._fixed_point_sum(values.copy())
-                whole_block_sums.clear()
+            for values in (np.full(size, math.nextafter(1.0, 0.0)), 1.0 - gaps):
+                expected = _fixed_point_sum(np.ldexp(values, top))
                 assert mc._grid_split_sum(values.copy(), top) == expected
-                assert whole_block_sums == []  # no leftovers
-                assert _bits(expected / (1 << mc._UNIT_BITS)) == _bits(math.fsum(values.tolist()))
+                exact = math.fsum(np.ldexp(values, top).tolist())
+                assert _bits(expected / (1 << mc._UNIT_BITS)) == _bits(exact)
 
     @pytest.mark.parametrize("size", BLOCK_SIZES)
     @pytest.mark.parametrize("x, nbar", [(0.5, 0.25), (1 - 1e-15, 0.0), (-0.9, 3.0)])
     def test_sampler_blocks(self, size, x, nbar):
         variance = gauss.epr_heterodyne(gauss.tmsv_state(x), 0.0, NoiseSpec(nbar)).variance
-        values, top = radius_deviations(variance, size, 2**64 - size)
-        expected = mc._fixed_point_sum(values.copy())
-        assert mc._grid_split_sum(values.copy(), top) == expected
-        assert _bits(grid_split_sum(values, top)) == _bits(math.fsum(values.tolist()))
+        assert_block_sum_is_exact(one_draw_uniforms(2**64 - size, size, 1)[:, 0], variance)
 
-    def test_huge_variance_falls_back_to_the_whole_block(self, whole_block_sums):
-        variance = gauss.epr_heterodyne(gauss.tmsv_state(0.5), 0.0, NoiseSpec(1e303)).variance
-        values, top = radius_deviations(variance, 2000, 3)
-        assert top - 42 + 53 > 1023  # 2000 values leave 42 bits per grid
-        assert _bits(grid_split_sum(values, top)) == _bits(math.fsum(values.tolist()))
-        assert whole_block_sums == [2000]
-
-    def test_subnormal_lower_grid_falls_back_to_the_whole_block(self, whole_block_sums):
-        # 2^13 values leave 40 bits per grid, so the lower grid is 2^-1040; these values sit
-        # on the upper one and would leave no remainder for a leftover sum
-        values = np.resize([1.5, 1.0, 1.25, 0.0], 1 << 13) * 2.0**-961
-        assert _bits(grid_split_sum(values, -960)) == _bits(math.fsum(values.tolist()))
-        assert whole_block_sums == [1 << 13]
-
-    def test_leftovers_near_zero(self, whole_block_sums):
-        # u this close to 1, and the subnormal, put a last bit below the lower grid
-        u = 1.0 - np.array([1.0, 2.0, 3.0, 2.0**20, 2.0**30]) * 2.0**-53
-        values = np.concatenate([-0.7 * np.log(u), [0.0, -0.0, 5e-324, 0.6, 25.0]])
-        values = np.resize(values, 1 << 13)
-        top = math.frexp(37.0 * 0.7)[1]
-        assert _bits(grid_split_sum(values, top)) == _bits(math.fsum(values.tolist()))
-        assert whole_block_sums == [1 << 13]
+    def test_leftovers_near_zero(self):
+        assert_block_sum_is_exact(np.resize(NEAR_ONE, 1 << 13), 0.7)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(
-        st.lists(
-            st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True),
-            min_size=1,
-            max_size=40,
-        ),
-        st.integers(-1000, 960),
+        st.lists(st.integers(0, 2**64 - 1), max_size=40),
+        st.floats(0.5, 1.0, exclude_max=True) | st.sampled_from([0.5, math.nextafter(1.0, 0.0)]),
+        st.integers(-53, 1019),
     )
-    def test_matches_fsum(self, fractions, top):
-        values = [math.ldexp(f, top) for f in fractions]
-        assert _bits(grid_split_sum(values, top)) == _bits(math.fsum(values))
+    def test_philox_words_over_the_variance_range(self, words, mantissa, exponent):
+        # variances from 2^-54 to the overflow edge of each block size, which is ~4.9e306 for
+        # one trial, on the uniforms ((w >> 11) + 1) 2^-53 of the words and the edge uniforms
+        u = (np.array(words, dtype=np.uint64) >> np.uint64(11)).astype(float) * 2.0**-53
+        u = np.concatenate([u + 2.0**-53, U_EDGES])
+        variance = max(math.ldexp(mantissa, exponent), 2.0**-54)
+        for size in BLOCK_SIZES:
+            edge = 1.0 + 2.0 * nbar_edge(size)
+            assert_block_sum_is_exact(np.resize(u, size), min(variance, edge))
