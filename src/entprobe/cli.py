@@ -407,6 +407,9 @@ _CLOSED_STDOUT = 141
 
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)  # exits 2 on a usage error
+    if ns.output is None and sys.stdout is None:  # started with stdout closed ('>&-')
+        print("entprobe: stdout is closed; write the table to a file with --output", file=sys.stderr)
+        return 2
     try:
         rows = ns.run(ns)
         if ns.output is None:

@@ -36,8 +36,6 @@ class OneModeProbe:
     s: float
     nbar: float = 0.0
 
-    modes = 1
-
     def __post_init__(self):
         object.__setattr__(self, "s", _check_squeezing(self.s))
         object.__setattr__(self, "nbar", _check_nbar(self.nbar))
@@ -50,8 +48,6 @@ class TwoModeProbe:
     x: float
     nbar0: float = 0.0
     nbar1: float = 0.0
-
-    modes = 2
 
     def __post_init__(self):
         object.__setattr__(self, "x", _check_gain(self.x))
@@ -113,11 +109,9 @@ class NoiseBoundaries(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def vacuum_state(modes: int = 1) -> OneModeProbe | TwoModeProbe:
-    """The vacuum: the unsqueezed one-mode probe, or on two modes the zero-gain probe."""
-    if modes not in (1, 2):
-        raise ValueError(f"only 1 or 2 modes are supported, got {modes}")
-    return OneModeProbe(0.0) if modes == 1 else tmsv_state(0.0)
+def vacuum_state() -> OneModeProbe:
+    """The vacuum: the unsqueezed one-mode probe; the two-mode vacuum is ``tmsv_state(0.0)``."""
+    return OneModeProbe(0.0)
 
 
 def squeezed_state(s: float) -> OneModeProbe:
@@ -144,19 +138,16 @@ def tmsv_state(x: float) -> TwoModeProbe:
 # ---------------------------------------------------------------------------
 
 
-def _check_mode(g, mode: int) -> None:
-    if not 0 <= mode < g.modes:
-        raise ValueError(f"mode {mode} out of range for a {g.modes}-mode state")
-
-
 def apply_displacement_noise(g, mode: int, nbar: float):
     """Random-displacement channel: adds (nbar/2) I to the covariance of the mode's (x, p), that
-    is, nbar to the mode's noise photons, which must stay finite."""
+    is, nbar to the mode's noise photons, which must stay finite; a one-mode probe has mode 0,
+    a two-mode probe modes 0 and 1."""
     nbar = _check_nbar(nbar)
-    _check_mode(g, mode)
-    if isinstance(g, OneModeProbe):
+    if isinstance(g, OneModeProbe) and mode == 0:
         return replace(g, nbar=g.nbar + nbar)
-    return replace(g, nbar1=g.nbar1 + nbar) if mode else replace(g, nbar0=g.nbar0 + nbar)
+    if isinstance(g, TwoModeProbe) and mode in (0, 1):
+        return replace(g, nbar1=g.nbar1 + nbar) if mode else replace(g, nbar0=g.nbar0 + nbar)
+    raise ValueError(f"mode {mode} out of range for a {type(g).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +165,12 @@ def _xp_variances(g: OneModeProbe) -> tuple[float, float]:
     )
 
 
-def quadrature_variance(g, mode: int, phi):
+def quadrature_variance(g: OneModeProbe, phi):
     """Variance cos^2(phi) Var(x) + sin^2(phi) Var(p) of x cos(phi) + p sin(phi) of a 1-mode
     probe, for a phase or an array of them; a 2-mode probe holds no lab quadrature, so it is
     refused."""
-    if g.modes != 1:
-        raise ValueError(f"a quadrature variance needs a 1-mode state, got {g.modes} modes")
-    _check_mode(g, mode)
+    if not isinstance(g, OneModeProbe):
+        raise ValueError(f"a quadrature variance needs a 1-mode state, got {type(g).__name__}")
     c, s = np.cos(phi), np.sin(phi)
     var_x, var_p = _xp_variances(g)
     return c * c * var_x + s * s * var_p
@@ -215,7 +205,7 @@ def epr_heterodyne(
     reported back in the fixed frame as z.
     """
     if not isinstance(g, TwoModeProbe):
-        raise ValueError(f"an EPR measurement needs a 2-mode state, got {g.modes} mode(s)")
+        raise ValueError(f"an EPR measurement needs a 2-mode state, got {type(g).__name__}")
     variance = tmsv_epr_variance(g.x) + g.nbar0 + g.nbar1 + 2.0 * noise.nbar_per_mode
     return _law(_check_alpha(alpha), variance)
 
@@ -227,8 +217,8 @@ def heterodyne(
     vacuum ancilla, whose quadratures add 2 * VACUUM_VARIANCE: center alpha, variance
     Var(x) + Var(p) + 1/2 + nbar, so the vacuum probe yields E|z - alpha|^2 = 1.
     """
-    if g.modes != 1:
-        raise ValueError(f"single-mode heterodyne needs a 1-mode state, got {g.modes}")
+    if not isinstance(g, OneModeProbe):
+        raise ValueError(f"single-mode heterodyne needs a 1-mode state, got {type(g).__name__}")
     var_x, var_p = _xp_variances(g)
     variance = var_x + var_p + 2.0 * VACUUM_VARIANCE + noise.nbar_per_mode
     return _law(_check_alpha(alpha), variance)
@@ -272,7 +262,7 @@ def ppt_separability(g: TwoModeProbe) -> SeparabilityReport:
     float.  The state is separable exactly when nu_- stays at or above 1/4.
     """
     if not isinstance(g, TwoModeProbe):
-        raise ValueError(f"the test applies to 2-mode states, got {g.modes} mode(s)")
+        raise ValueError(f"the test applies to 2-mode states, got {type(g).__name__}")
     x, n0, n1 = abs(g.x), g.nbar0, g.nbar1
     w = (1.0 - x) * (1.0 + x)
     big, cross = (1.0 + x * x) / (4.0 * w), x / (2.0 * w)

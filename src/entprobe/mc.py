@@ -9,15 +9,17 @@ no angle; the choice is recorded in every report.  A Helstrom trial compares
 its uniforms with the priors and the measurement's acceptance probabilities,
 which ``discrim`` writes in closed form; this module holds no linear algebra.
 
-The samplers split the trials into one range of blocks of at most
-``_CHUNK_TRIALS`` trials per CPU, run by the calling thread and helper
-threads; Philox is counter-based, so each range starts at its own words.
-Each range returns an integer, an error count or an exact sum, and integers
-add the same in any order.  The exact sum scales each block's squared
-deviations by a power of two into [0, 1), rounds them onto two fixed grids
-and sums the parts of each grid and what is left in float64, all without
-rounding for blocks of up to 2^16 trials.  The total rounds once: the bits of
-``math.fsum`` over all trials, whatever the block size or CPU count.
+A sampler is a block kernel, a function from one block of uniforms to an
+integer (an error count or an exact sum), handed to ``_split_sum``, which
+owns the stream: it cuts the trials into one range of blocks of at most
+``_CHUNK_TRIALS`` trials per CPU, run by the calling thread and a thread
+pool, and feeds each block to the kernel.  Philox is counter-based, so each
+range starts at its own words, and integers add the same in any order.  The
+exact sum scales each block's squared deviations by a power of two into
+[0, 1), rounds them onto two fixed grids and sums the parts of each grid and
+what is left in float64, all without rounding for blocks of up to 2^16
+trials.  The total rounds once: the bits of ``math.fsum`` over all trials,
+whatever the block size or CPU count.
 """
 
 from __future__ import annotations
@@ -74,13 +76,13 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
 
 
-def _uniform_chunks(seed: int, first: int, stop: int, per_trial: int, abandon=None):
+def _uniform_chunks(seed: int, first: int, stop: int, per_trial: int):
     """Yield the uniforms of trials ``first`` to ``stop - 1`` less 2^-53, trial i on Philox
-    stream slice i, in blocks of at most ``_CHUNK_TRIALS`` trials, each written over the last,
-    and stop early once the ``abandon`` event is set.  Each raw 64-bit word w gives the uniform
-    ((w >> 11) + 1) 2^-53 in (0, 1], which feeds logarithms safely; ``random`` writes
-    (w >> 11) 2^-53, and each sampler adds the 2^-53, exactly, only where it reads a uniform.
-    One ``advance`` step skips one 4-word Philox block."""
+    stream slice i, in blocks of at most ``_CHUNK_TRIALS`` trials, each written over the last.
+    Each raw 64-bit word w gives the uniform ((w >> 11) + 1) 2^-53 in (0, 1], which feeds
+    logarithms safely; ``random`` writes (w >> 11) 2^-53, and each kernel adds the 2^-53,
+    exactly, only where it reads a uniform.  One ``advance`` step skips one 4-word Philox
+    block."""
     _check_seed(seed)
     bitgen = np.random.Philox(key=np.uint64(seed))
     bitgen.advance(first * per_trial // 4)
@@ -88,8 +90,6 @@ def _uniform_chunks(seed: int, first: int, stop: int, per_trial: int, abandon=No
     draw = np.random.Generator(bitgen).random
     block = np.empty((min(_CHUNK_TRIALS, stop - first), per_trial))
     for start in range(first, stop, _CHUNK_TRIALS):
-        if abandon is not None and abandon.is_set():
-            return
         yield draw(out=block[: stop - start])
 
 
@@ -97,42 +97,36 @@ def _cpu_count() -> int:  # the CPUs this process may run on
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _split_sum(trials: int, work) -> int:
-    """Sum of the integers ``work(first, stop, abandon)`` over ranges of whole blocks covering
-    [0, trials), one per CPU and at most one per block.  The calling thread runs the first range
-    and helper threads, all joined here, the rest; a helper's exception is raised here, lowest
-    range first.  An exception in the calling thread, Ctrl-C included, sets the ``abandon``
-    event, which each range checks between blocks, so the helpers stop within a block."""
+def _split_sum(seed: int, trials: int, per_trial: int, kernel) -> int:
+    """Sum of the integers ``kernel(u)`` over the ``_uniform_chunks`` blocks of trials 0 to
+    ``trials - 1``, ``per_trial`` uniforms each.  The trials are cut into ranges of whole blocks,
+    one per CPU and at most one per block; the calling thread runs the first range and a thread
+    pool, all joined here, the rest; a helper's exception is raised here, lowest range first.
+    An exception in the calling thread, Ctrl-C included, sets the ``abandon`` event, which each
+    range checks between blocks, so the helpers stop within a block."""
+    # imported here: concurrent.futures loads logging, ~9 ms on every CLI start otherwise
+    from concurrent.futures import ThreadPoolExecutor
+
     blocks = -(-trials // _CHUNK_TRIALS)
     ranges = min(_cpu_count(), blocks)
     edges = [min(trials, blocks * i // ranges * _CHUNK_TRIALS) for i in range(ranges + 1)]
-    outcomes = [0] * ranges
     abandon = threading.Event()
 
-    def run(i: int) -> None:
-        try:
-            outcomes[i] = work(edges[i], edges[i + 1], abandon)
-        except Exception as exc:  # raised again from the calling thread
-            outcomes[i] = exc
+    def run(first: int, stop: int) -> int:
+        total = 0
+        for u in _uniform_chunks(seed, first, stop, per_trial):
+            if abandon.is_set():
+                break
+            total += kernel(u)
+        return total
 
-    helpers = []
-    try:
-        for i in range(1, ranges):
-            helper = threading.Thread(target=run, args=(i,))
-            helper.start()
-            helpers.append(helper)
-        outcomes[0] = work(edges[0], edges[1], abandon)
-        for helper in helpers:
-            helper.join()
-    finally:
-        # reached with a helper still running only on an exception, whose sum is never taken
-        abandon.set()
-        for helper in helpers:
-            helper.join()
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
-    return sum(outcomes)
+    with ThreadPoolExecutor(max(ranges - 1, 1)) as pool:
+        try:
+            helpers = [pool.submit(run, edges[i], edges[i + 1]) for i in range(1, ranges)]
+            return run(edges[0], edges[1]) + sum(helper.result() for helper in helpers)
+        except BaseException:
+            abandon.set()
+            raise
 
 
 def _grid_split_sum(values: np.ndarray, top: int) -> int:
@@ -203,17 +197,14 @@ def sample_helstrom(
         np.tile([problem.p1, q], min(_CHUNK_TRIALS, trials)) - 2.0**-53 for q in (q1, q2)
     ]
 
-    def error_count(first: int, stop: int, abandon) -> int:
-        below = np.empty(2 * min(_CHUNK_TRIALS, stop - first), dtype=bool)
-        errors = 0
-        for u in _uniform_chunks(seed, first, stop, 2, abandon):
-            flat = u.reshape(-1)
-            for threshold, error in zip(thresholds, (1, 256)):
-                pairs = np.less_equal(flat, threshold[: flat.size], out=below[: flat.size])
-                errors += int(np.count_nonzero(pairs.view("<u2") == error))
-        return errors
+    def error_count(u: np.ndarray) -> int:
+        flat = u.reshape(-1)
+        return sum(
+            int(np.count_nonzero((flat <= threshold[: flat.size]).view("<u2") == error))
+            for threshold, error in zip(thresholds, (1, 256))
+        )
 
-    empirical = _split_sum(trials, error_count) / trials
+    empirical = _split_sum(seed, trials, 2, error_count) / trials
 
     analytic = float(helstrom_error(problem, probe))
     std_error = math.sqrt(max(analytic * (1.0 - analytic), 0.0) / trials)
@@ -263,21 +254,17 @@ def sample_heterodyne(
     top = math.frexp(37.0 * law.variance)[1]
     scale = math.ldexp(-law.variance, -top)
 
-    def deviation_sum(first: int, stop: int, abandon) -> int:
+    def deviation_sum(u: np.ndarray) -> int:
         # |z - alpha|^2 in units of 2^-1126: z - alpha is a Box-Muller pair scaled by
         # sqrt(variance / 2), so it is variance / 2 times the squared radius -2 ln u0 and the
-        # angle, from the trial's second uniform, drops out
-        scratch = np.empty(min(_CHUNK_TRIALS, stop - first))
-        total = 0
-        for u in _uniform_chunks(seed, first, stop, 2, abandon):
-            # u0, written contiguously so that numpy's vector log needs no strided gather
-            deviation = np.add(u[:, 0], 2.0**-53, out=scratch[: len(u)])
-            np.log(deviation, out=deviation)
-            deviation *= scale
-            total += _grid_split_sum(deviation, top)
-        return total
+        # angle, from the trial's second uniform, drops out.  u0 is copied out contiguously, so
+        # that numpy's vector log needs no strided gather
+        deviation = u[:, 0] + 2.0**-53
+        np.log(deviation, out=deviation)
+        deviation *= scale
+        return _grid_split_sum(deviation, top)
 
-    empirical = _split_sum(trials, deviation_sum) / (1 << _UNIT_BITS) / trials
+    empirical = _split_sum(seed, trials, 2, deviation_sum) / (1 << _UNIT_BITS) / trials
 
     # E|z-alpha|^2 is delta^2/2 times a chi-square with 2 dof per trial
     std_error = analytic / math.sqrt(trials)
@@ -316,7 +303,7 @@ def stability_scan(s: float, x: float, phi_grid) -> StabilityScan:
     entangled = gauss.epr_heterodyne(gauss.tmsv_state(x)).variance
     return StabilityScan(
         phis=phis,
-        squeezed_variance=gauss.quadrature_variance(gauss.squeezed_state(s), 0, phis),
+        squeezed_variance=gauss.quadrature_variance(gauss.squeezed_state(s), phis),
         entangled_variance=np.full(phis.shape, entangled),
         squeezed_photons=gauss.photon_budget("squeezed", s),
         entangled_photons=gauss.photon_budget("tmsv", x),

@@ -478,7 +478,7 @@ def stability_by_loop(s: float, x: float, phis) -> tuple[np.ndarray, np.ndarray]
     one through the rotated rows of ``epr_law_by_rotated_rows``."""
     squeezed_state = gauss.squeezed_state(s)
     entangled_state = gauss.tmsv_state(x)
-    squeezed = np.array([gauss.quadrature_variance(squeezed_state, 0, phi) for phi in phis])
+    squeezed = np.array([gauss.quadrature_variance(squeezed_state, phi) for phi in phis])
     entangled = np.array([epr_law_by_rotated_rows(entangled_state, phi=phi).variance for phi in phis])
     return squeezed, entangled
 
@@ -697,8 +697,8 @@ _UPPER = np.triu_indices(4, 1)
 def pt_eigenvalue_by_lapack_cholesky(g) -> gauss.SeparabilityReport:
     """``gauss.ppt_separability`` through ``np.linalg.cholesky``: the same nu_+ and
     nu_- = det L / (4 nu_+), with H = L^T (J + J) L / 2 formed by two 4 x 4 products."""
-    if g.modes != 2:
-        raise ValueError(f"the test applies to 2-mode states, got {g.modes} mode(s)")
+    if not isinstance(g, gauss.TwoModeProbe):
+        raise ValueError(f"the test applies to 2-mode states, got {type(g).__name__}")
     chol = np.linalg.cholesky(pair_cov(g))
     h01, h02, h03, h12, h13, h23 = (chol.T @ _PT_PAIR_FORM @ chol)[_UPPER].tolist()
     nu_max = (math.hypot(h01 + h23, h02 - h13, h03 + h12) + math.hypot(h01 - h23, h02 + h13, h03 - h12)) / 2.0

@@ -765,6 +765,18 @@ class TestCliContract:
         )
         assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
+    def test_startup_imports_neither_logging_nor_the_thread_pool(self):
+        # the samplers' pool module loads logging; only a sampler run may pay for either
+        probe = "import sys, entprobe.cli; print(sorted({'logging', 'concurrent.futures'} & set(sys.modules)))"
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=child_env(),
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
     @pytest.mark.parametrize("name", ["", "missing/table.csv"], ids=["directory", "missing-parent"])
     def test_unopenable_output_exits_two(self, tmp_path, name):
         path = str(tmp_path / name)
@@ -790,3 +802,21 @@ class TestCliContract:
             proc.kill()
         assert header == b"g,h,gram_re,gram_im,deviation\n"
         assert (proc.returncode, err) == (141, b"")
+
+    def test_stdout_closed_at_start_needs_output(self, tmp_path):
+        # '>&-' starts the interpreter with no fd 1, so sys.stdout is None: without --output
+        # the run is refused before any work, with --output the table goes to the file
+        def closed_stdout_run(*argv):
+            command = ['exec "$0" -m entprobe.cli "$@" >&-', sys.executable, *argv]
+            result = subprocess.run(
+                ["sh", "-c", *command], capture_output=True, text=True, timeout=60, env=child_env()
+            )
+            return result.returncode, result.stderr
+
+        code, err = closed_stdout_run("pauli-demo")
+        assert code == 2
+        assert err.startswith("entprobe: ") and "--output" in err
+        assert err.count("\n") == 1 and err.endswith("\n")
+        path = tmp_path / "table.csv"
+        assert closed_stdout_run("pauli-demo", "--output", str(path)) == (0, "")
+        assert path.read_text() == run_entry_point("pauli-demo")[1]

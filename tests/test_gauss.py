@@ -74,7 +74,6 @@ class TestStatePreparation:
         assert np.array_equal(pair_cov(st), 0.5 * np.eye(4))
         assert (st.x, st.nbar0, st.nbar1) == (0.0, 0.0, 0.0)
         assert np.array_equal(to_lab(st).cov, 0.25 * np.eye(4))
-        assert vacuum_state(2) == st
 
     def test_tmsv_epr_quadrature_variance(self):
         for x in (0.1, 1.0 / 3.0, 0.5, 0.9):
@@ -90,10 +89,10 @@ class TestStatePreparation:
     def test_squeezed_variances(self):
         for s in (0.0, 0.4, 1.3):
             st = squeezed_state(s)
-            assert quadrature_variance(st, 0, 0.0) == pytest.approx(
+            assert quadrature_variance(st, 0.0) == pytest.approx(
                 0.25 * np.exp(-2.0 * s), abs=1e-14
             )
-            assert quadrature_variance(st, 0, np.pi / 2) == pytest.approx(
+            assert quadrature_variance(st, np.pi / 2) == pytest.approx(
                 0.25 * np.exp(2.0 * s), abs=1e-12
             )
 
@@ -115,7 +114,7 @@ class TestStatePreparation:
 
     def test_all_preparations_physical(self):
         # the dense one-mode constructor enforces the uncertainty bound; just build them
-        vacuum_state(2)
+        tmsv_state(0.0)
         to_pair(coherent_state(1.5 - 0.5j))
         to_lab(squeezed_state(2.0))
         tmsv_state(0.99)
@@ -155,10 +154,8 @@ class TestStatePreparation:
             one_mode_state(np.zeros(4), 0.5 * np.eye(4))
         with pytest.raises(ValueError, match="match"):
             one_mode_state(np.zeros(2), 0.25 * np.eye(4))
-        with pytest.raises(ValueError, match="modes"):
-            vacuum_state(3)
         with pytest.raises(ValueError, match="two modes"):
-            tensor(to_lab(vacuum_state(2)), vacuum_state(1))
+            tensor(to_lab(tmsv_state(0.0)), vacuum_state())
 
 
 # Squeezing values outside the library's domain |s| <= MAX_SQUEEZING.
@@ -188,7 +185,7 @@ class TestOneModeProbe:
         assert MAX_SQUEEZING == math.log(np.finfo(float).max) / 2.0
         phis = np.linspace(-np.pi, np.pi, 33)
         for g in (squeezed_state(s), OneModeProbe(s, 1e308)):
-            assert np.all(np.isfinite(quadrature_variance(g, 0, phis)))
+            assert np.all(np.isfinite(quadrature_variance(g, phis)))
             assert all(map(math.isfinite, gauss._xp_variances(g)))
         assert math.isfinite(heterodyne(squeezed_state(s), 1.0 - 2.0j, NoiseSpec(1e300)).variance)
         assert math.isfinite(photon_budget("squeezed", s))
@@ -206,8 +203,9 @@ class TestOneModeProbe:
         g = apply_displacement_noise(squeezed_state(-0.7), 0, 0.3)
         assert g == OneModeProbe(-0.7, 0.3)
         assert apply_displacement_noise(g, 0, 0.45).nbar == 0.3 + 0.45
-        with pytest.raises(ValueError, match="out of range"):
-            apply_displacement_noise(g, 1, 0.1)
+        for mode in (-1, 1):
+            with pytest.raises(ValueError, match="out of range"):
+                apply_displacement_noise(g, mode, 0.1)
         # each step is finite, but the photons they add overflow
         with pytest.raises(ValueError, match=r"^noise photon number must be finite and nonnegative, got inf$"):
             apply_displacement_noise(OneModeProbe(0.0, 1e308), 0, 1e308)
@@ -215,7 +213,7 @@ class TestOneModeProbe:
     def test_closed_forms_at_pinned_values(self):
         # the stability scan's squeezed column at s = 2 and its photon count, bit for bit
         g = squeezed_state(2.0)
-        assert quadrature_variance(g, 0, 0.0) == np.exp(-4.0) * 0.25
+        assert quadrature_variance(g, 0.0) == np.exp(-4.0) * 0.25
         assert gauss._xp_variances(g) == (float(np.exp(-4.0)) / 4.0, float(np.exp(4.0)) / 4.0)
         assert photon_budget("squeezed", 2.0) == 13.154116418008241
         law = heterodyne(OneModeProbe(0.0, 0.5), 0.25 - 1.0j, NoiseSpec(0.7))
@@ -249,7 +247,7 @@ class TestOneModeAgainstDenseRoute:
         cov = [[Fraction(v) for v in row] for row in to_lab(g).cov.tolist()]
         row = (Fraction(math.cos(phi)), Fraction(math.sin(phi)))
         exact = sum(row[i] * cov[i][j] * row[j] for i in range(2) for j in range(2))
-        assert _ulps(quadrature_variance(g, 0, phi), exact) <= 8.0, (s, nbar, phi)
+        assert _ulps(quadrature_variance(g, phi), exact) <= 8.0, (s, nbar, phi)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -303,7 +301,7 @@ class TestDisplacementNoise:
     def test_composition_law_bitwise_on_representable_values(self):
         # dyadic strengths keep both addition orders exact, so the compared
         # probes must agree bit for bit
-        for st in (vacuum_state(2), vacuum_state(), squeezed_state(0.7)):
+        for st in (tmsv_state(0.0), vacuum_state(), squeezed_state(0.7)):
             twice = apply_displacement_noise(apply_displacement_noise(st, 0, 0.25), 0, 0.5)
             once = apply_displacement_noise(st, 0, 0.75)
             assert twice == once
@@ -323,6 +321,11 @@ class TestDisplacementNoise:
         b = displace(to_lab(apply_displacement_noise(st, 0, 0.6)), 0, 1.0 + 1.0j)
         np.testing.assert_allclose(a.cov, b.cov, rtol=1e-15, atol=1e-15)
         assert np.array_equal(a.mean, b.mean)
+
+    @pytest.mark.parametrize("mode", (-1, 2))
+    def test_two_mode_probe_refuses_a_third_mode(self, mode):
+        with pytest.raises(ValueError, match="out of range"):
+            apply_displacement_noise(tmsv_state(0.5), mode, 0.1)
 
     def test_zero_noise_identity(self):
         for st in (tmsv_state(0.5), squeezed_state(-1.5)):
@@ -372,7 +375,7 @@ class TestQuadratureVariance:
     def test_vacuum_flat(self):
         st = vacuum_state()
         for phi in np.linspace(0.0, 2.0 * np.pi, 9):
-            assert quadrature_variance(st, 0, phi) == pytest.approx(0.25, abs=1e-14)
+            assert quadrature_variance(st, phi) == pytest.approx(0.25, abs=1e-14)
 
     def test_squeezed_interpolation_formula(self):
         s = 0.8
@@ -381,13 +384,12 @@ class TestQuadratureVariance:
             expected = 0.25 * (
                 np.exp(2.0 * s) * np.sin(phi) ** 2 + np.exp(-2.0 * s) * np.cos(phi) ** 2
             )
-            assert quadrature_variance(st, 0, phi) == pytest.approx(expected, abs=1e-12)
+            assert quadrature_variance(st, phi) == pytest.approx(expected, abs=1e-12)
 
     def test_two_mode_state_refused(self):
         # pair-frame entries are no lab quadrature, so no mode of a 2-mode state is read
-        for mode in (0, 1):
-            with pytest.raises(ValueError, match="1-mode"):
-                quadrature_variance(tmsv_state(0.5), mode, 0.0)
+        with pytest.raises(ValueError, match="1-mode"):
+            quadrature_variance(tmsv_state(0.5), 0.0)
 
 
 class TestHeterodyne:
@@ -445,9 +447,9 @@ class TestHeterodyne:
         assert epr_heterodyne(tmsv_state(0.5), 0, NoiseSpec(8e307)).variance == 1.6e308
 
     def test_mode_count_checked(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs a 2-mode state, got OneModeProbe"):
             epr_heterodyne(vacuum_state())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs a 1-mode state, got TwoModeProbe"):
             heterodyne(tmsv_state(0.1))
 
 
@@ -679,7 +681,7 @@ class TestAdvantageThreshold:
 
 class TestSeparability:
     def test_two_mode_vacuum_separable(self):
-        vacuum = vacuum_state(2)
+        vacuum = tmsv_state(0.0)
         assert np.array_equal(to_lab(vacuum).cov, tensor(vacuum_state(), vacuum_state()).cov)
         report = ppt_separability(vacuum)
         assert report.separable

@@ -471,7 +471,7 @@ class TestBlockStream:
         }
         uniforms = np.array(list(itertools.product(near[problem.p1], near[q1] + near[q2])))
 
-        def crafted(seed, first, stop, per_trial, abandon):
+        def crafted(seed, first, stop, per_trial):
             yield uniforms[first:stop] - 2.0**-53  # exact: every uniform is a multiple of 2^-53
 
         monkeypatch.setattr(mc, "_uniform_chunks", crafted)
@@ -516,10 +516,10 @@ class TestBlockStream:
     def test_helper_error_surfaces_and_no_helper_outlives_the_call(self, monkeypatch):
         chunks = mc._uniform_chunks
 
-        def fail_after_the_first_range(seed, first, stop, per_trial, abandon):
+        def fail_after_the_first_range(seed, first, stop, per_trial):
             if first > 0:
                 raise ValueError("second range failed")
-            return chunks(seed, first, stop, per_trial, abandon)
+            return chunks(seed, first, stop, per_trial)
 
         monkeypatch.setattr(mc, "_CHUNK_TRIALS", 4)
         monkeypatch.setattr(mc, "_cpu_count", lambda: 2)
@@ -557,6 +557,40 @@ class TestBlockStream:
             sample_heterodyne(0.5, 0.0, NoiseSpec(0.1), "entangled", 16 * 200, 1)
         assert threading.active_count() == before
         assert len(helper_blocks) <= 2
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    def test_counting_kernel_sees_every_trial_once(self, monkeypatch, block, workers):
+        monkeypatch.setattr(mc, "_CHUNK_TRIALS", block)
+        monkeypatch.setattr(mc, "_cpu_count", lambda: workers)
+        for trials in block_edge_counts(block):
+            assert mc._split_sum(7, trials, 3, len) == trials
+
+    def test_lowest_failing_helper_range_surfaces(self, monkeypatch):
+        # ranges 1 and 2 both fail, range 2 first: range 1's error is the one raised
+        def range_starts(seed, first, stop, per_trial):
+            yield np.full((stop - first, per_trial), first)
+
+        second_failed = threading.Event()
+
+        def kernel(u):
+            first = int(u[0, 0])
+            if first == 2:
+                second_failed.set()
+                raise ValueError("range 2 failed")
+            if first == 1:
+                second_failed.wait(timeout=30)
+                raise ValueError("range 1 failed")
+            return len(u)
+
+        monkeypatch.setattr(mc, "_CHUNK_TRIALS", 1)
+        monkeypatch.setattr(mc, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(mc, "_uniform_chunks", range_starts)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="range 1 failed"):
+            mc._split_sum(0, 3, 1, kernel)
+        assert second_failed.is_set()
+        assert threading.active_count() == before
 
 
 def _bits(value: float) -> str:
