@@ -29,7 +29,7 @@ for x in (0.3, 0.6, 0.9):
     law = epr_heterodyne(tmsv_state(x), alpha)
     print(
         f"  entangled probe x={x}: {law.variance:.4f}"
-        f"  (photon cost {photon_budget('tmsv', x):.3f})"
+        f"  (photon cost {photon_budget(tmsv_state(x)):.3f})"
     )
 
 print("\nwith displacement noise on every mode (x = 0.6):")

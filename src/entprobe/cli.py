@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import math
 import os
@@ -70,7 +71,9 @@ def _parse_grid(text: str, name: str) -> np.ndarray:
             lo, hi, count = float(lo), float(hi), int(count)
             # an infinite hi - lo would fill the grid with inf and nan
             if 1 <= count <= MAX_GRID_POINTS and math.isfinite(hi - lo):
-                return np.linspace(lo, hi, count)
+                # the last point, (count - 1) times the step, may overflow before it is set to hi
+                with np.errstate(over="ignore"):
+                    return np.linspace(lo, hi, count)
         else:
             values = np.array([float(tok) for tok in text.split(",") if tok != ""])
             if 1 <= values.size <= MAX_GRID_POINTS and np.all(np.isfinite(values)):
@@ -213,8 +216,7 @@ def _run_pauli_demo(ns):
     probe = ProbeState.maximally_entangled(2)
 
     def p_error(j, k, *_):
-        problem = DiscriminationProblem(group.elements[j], group.elements[k])
-        return float(helstrom_error(problem, probe))
+        return helstrom_error(DiscriminationProblem(group.elements[j], group.elements[k]), probe)
 
     return _gram_rows(group, probe, "p_error", p_error)
 
@@ -301,20 +303,11 @@ def _run_cv_estimate(ns):
 
 def _run_threshold_scan(ns):
     grid = _parse_grid(ns.x_grid, "--x-grid")
-    for x in grid:
-        _library_check("--x-grid", gauss._check_gain, x)
-    rows = []
-    for x in grid:
-        bounds = gauss.noise_boundaries(float(x))
-        rows.append(
-            {
-                "x": float(x),
-                "delta_sq": float(gauss.tmsv_epr_variance(float(x))),
-                "advantage_nbar": float(bounds.advantage_nbar),
-                "ppt_nbar": float(bounds.ppt_nbar),
-            }
-        )
-    return rows
+    grid = [_library_check("--x-grid", gauss._check_gain, x) for x in grid]
+    return [
+        {"x": x, "delta_sq": gauss.tmsv_epr_variance(x), **gauss.noise_boundaries(x)._asdict()}
+        for x in grid
+    ]
 
 
 def _run_stability(ns):
@@ -405,12 +398,36 @@ def build_parser() -> argparse.ArgumentParser:
 _CLOSED_STDOUT = 141
 
 
+def _check_output(path: str) -> None:
+    """Raise the OSError that ``open(path, "w")`` is sure to meet, found without creating or
+    truncating anything: a directory, a file that is not writable, or a parent directory that
+    is missing, not a directory or not writable."""
+    target = os.path.realpath(path)
+    if os.path.isdir(target):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+    # a new file is made in its directory; a stat with a trailing separator fails as open would
+    where = target if os.path.exists(target) else os.path.join(os.path.dirname(target), "")
+    os.stat(where)
+    if not os.access(where, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+
+def _on_output(path: str, opener, *args):
+    """``opener(path, *args)``, an OSError from it reported as a bad --output flag."""
+    try:
+        return opener(path, *args)
+    except OSError as err:
+        raise FlagDomainError(f"--output: cannot open {path!r}: {err.strerror}") from None
+
+
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)  # exits 2 on a usage error
     if ns.output is None and sys.stdout is None:  # started with stdout closed ('>&-')
         print("entprobe: stdout is closed; write the table to a file with --output", file=sys.stderr)
         return 2
     try:
+        if ns.output is not None:  # checked before the run and opened after it
+            _on_output(ns.output, _check_output)
         rows = ns.run(ns)
         if ns.output is None:
             try:
@@ -422,12 +439,7 @@ def main(argv=None) -> int:
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
                 return _CLOSED_STDOUT
         else:
-            try:
-                fh = open(ns.output, "w")
-            except OSError as err:
-                message = f"--output: cannot open {ns.output!r}: {err.strerror}"
-                raise FlagDomainError(message) from None
-            with fh:
+            with _on_output(ns.output, open, "w") as fh:
                 _emit(ns, rows, fh)
     except FlagDomainError as err:
         print(f"entprobe: {err}", file=sys.stderr)

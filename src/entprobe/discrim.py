@@ -29,7 +29,6 @@ from .linops import (
     eig_unitary,
     is_unitary,
     partial_trace,
-    vectorize,
     von_neumann_entropy,
 )
 
@@ -43,27 +42,28 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True, eq=False)
 class UnitaryGroup:
-    """Finite list of same-dimension unitaries, closed under products up to phase."""
+    """Finite list of same-dimension unitaries, closed under products up to phase, held as one
+    read-only (|G|, d, d) array of ``elements``."""
 
-    dim: int
-    elements: tuple
+    elements: np.ndarray
     labels: tuple
 
     def __post_init__(self):
         if len(self.elements) != len(self.labels):
             raise ValueError("one label per element is required")
-        elements = tuple(map(assert_unitary, self.elements))
-        for u in elements:
-            if u.shape != (self.dim, self.dim):
-                raise ValueError(f"element of shape {u.shape} in a dim-{self.dim} group")
+        elements = [assert_unitary(u) for u in self.elements]
+        shapes = sorted({u.shape for u in elements})
+        if len(shapes) != 1:
+            raise ValueError(f"a group needs elements of one shape, got {shapes}")
         _freeze(self, elements=elements)
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
 
+    @property
+    def dim(self) -> int:
+        return self.elements.shape[1]
+
     def __len__(self) -> int:
         return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
 
     def irreducibility_defect(self) -> float:
         """Max-norm gap between the twirl's Choi matrix and I / d: the 1-design defect.
@@ -73,20 +73,15 @@ class UnitaryGroup:
         when the twirl sends every X to Tr[X] I / d (for a group: when the
         representation is irreducible), for any element list, unsampled.
         """
-        v = np.stack(self.elements).reshape(len(self), -1)
+        v = self.elements.reshape(len(self), -1)
         choi = (v.T @ v.conj()) / len(self)
         return float(np.max(np.abs(choi - np.eye(self.dim * self.dim) / self.dim)))
-
-    def is_irreducible(self) -> bool:
-        return self.irreducibility_defect() <= DESIGN_ATOL
 
 
 def pauli_group() -> UnitaryGroup:
     """The four single-qubit Pauli transformations."""
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    return UnitaryGroup(2, (np.eye(2, dtype=complex), sx, sy, sz), ("I", "X", "Y", "Z"))
+    paulis = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    return UnitaryGroup(paulis, ("I", "X", "Y", "Z"))
 
 
 def _shift_phase(d: int, m, n) -> np.ndarray:
@@ -104,8 +99,7 @@ def weyl_heisenberg_group(d: int) -> UnitaryGroup:
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     m, n = np.divmod(np.arange(d * d), d)
-    labels = tuple(f"U({a},{b})" for a, b in zip(m, n))
-    return UnitaryGroup(d, tuple(_shift_phase(d, m, n)), labels)
+    return UnitaryGroup(_shift_phase(d, m, n), [f"U({a},{b})" for a, b in zip(m, n)])
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +126,7 @@ def output_vectors(group: UnitaryGroup, e: ProbeState) -> np.ndarray:
     """Stack of the bipartite output vectors, one row per group element."""
     if group.dim != e.dim:
         raise ValueError("group and probe dimensions differ")
-    return np.stack([vectorize(u @ e.e_op) for u in group.elements])
+    return (group.elements @ e.e_op).reshape(len(group), -1)
 
 
 def output_gram(group: UnitaryGroup, e: ProbeState) -> np.ndarray:
@@ -142,10 +136,10 @@ def output_gram(group: UnitaryGroup, e: ProbeState) -> np.ndarray:
 
 def _check_one_design(group: UnitaryGroup, e: ProbeState) -> None:
     """The closed forms below need a probe of the group's dimension and a 1-design: a group
-    whose twirl depolarizes completely, certified by ``irreducibility_defect``."""
+    whose twirl depolarizes completely, its ``irreducibility_defect`` at most ``DESIGN_ATOL``."""
     if group.dim != e.dim:
         raise ValueError("group and probe dimensions differ")
-    if not group.is_irreducible():
+    if not group.irreducibility_defect() <= DESIGN_ATOL:
         raise ValueError(
             "group representation failed the irreducibility certificate; "
             "reducible representations are not supported"
@@ -194,12 +188,8 @@ def covariant_povm(group: UnitaryGroup, seed_op) -> list:
     d = group.dim
     s = _validate_povm_seed(seed_op, d)
     weight = d / len(group)
-    eye = np.eye(d)
-    elements = []
-    for u in group.elements:
-        big = np.kron(u, eye)
-        elements.append(weight * (big @ s @ big.conj().T))
-    return elements
+    bigs = [np.kron(u, np.eye(d)) for u in group.elements]
+    return [weight * (big @ s @ big.conj().T) for big in bigs]
 
 
 def average_likelihood(seed_op, e: ProbeState) -> float:

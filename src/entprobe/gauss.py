@@ -295,18 +295,12 @@ def noise_boundaries(x: float) -> NoiseBoundaries:
 # ---------------------------------------------------------------------------
 
 
-def photon_budget(kind: str, param: float = 0.0) -> float:
-    """Mean photon number spent preparing the probe.
-
-    ``squeezed`` uses sinh^2(s) photons, ``tmsv`` uses 2|x|^2/(1-|x|^2)
-    photons across its two modes, with 1 - |x|^2 formed as (1 - |x|)(1 + |x|),
-    and ``vacuum`` is free.
-    """
-    if kind == "vacuum":
-        return 0.0
-    if kind == "squeezed":
-        return float(np.sinh(_check_squeezing(param)) ** 2)
-    if kind == "tmsv":
-        x = _check_gain(param)
-        return 2.0 * x * x / ((1.0 - abs(x)) * (1.0 + abs(x)))
-    raise ValueError(f"unknown probe kind {kind!r}")
+def photon_budget(g) -> float:
+    """Mean photons spent preparing the probe, its noise photons not counted: sinh^2(s) for the
+    one-mode probe, 2x^2/(1 - x^2) across the two modes of the two-mode probe, with 1 - x^2
+    formed as (1 - |x|)(1 + |x|)."""
+    if isinstance(g, OneModeProbe):
+        return float(np.sinh(g.s) ** 2)
+    if isinstance(g, TwoModeProbe):
+        return 2.0 * g.x * g.x / ((1.0 - abs(g.x)) * (1.0 + abs(g.x)))
+    raise ValueError(f"a photon budget needs a 1- or 2-mode probe, got {type(g).__name__}")

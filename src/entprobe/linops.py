@@ -57,11 +57,11 @@ def _as_matrix(a) -> np.ndarray:
 
 
 def _freeze(instance, **fields) -> None:
-    """Set frozen-dataclass fields to read-only copies of their arrays (or tuples of arrays)."""
+    """Set frozen-dataclass fields to read-only copies of their arrays."""
     for name, value in fields.items():
         frozen = np.array(value)
         frozen.setflags(write=False)
-        object.__setattr__(instance, name, tuple(frozen) if isinstance(value, tuple) else frozen)
+        object.__setattr__(instance, name, frozen)
 
 
 def is_unitary(u) -> bool:

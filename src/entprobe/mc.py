@@ -5,9 +5,9 @@ Randomness comes from the Philox 4x64 counter-based generator keyed by the
 report depends only on (scenario, seed, trials), never on batching or
 thread scheduling.  A heterodyne trial's squared deviation |z - alpha|^2 is
 read off the Box-Muller radius of its first uniform, -variance ln u0, with
-no angle; the choice is recorded in every report.  A Helstrom trial compares
-its uniforms with the priors and the measurement's acceptance probabilities,
-which ``discrim`` writes in closed form; this module holds no linear algebra.
+no angle.  A Helstrom trial compares its uniforms with the priors and the
+acceptance probabilities, which ``discrim`` writes in closed form; this
+module holds no linear algebra.  Each report names the draw it made.
 
 A sampler is a block kernel, a function from one block of uniforms to an
 integer (an error count or an exact sum), handed to ``_split_sum``, which
@@ -34,7 +34,9 @@ import numpy as np
 from . import gauss
 from .discrim import DiscriminationProblem, _input_overlap, helstrom_acceptance, helstrom_error
 
-RNG_DESCRIPTION = "philox4x64/box-muller-radius"
+# The draw that each sampler's reports name: a radius, or two uniforms against thresholds.
+HETERODYNE_RNG = "philox4x64/box-muller-radius"
+HELSTROM_RNG = "philox4x64/uniform-thresholds"
 
 # Largest trial count a sampler accepts; memory is bounded, run time is not.
 MAX_TRIALS = 10**9
@@ -62,7 +64,7 @@ class TrialReport:
     empirical: float
     analytic: float
     z_score: float
-    rng: str = RNG_DESCRIPTION
+    rng: str = HETERODYNE_RNG
 
     def __post_init__(self):
         if self.trials < 1:
@@ -215,6 +217,7 @@ def sample_helstrom(
         empirical=float(empirical),
         analytic=analytic,
         z_score=float(_z_score(empirical, analytic, std_error)),
+        rng=HELSTROM_RNG,
     )
 
 
@@ -243,9 +246,6 @@ def sample_heterodyne(
         analytic = 1.0 + noise.nbar_per_mode
     else:
         raise ValueError(f"scheme must be 'entangled' or 'unentangled', got {scheme!r}")
-
-    if law.mean != alpha:
-        raise ValueError(f"the outcome law is centred on {law.mean}, not on the signal {alpha}")
 
     # no deviation reaches 53 ln 2 < 37 times the variance (see _check_deviation_sum), so the
     # scale -variance 2^-top lies in (-1/37, -1/74].  Each ln u0 is 0 or below -2^-53 (1 - 2^-53),
@@ -300,11 +300,11 @@ def stability_scan(s: float, x: float, phi_grid) -> StabilityScan:
     phis = np.asarray(phi_grid, dtype=float).reshape(-1)
     if phis.size == 0:
         raise ValueError("the phase grid must not be empty")
-    entangled = gauss.epr_heterodyne(gauss.tmsv_state(x)).variance
+    entangled, squeezed = gauss.tmsv_state(x), gauss.squeezed_state(s)
     return StabilityScan(
         phis=phis,
-        squeezed_variance=gauss.quadrature_variance(gauss.squeezed_state(s), phis),
-        entangled_variance=np.full(phis.shape, entangled),
-        squeezed_photons=gauss.photon_budget("squeezed", s),
-        entangled_photons=gauss.photon_budget("tmsv", x),
+        squeezed_variance=gauss.quadrature_variance(squeezed, phis),
+        entangled_variance=np.full(phis.shape, gauss.epr_heterodyne(entangled).variance),
+        squeezed_photons=gauss.photon_budget(squeezed),
+        entangled_photons=gauss.photon_budget(entangled),
     )

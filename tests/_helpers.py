@@ -336,6 +336,7 @@ def helstrom_by_whole_array(problem, probe, trials: int, seed: int) -> TrialRepo
         empirical=float(empirical),
         analytic=analytic,
         z_score=float(_z_score(empirical, analytic, std_error)),
+        rng="philox4x64/uniform-thresholds",
     )
 
 

@@ -785,6 +785,37 @@ class TestCliContract:
         assert err.startswith(f"entprobe: --output: cannot open {path!r}: ")
         assert err.count("\n") == 1 and err.endswith("\n")
 
+    @pytest.mark.parametrize(
+        "name",
+        ["", "missing/table.csv", "kept.csv/table.csv"],
+        ids=["directory", "missing-parent", "file-parent"],
+    )
+    def test_unopenable_output_refused_before_the_run(self, capsys, monkeypatch, tmp_path, name):
+        # the path is checked before any sampling, and the check creates and truncates nothing
+        (tmp_path / "kept.csv").write_text("kept\n")
+        before = sorted(tmp_path.rglob("*"))
+        path = str(tmp_path / name)
+        with pytest.raises(OSError) as refused:
+            open(path, "w")
+        err = assert_rejected_before_work(
+            capsys, monkeypatch, mc, "sample_heterodyne",
+            "cv-estimate", "--x", "0.5", "--trials", "20000000", "--output", path,
+        )
+        assert err == f"entprobe: --output: cannot open {path!r}: {refused.value.strerror}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "kept.csv").read_text() == "kept\n"
+
+    def test_unwritable_output_directory_refused_before_the_run(self, capsys, monkeypatch, tmp_path):
+        # a directory that the process may not write to, as os.access reports it
+        monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+        path = str(tmp_path / "table.csv")
+        err = assert_rejected_before_work(
+            capsys, monkeypatch, mc, "sample_heterodyne",
+            "cv-estimate", "--x", "0.5", "--output", path,
+        )
+        assert err == f"entprobe: --output: cannot open {path!r}: Permission denied\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_closed_stdout_ends_the_run_quietly(self):
         # the reader takes the header and closes the pipe, as '| head -n 1' does; the 65 536
         # rows left overflow the pipe's buffer, so the next write meets the closed end

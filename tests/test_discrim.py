@@ -30,6 +30,7 @@ from entprobe.discrim import (
     weyl_heisenberg_group,
 )
 from entprobe.linops import (
+    DESIGN_ATOL,
     NORM_ATOL,
     PRIOR_SUM_ATOL,
     RANK_RTOL,
@@ -114,27 +115,29 @@ class TestPauliGroup:
     def test_local_outputs_linearly_dependent(self):
         rng = generator(30)
         psi = random_pure_state(2, rng)
-        outputs = np.stack([u @ psi for u in pauli_group()])
+        outputs = np.stack([u @ psi for u in pauli_group().elements])
         assert np.linalg.matrix_rank(outputs) <= 2
 
     def test_group_certificates(self):
         group = pauli_group()
         assert closure_defect(group) < 1e-12
-        assert group.is_irreducible()
+        assert group.irreducibility_defect() <= DESIGN_ATOL
 
     def test_non_closed_set_flagged(self):
         from entprobe.discrim import UnitaryGroup
 
-        loose = UnitaryGroup(2, (I2, haar_unitary(2, generator(29))), ("a", "b"))
+        loose = UnitaryGroup((I2, haar_unitary(2, generator(29))), ("a", "b"))
         assert closure_defect(loose) > 1e-6
 
     def test_construction_validation(self):
         from entprobe.discrim import UnitaryGroup
 
         with pytest.raises(ValueError, match="label"):
-            UnitaryGroup(2, (I2, SX), ("only-one",))
-        with pytest.raises(ValueError, match="dim"):
-            UnitaryGroup(3, (I2,), ("I",))
+            UnitaryGroup((I2, SX), ("only-one",))
+        with pytest.raises(ValueError, match=r"one shape, got \[\(2, 2\), \(3, 3\)\]"):
+            UnitaryGroup((I2, np.eye(3)), ("I2", "I3"))
+        with pytest.raises(ValueError, match=r"one shape, got \[\]"):
+            UnitaryGroup((), ())
 
 
 class TestWeylHeisenbergGroup:
@@ -168,7 +171,7 @@ class TestWeylHeisenbergGroup:
 
     def test_irreducibility_certificate(self):
         for d in (2, 3, 4):
-            assert weyl_heisenberg_group(d).is_irreducible()
+            assert weyl_heisenberg_group(d).irreducibility_defect() <= DESIGN_ATOL
 
     def test_small_dimension_rejected(self):
         with pytest.raises(ValueError):
@@ -179,7 +182,7 @@ def rotated_shift_phase(d: int, seed: int) -> UnitaryGroup:
     """{V u V†} over the shift-and-phase group: a 1-design that is not shift-and-phase."""
     v = haar_unitary(d, generator(seed))
     group = weyl_heisenberg_group(d)
-    return UnitaryGroup(d, tuple(v @ u @ v.conj().T for u in group), group.labels)
+    return UnitaryGroup(v @ group.elements @ v.conj().T, group.labels)
 
 
 class TestOneDesignCertificate:
@@ -193,20 +196,16 @@ class TestOneDesignCertificate:
             assert rotated_shift_phase(d, 60 + d).irreducibility_defect() <= 1e-12
 
     def test_non_designs_flagged(self):
-        assert UnitaryGroup(2, (I2, SZ), ("I", "Z")).irreducibility_defect() >= 0.1
-        loose = UnitaryGroup(2, (I2, haar_unitary(2, generator(29))), ("a", "b"))
+        assert UnitaryGroup((I2, SZ), ("I", "Z")).irreducibility_defect() >= 0.1
+        loose = UnitaryGroup((I2, haar_unitary(2, generator(29))), ("a", "b"))
         assert loose.irreducibility_defect() >= 0.1
-        assert not loose.is_irreducible()
+        assert not loose.irreducibility_defect() <= DESIGN_ATOL
 
     def test_independent_of_element_order(self):
         rng = generator(61)
         for group in (pauli_group(), weyl_heisenberg_group(4), rotated_shift_phase(3, 62)):
             order = rng.permutation(len(group))
-            shuffled = UnitaryGroup(
-                group.dim,
-                tuple(group.elements[k] for k in order),
-                tuple(group.labels[k] for k in order),
-            )
+            shuffled = UnitaryGroup(group.elements[order], tuple(group.labels[k] for k in order))
             assert shuffled.irreducibility_defect() == pytest.approx(
                 group.irreducibility_defect(), abs=1e-15
             )
@@ -353,7 +352,7 @@ class TestHolevoChi:
             holevo_chi(pauli_group(), ProbeState.maximally_entangled(3))
 
     def test_reducible_group_rejected(self):
-        reducible = UnitaryGroup(2, (I2, SZ), ("I", "Z"))
+        reducible = UnitaryGroup((I2, SZ), ("I", "Z"))
         with pytest.raises(ValueError, match="irreducibility"):
             holevo_chi(reducible, ProbeState.maximally_entangled(2))
 
@@ -361,13 +360,13 @@ class TestHolevoChi:
 def diagonal_subgroup(d: int) -> UnitaryGroup:
     """The phases U(m, 0) of the shift-and-phase group: closed, but reducible."""
     group = weyl_heisenberg_group(d)
-    return UnitaryGroup(d, group.elements[::d], group.labels[::d])
+    return UnitaryGroup(group.elements[::d], group.labels[::d])
 
 
 @pytest.mark.parametrize("closed_form", [output_span_dimension, holevo_chi])
 @pytest.mark.parametrize(
     "group",
-    [UnitaryGroup(2, (I2, SZ), ("I", "Z")), diagonal_subgroup(3), diagonal_subgroup(4)],
+    [UnitaryGroup((I2, SZ), ("I", "Z")), diagonal_subgroup(3), diagonal_subgroup(4)],
     ids=["I,Z", "U(m,0) d=3", "U(m,0) d=4"],
 )
 def test_closed_forms_reject_reducible_groups(closed_form, group):

@@ -107,7 +107,7 @@ class TestStatePreparation:
             tmsv_state,
             tmsv_epr_variance,
             ppt_noise_boundary,
-            lambda x: photon_budget("tmsv", x),
+            lambda x: photon_budget(TwoModeProbe(x)),
         ):
             with pytest.raises(ValueError, match="below 1"):
                 check(float("nan"))
@@ -176,7 +176,7 @@ class TestOneModeProbe:
     @pytest.mark.parametrize("s", OUT_OF_RANGE_SQUEEZING)
     def test_squeezing_outside_the_domain_refused(self, s):
         message = rf"^squeezing must satisfy \|s\| <= {MAX_SQUEEZING}, got {s}$"
-        for build in (OneModeProbe, squeezed_state, lambda s: photon_budget("squeezed", s)):
+        for build in (OneModeProbe, squeezed_state, lambda s: photon_budget(OneModeProbe(s))):
             with pytest.raises(ValueError, match=message):
                 build(s)
 
@@ -188,7 +188,7 @@ class TestOneModeProbe:
             assert np.all(np.isfinite(quadrature_variance(g, phis)))
             assert all(map(math.isfinite, gauss._xp_variances(g)))
         assert math.isfinite(heterodyne(squeezed_state(s), 1.0 - 2.0j, NoiseSpec(1e300)).variance)
-        assert math.isfinite(photon_budget("squeezed", s))
+        assert math.isfinite(photon_budget(squeezed_state(s)))
 
     def test_fields_are_checked_floats(self):
         g = OneModeProbe(np.float64(0.5), 2)
@@ -215,7 +215,7 @@ class TestOneModeProbe:
         g = squeezed_state(2.0)
         assert quadrature_variance(g, 0.0) == np.exp(-4.0) * 0.25
         assert gauss._xp_variances(g) == (float(np.exp(-4.0)) / 4.0, float(np.exp(4.0)) / 4.0)
-        assert photon_budget("squeezed", 2.0) == 13.154116418008241
+        assert photon_budget(squeezed_state(2.0)) == 13.154116418008241
         law = heterodyne(OneModeProbe(0.0, 0.5), 0.25 - 1.0j, NoiseSpec(0.7))
         assert law == gauss.HeterodyneLaw(0.25 - 1.0j, 0.25 + 0.25 + 0.5 + 0.5 + 0.7)
 
@@ -622,7 +622,7 @@ class TestAgainstLabRouteAt50Digits:
             oracle = lab_route_at_50_digits(x, 0.0)
             assert _relative_error(advantage_threshold(x), 1 - oracle.epr_variance) <= 1e-12, x
             assert _relative_error(noise_boundaries(x).advantage_nbar, 1 - oracle.epr_variance) <= 1e-12
-            assert _relative_error(photon_budget("tmsv", x), oracle.photons) <= 1e-12, x
+            assert _relative_error(photon_budget(tmsv_state(x)), oracle.photons) <= 1e-12, x
 
     def test_advantage_threshold_is_twice_the_edge(self):
         for x in (1e-12, 1e-8, 0.2, 0.5, 0.8, 1.0 - 1e-15):
@@ -815,21 +815,28 @@ class TestAgainstLapackCholesky:
 
 class TestPhotonBudget:
     def test_free_probes(self):
-        assert photon_budget("vacuum") == 0.0
-        assert photon_budget("squeezed", 0.0) == 0.0
-        assert photon_budget("tmsv", 0.0) == 0.0
+        assert photon_budget(vacuum_state()) == 0.0
+        assert photon_budget(squeezed_state(0.0)) == 0.0
+        assert photon_budget(tmsv_state(0.0)) == 0.0
+
+    def test_noise_photons_not_counted(self):
+        assert photon_budget(OneModeProbe(0.5, 3.0)) == photon_budget(squeezed_state(0.5))
+        assert photon_budget(TwoModeProbe(0.5, 0.2, 7.0)) == photon_budget(tmsv_state(0.5))
+        assert photon_budget(OneModeProbe(0.0, 1.0)) == 0.0
 
     def test_squeezing_photons(self):
         for s in (0.5, 1.0, 2.0):
-            assert photon_budget("squeezed", s) == pytest.approx(np.sinh(s) ** 2, abs=1e-12)
+            assert photon_budget(squeezed_state(s)) == pytest.approx(np.sinh(s) ** 2, abs=1e-12)
 
     def test_downconversion_photons(self):
         for r in (0.3, 1.0):
             x = np.tanh(r)
-            assert photon_budget("tmsv", x) == pytest.approx(
+            assert photon_budget(tmsv_state(x)) == pytest.approx(
                 2.0 * np.sinh(r) ** 2, abs=1e-10
             )
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            photon_budget("thermal", 1.0)
+        # a probe's class is its kind; a name or a noise level is not a probe
+        for g in ("thermal", NoiseSpec(1.0), 0.5):
+            with pytest.raises(ValueError, match="needs a 1- or 2-mode probe"):
+                photon_budget(g)

@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -158,6 +159,12 @@ class TestSampleHeterodyne:
             assert len({report.empirical for report in reports}) == 1
             assert abs(reports[0].z_score) <= 4.0
 
+    def test_fraction_signal_reports_as_its_float(self):
+        # any number that converts to complex is a signal; a Fraction is centred on its float
+        for scheme in ("entangled", "unentangled"):
+            exact = sample_heterodyne(0.5, Fraction(1, 3), NoiseSpec(0.1), scheme, 5_000, 4)
+            assert exact == sample_heterodyne(0.5, 1 / 3, NoiseSpec(0.1), scheme, 5_000, 4)
+
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             sample_heterodyne(0.5, 0.0, NoiseSpec(0.0), "classical", 10, 0)
@@ -246,6 +253,12 @@ class TestTrialReport:
     def test_rng_metadata_recorded(self):
         report = sample_heterodyne(0.0, 0.0, NoiseSpec(0.0), "unentangled", 10, 0)
         assert report.rng == "philox4x64/box-muller-radius"
+
+    def test_helstrom_rng_names_its_draw(self):
+        # a Helstrom trial compares two uniforms with thresholds and draws no Box-Muller radius
+        problem = DiscriminationProblem(QUARTER_TURN, I2)
+        report = sample_helstrom(problem, optimal_pair_input(QUARTER_TURN), 10, 0)
+        assert report.rng == "philox4x64/uniform-thresholds"
 
 
 class TestStabilityScan:
