@@ -3,10 +3,11 @@
 Randomness comes from the Philox 4x64 counter-based generator keyed by the
 64-bit scenario seed.  Trial i owns a fixed slice of the key stream, so a
 report depends only on (scenario, seed, trials), never on batching or
-thread scheduling.  A heterodyne trial's squared deviation |z - alpha|^2 is
-read off the Box-Muller radius of its first uniform, -variance ln u0, with
-no angle.  A Helstrom trial compares its uniforms with the priors and the
-acceptance probabilities, which ``discrim`` writes in closed form; this
+thread scheduling.  A trial draws exactly the words it reads: one uniform u
+in both samplers.  A heterodyne trial's squared deviation |z - alpha|^2 is
+read off the Box-Muller radius of u, -variance ln u, with no angle.  A
+Helstrom trial places u in the cumulative table of its (hypothesis, outcome)
+law, whose acceptance probabilities ``discrim`` writes in closed form; this
 module holds no linear algebra.  Each report names the draw it made.
 
 A sampler is a block kernel, a function from one block of uniforms to an
@@ -34,20 +35,23 @@ import numpy as np
 from . import gauss
 from .discrim import DiscriminationProblem, _input_overlap, helstrom_acceptance, helstrom_error
 
-# The draw that each sampler's reports name: a radius, or two uniforms against thresholds.
-HETERODYNE_RNG = "philox4x64/box-muller-radius"
-HELSTROM_RNG = "philox4x64/uniform-thresholds"
+# The draw that each sampler's reports name: one uniform per trial, read as a Box-Muller
+# radius or placed in the cumulative (hypothesis, outcome) table.
+HETERODYNE_RNG = "philox4x64/one-word-box-muller-radius"
+HELSTROM_RNG = "philox4x64/one-word-cumulative-table"
 
 # Largest trial count a sampler accepts; memory is bounded, run time is not.
 MAX_TRIALS = 10**9
 
-# Trials per streamed block.  Every numpy call in a block hands the interpreter
-# lock to the other ranges' threads.  On 2 CPUs 2^13 ran the monte-carlo
-# benchmark 26 % faster than 2^12 and as fast as 2^14, which took 1.7 MB more
-# peak RSS.  A thread's block arrays take ~0.33 MB (tracemalloc), and the
-# Helstrom sampler's thresholds 0.26 MB more, shared by every thread.  The
-# heterodyne block sum is exact for blocks of at most 2^16 trials.
-_CHUNK_TRIALS = 1 << 13
+# Trials per streamed block, one Philox word each.  Every numpy call in a block
+# hands the interpreter lock to the other ranges' threads, so larger blocks
+# switch less.  On 2 CPUs, in 8 rounds of 8 s monte-carlo benchmark runs
+# (seed 1), the median wall_s was 0.174 s at 2^13, 0.127 s at 2^14 and 0.113 s
+# at 2^15; 2^15 beat 2^14 in 7 rounds and took 0.6 MB more peak RSS.  A
+# heterodyne range holds its block and one scratch block, 0.5 MB (tracemalloc);
+# a Helstrom range its block.  The block sum is exact for blocks of at most
+# 2^16 trials.
+_CHUNK_TRIALS = 1 << 15
 
 # frexp writes a finite double as m 2^e, m in (-1, 1) a multiple of 2^-53 and
 # e >= -1073, so every finite double is an integer multiple of 2^-1126.
@@ -131,19 +135,21 @@ def _split_sum(seed: int, trials: int, per_trial: int, kernel) -> int:
             raise
 
 
-def _grid_split_sum(values: np.ndarray, top: int) -> int:
+def _grid_split_sum(values: np.ndarray, top: int, scratch: np.ndarray) -> int:
     """2^top times the exact sum of at most 2^16 doubles in [0, 1) on the 2^-112 grid, as a
-    count of 2^-1126; overwrites ``values``.
+    count of 2^-1126; overwrites ``values`` and the first ``values.size`` entries of the float64
+    array ``scratch``, which holds each grid's parts.
 
     With n values and b = min(51, 53 - bit_length(n - 1)) >= 37, each value rounds onto the
     2^-b grid and its remainder onto the 2^-2b grid, each by adding and subtracting 1.5 2^52
     times the grid.  A part is at most 2^b times its grid, and what is left at most 2^(111 - 2b)
     times 2^-112, so each ``np.sum`` of n terms stays within 2^53 units and never rounds."""
     bits = min(51, 53 - (values.size - 1).bit_length())
+    part = scratch[: values.size]
     total = 0
     for grid in (bits, 2 * bits):
         splitter = 1.5 * 2.0 ** (52 - grid)
-        part = values + splitter
+        np.add(values, splitter, out=part)
         part -= splitter
         values -= part
         total += int(np.sum(part) * 2.0**grid) << (112 - grid)
@@ -157,7 +163,7 @@ def _check_trials(trials: int) -> None:
 
 
 def _check_deviation_sum(nbar: float, trials: int) -> None:
-    """The uniforms are at least 2^-53, so no squared deviation -variance ln u0 exceeds
+    """The uniforms are at least 2^-53, so no squared deviation -variance ln u exceeds
     53 ln 2 < 37 times the outcome variance, which is at most 1 + 2 nbar in both schemes: the
     sum over the trials must stay finite.  Divided by 2^top > 37 variance, each lies in [0, 1),
     where ``_grid_split_sum`` adds blocks of up to 2^16 of them exactly."""
@@ -180,33 +186,36 @@ def sample_helstrom(
     unitary to the probe and measures the projector onto the nonnegative
     eigenspace of p1 rho1 - p2 rho2; the empirical error rate is z-scored
     against the minimum-error formula with its binomial standard error.
-    A trial's first uniform u0 picks hypothesis 1 when u0 <= p1, and its second,
-    u1, announces 1 when u1 <= q1 (q2 under hypothesis 2), the chance of
-    announcing 1, read in closed form off the priors and the outputs' overlap
-    by ``discrim.helstrom_acceptance``; no d^2 x d^2 state is built.  Each
-    block compares its uniforms, flat, once against (p1, q1) and once against
-    (p1, q2) per trial and counts the error patterns.
+    q1 and q2, the chances of announcing 1 under each hypothesis, are read in
+    closed form off the priors and the outputs' overlap by
+    ``discrim.helstrom_acceptance``; no d^2 x d^2 state is built.  A trial's
+    one uniform u falls in the cumulative table [p1 q1, p1, p1 + p2 q2, 1] of
+    (hypothesis, outcome), hypothesis-major: hypothesis 1 when u <= p1, and
+    then 1 announced when u <= p1 q1, or 2 announced when p1 < u <= p1 + p2 q2.
+    So a trial errs when lo < u <= hi with lo = p1 q1 and hi = p1 + p2 q2, each
+    the exact value rounded once, and each block counts its errors with two
+    comparisons.  At orthogonal outputs (q1, q2) = (1, 0) and lo = hi = p1:
+    no trial errs.  The uniforms lie on the 2^-53 grid, so the outcome given
+    hypothesis 1 resolves q1 to 2^-53 / p1 (q2 to 2^-53 / p2), and the error
+    rate to 2^-53, far below the 1/sqrt(trials) scatter of any run.
     """
     _check_trials(trials)
-    q1, q2 = helstrom_acceptance(problem.p1, problem.p2, abs(_input_overlap(problem, probe)))
+    # imported here: fractions loads decimal, ~3 ms on every CLI start otherwise
+    from fractions import Fraction
 
-    # a trial's (u0 <= p1, u1 <= q) pair of bools, read as one little-endian 16-bit word, is
-    # 1 when hypothesis 1 is announced as 2 (against q1) and 256 when hypothesis 2 is
-    # announced as 1 (against q2); every range reads the same thresholds.  The blocks hold
-    # u - 2^-53, and u - 2^-53 <= t - 2^-53 exactly when u <= t: the subtraction is exact for
-    # t >= 2^-53 and leaves a negative threshold, which no uniform meets, below it
-    thresholds = [
-        np.tile([problem.p1, q], min(_CHUNK_TRIALS, trials)) - 2.0**-53 for q in (q1, q2)
-    ]
+    p1, p2 = problem.p1, problem.p2
+    q1, q2 = helstrom_acceptance(p1, p2, abs(_input_overlap(problem, probe)))
+
+    # the blocks hold u - 2^-53, and u - 2^-53 <= t - 2^-53 exactly when u <= t: the
+    # subtraction is exact for t >= 2^-53 and leaves a negative threshold, which no uniform
+    # meets, below it
+    lo = p1 * q1 - 2.0**-53
+    hi = float(Fraction(p1) + Fraction(p2) * Fraction(q2)) - 2.0**-53
 
     def error_count(u: np.ndarray) -> int:
-        flat = u.reshape(-1)
-        return sum(
-            int(np.count_nonzero((flat <= threshold[: flat.size]).view("<u2") == error))
-            for threshold, error in zip(thresholds, (1, 256))
-        )
+        return int(np.count_nonzero(u <= hi)) - int(np.count_nonzero(u <= lo))
 
-    empirical = _split_sum(seed, trials, 2, error_count) / trials
+    empirical = _split_sum(seed, trials, 1, error_count) / trials
 
     analytic = float(helstrom_error(problem, probe))
     std_error = math.sqrt(max(analytic * (1.0 - analytic), 0.0) / trials)
@@ -248,23 +257,28 @@ def sample_heterodyne(
         raise ValueError(f"scheme must be 'entangled' or 'unentangled', got {scheme!r}")
 
     # no deviation reaches 53 ln 2 < 37 times the variance (see _check_deviation_sum), so the
-    # scale -variance 2^-top lies in (-1/37, -1/74].  Each ln u0 is 0 or below -2^-53 (1 - 2^-53),
-    # so a scaled deviation is 2^-top times -variance ln u0 exactly (neither product leaves the
+    # scale -variance 2^-top lies in (-1/37, -1/74].  Each ln u is 0 or below -2^-53 (1 - 2^-53),
+    # so a scaled deviation is 2^-top times -variance ln u exactly (neither product leaves the
     # normal range), lies in [0, 1) and is 0 or above 2^-60: a multiple of 2^-112
     top = math.frexp(37.0 * law.variance)[1]
     scale = math.ldexp(-law.variance, -top)
 
+    # each range runs on one thread, so a thread's scratch block serves all of its range
+    buffers = threading.local()
+
     def deviation_sum(u: np.ndarray) -> int:
-        # |z - alpha|^2 in units of 2^-1126: z - alpha is a Box-Muller pair scaled by
-        # sqrt(variance / 2), so it is variance / 2 times the squared radius -2 ln u0 and the
-        # angle, from the trial's second uniform, drops out.  u0 is copied out contiguously, so
-        # that numpy's vector log needs no strided gather
-        deviation = u[:, 0] + 2.0**-53
+        # |z - alpha|^2 in units of 2^-1126, worked out in place: z - alpha is a Box-Muller
+        # pair scaled by sqrt(variance / 2), so it is variance / 2 times the squared radius
+        # -2 ln u and the angle drops out, so no trial draws it
+        deviation = u.reshape(-1)
+        deviation += 2.0**-53
         np.log(deviation, out=deviation)
         deviation *= scale
-        return _grid_split_sum(deviation, top)
+        if not hasattr(buffers, "scratch"):
+            buffers.scratch = np.empty(_CHUNK_TRIALS)
+        return _grid_split_sum(deviation, top, buffers.scratch)
 
-    empirical = _split_sum(seed, trials, 2, deviation_sum) / (1 << _UNIT_BITS) / trials
+    empirical = _split_sum(seed, trials, 1, deviation_sum) / (1 << _UNIT_BITS) / trials
 
     # E|z-alpha|^2 is delta^2/2 times a chi-square with 2 dof per trial
     std_error = analytic / math.sqrt(trials)

@@ -318,14 +318,16 @@ def helstrom_error_at_40_digits(p1: float, p2: float, c: float):
 
 
 def helstrom_by_whole_array(problem, probe, trials: int, seed: int) -> TrialReport:
-    """``mc.sample_helstrom`` with all trials held in memory at once, its thresholds read off
-    the dense projector."""
+    """``mc.sample_helstrom`` with all trials held in memory at once, its acceptance
+    probabilities read off the dense projector.  A trial's one uniform u makes two decisions:
+    the hypothesis, 1 when u <= p1, and then the outcome, 1 when u lies in the first q1 of
+    hypothesis 1's share [0, p1] of the unit interval, or in the first q2 of hypothesis 2's."""
     q1, q2 = helstrom_thresholds_by_projector(problem, probe)
 
-    u = one_draw_uniforms(seed, trials, 2)
-    is_first = u[:, 0] <= problem.p1
-    errors = np.where(is_first, u[:, 1] > q1, u[:, 1] <= q2)
-    empirical = int(errors.sum()) / trials
+    u = one_draw_uniforms(seed, trials, 1)[:, 0]
+    is_first = u <= problem.p1
+    announces_first = np.where(is_first, u <= problem.p1 * q1, u - problem.p1 <= problem.p2 * q2)
+    empirical = int(np.count_nonzero(is_first != announces_first)) / trials
 
     analytic = float(helstrom_error(problem, probe))
     std_error = math.sqrt(max(analytic * (1.0 - analytic), 0.0) / trials)
@@ -336,20 +338,21 @@ def helstrom_by_whole_array(problem, probe, trials: int, seed: int) -> TrialRepo
         empirical=float(empirical),
         analytic=analytic,
         z_score=float(_z_score(empirical, analytic, std_error)),
-        rng="philox4x64/uniform-thresholds",
+        rng="philox4x64/one-word-cumulative-table",
     )
 
 
-def box_muller(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One standard normal pair per row of a (trials, 2) array of uniforms in (0, 1]."""
-    radius = np.sqrt(-2.0 * np.log(u[:, 0]))
-    angle = 2.0 * np.pi * u[:, 1]
+def box_muller(radius_u: np.ndarray, angle_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One standard normal pair per trial from its radius uniform in (0, 1] and its angle
+    uniform in [0, 1)."""
+    radius = np.sqrt(-2.0 * np.log(radius_u))
+    angle = 2.0 * np.pi * angle_u
     return radius * np.cos(angle), radius * np.sin(angle)
 
 
 def _heterodyne_report(x, alpha, noise, scheme: str, trials: int, seed: int, deviations):
     """The report of ``mc.sample_heterodyne`` for the squared deviations that ``deviations(law,
-    u)`` reads off the law and the (trials, 2) uniforms, summed by ``math.fsum``."""
+    u)`` reads off the law and the trials' uniforms, one each, summed by ``math.fsum``."""
     if scheme == "entangled":
         law = gauss.epr_heterodyne(gauss.tmsv_state(x), alpha, noise)
         analytic = gauss.tmsv_epr_variance(x) + 2.0 * noise.nbar_per_mode
@@ -357,7 +360,7 @@ def _heterodyne_report(x, alpha, noise, scheme: str, trials: int, seed: int, dev
         law = gauss.heterodyne(gauss.vacuum_state(), alpha, noise)
         analytic = 1.0 + noise.nbar_per_mode
 
-    u = one_draw_uniforms(seed, trials, 2)
+    u = one_draw_uniforms(seed, trials, 1)[:, 0]
     empirical = math.fsum(deviations(law, u).tolist()) / trials
 
     std_error = analytic / math.sqrt(trials)
@@ -373,11 +376,13 @@ def _heterodyne_report(x, alpha, noise, scheme: str, trials: int, seed: int, dev
 
 def heterodyne_by_whole_array(x, alpha, noise, scheme: str, trials: int, seed: int) -> TrialReport:
     """The Box-Muller route: every outcome z = mean + sqrt(variance / 2)(g1 + i g2) formed in
-    memory and |z - alpha|^2 taken per quadrature.  It agrees with ``mc.sample_heterodyne`` to
-    rounding only, and loses every digit once |alpha| dwarfs the scatter."""
+    memory and |z - alpha|^2 taken per quadrature.  The radius comes from the sampler's
+    uniforms and the angle from a stream of its own, keyed by [seed, 1].  It agrees with
+    ``mc.sample_heterodyne`` to rounding only, and loses every digit once |alpha| dwarfs the
+    scatter."""
 
     def deviations(law, u):
-        g_re, g_im = box_muller(u)
+        g_re, g_im = box_muller(u, np.random.default_rng([seed, 1]).random(u.size))
         scale = math.sqrt(law.variance / 2.0)
         z_re = law.mean.real + scale * g_re
         z_im = law.mean.imag + scale * g_im
@@ -387,9 +392,9 @@ def heterodyne_by_whole_array(x, alpha, noise, scheme: str, trials: int, seed: i
 
 
 def heterodyne_by_radius(x, alpha, noise, scheme: str, trials: int, seed: int) -> TrialReport:
-    """``mc.sample_heterodyne`` with all trials in memory: -variance ln u0 per trial."""
+    """``mc.sample_heterodyne`` with all trials in memory: -variance ln u per trial."""
     return _heterodyne_report(
-        x, alpha, noise, scheme, trials, seed, lambda law, u: -law.variance * np.log(u[:, 0])
+        x, alpha, noise, scheme, trials, seed, lambda law, u: -law.variance * np.log(u)
     )
 
 

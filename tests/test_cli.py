@@ -197,9 +197,9 @@ class TestCvEstimate:
         assert code == 0
         _, rows = parse_csv(out)
         empirical = {row["scheme"]: row["delta2_empirical"] for row in rows}
-        assert empirical == {"entangled": "0.3600822466218359", "unentangled": "1.0802467398655078"}
+        assert empirical == {"entangled": "0.3285267964096659", "unentangled": "0.9855803892289978"}
         # the digits of the full Box-Muller pair, angle included, differ only by rounding
-        box_muller = {"entangled": 0.36008224662183597, "unentangled": 1.080246739865508}
+        box_muller = {"entangled": 0.3285267964096659, "unentangled": 0.9855803892289979}
         for scheme, value in box_muller.items():
             assert float(empirical[scheme]) == pytest.approx(value, rel=1e-14, abs=0.0)
 

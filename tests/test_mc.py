@@ -49,8 +49,8 @@ QUARTER_TURN = np.diag([1.0, np.exp(1j * np.pi / 2)])
 
 class TestSubstreams:
     def test_uniforms_in_half_open_unit_interval(self):
-        u = trial_uniforms(3, 10_000, 2)
-        assert u.shape == (10_000, 2)
+        u = trial_uniforms(3, 10_000, 1)
+        assert u.shape == (10_000, 1)
         assert np.all(u > 0.0) and np.all(u <= 1.0)
 
     def test_deterministic_given_seed(self):
@@ -66,12 +66,14 @@ class TestSubstreams:
 
     def test_trial_prefix_stability(self):
         # trial i owns a fixed stream slice: a shorter run is a prefix
-        long = trial_uniforms(4, 1000, 2)
-        short = trial_uniforms(4, 600, 2)
+        long = trial_uniforms(4, 1000, 1)
+        short = trial_uniforms(4, 600, 1)
         assert np.array_equal(long[:600], short)
 
     def test_box_muller_moments(self):
-        g1, g2 = box_muller(trial_uniforms(17, 200_000, 2))
+        # the sampler's uniforms as radii, with angles from a stream of their own
+        radius_u = trial_uniforms(17, 200_000, 1)[:, 0]
+        g1, g2 = box_muller(radius_u, np.random.default_rng([17, 1]).random(radius_u.size))
         for g in (g1, g2):
             assert abs(np.mean(g)) < 0.01
             assert abs(np.var(g) - 1.0) < 0.02
@@ -118,6 +120,40 @@ class TestSampleHelstrom:
             report = sample_helstrom(problem, psi, 4000, seed)
             std_error = np.sqrt(report.analytic * (1.0 - report.analytic) / report.trials)
             assert report.empirical >= report.analytic - 4.0 * std_error
+
+    def test_pinned_digits(self):
+        # any change to the random stream, the cumulative table or the error count shows here
+        local = sample_helstrom(
+            DiscriminationProblem(QUARTER_TURN, I2, 0.3, 0.7), np.array([0.6, 0.8j]), 100_000, 2024
+        )
+        entangled = sample_helstrom(
+            DiscriminationProblem(QUARTER_TURN, I2, 0.7, 0.3),
+            ProbeState(np.diag([0.8, 0.6])),
+            100_000,
+            2024,
+        )
+        assert (local.empirical, local.z_score) == (0.13216, 1.8622016831809889)
+        assert (entangled.empirical, entangled.z_score) == (0.13045, 0.2552177995641398)
+        assert local.analytic == entangled.analytic == 0.130178421397561
+
+    @pytest.mark.parametrize("p1", (0.3, 0.5, 0.7))
+    @pytest.mark.parametrize("wrong", ("q1", "q2"))
+    def test_one_percent_acceptance_error_shows(self, monkeypatch, p1, wrong):
+        # one uniform decides both the hypothesis and the outcome, so the count must still read
+        # each hypothesis's acceptance: moving q1 alone, or q2 alone, by 0.01 towards 1/2 moves
+        # the error rate by 0.01 p1 (or p2), over 4 standard errors at 10^6 trials
+        problem = DiscriminationProblem(QUARTER_TURN, I2, p1, 1.0 - p1)
+        psi = optimal_pair_input(QUARTER_TURN)
+        args = (problem, psi, 1_000_000, 41)
+        assert abs(sample_helstrom(*args).z_score) <= 4.0
+
+        def off_by_one_percent(*priors_and_overlap):
+            q = dict(zip(("q1", "q2"), helstrom_acceptance(*priors_and_overlap)))
+            q[wrong] += 0.01 if q[wrong] < 0.5 else -0.01
+            return q["q1"], q["q2"]
+
+        monkeypatch.setattr(mc, "helstrom_acceptance", off_by_one_percent)
+        assert abs(sample_helstrom(*args).z_score) > 4.0
 
 
 class TestSampleHeterodyne:
@@ -251,14 +287,21 @@ class TestTrialReport:
             TrialReport("s", 0, 10, 0.0, 0.0, float("nan"))
 
     def test_rng_metadata_recorded(self):
+        # one Philox word per trial, read as a Box-Muller radius
         report = sample_heterodyne(0.0, 0.0, NoiseSpec(0.0), "unentangled", 10, 0)
-        assert report.rng == "philox4x64/box-muller-radius"
+        assert report.rng == "philox4x64/one-word-box-muller-radius"
 
     def test_helstrom_rng_names_its_draw(self):
-        # a Helstrom trial compares two uniforms with thresholds and draws no Box-Muller radius
+        # a Helstrom trial places one uniform in the cumulative (hypothesis, outcome) table and
+        # draws no Box-Muller radius
         problem = DiscriminationProblem(QUARTER_TURN, I2)
         report = sample_helstrom(problem, optimal_pair_input(QUARTER_TURN), 10, 0)
-        assert report.rng == "philox4x64/uniform-thresholds"
+        assert report.rng == "philox4x64/one-word-cumulative-table"
+
+    def test_no_report_carries_a_two_word_label(self):
+        # the digits of the one-word draw never carry the labels of the two-word draw before it
+        old = {"philox4x64/box-muller-radius", "philox4x64/uniform-thresholds"}
+        assert {mc.HETERODYNE_RNG, mc.HELSTROM_RNG}.isdisjoint(old)
 
 
 class TestStabilityScan:
@@ -321,7 +364,7 @@ class TestStabilityScan:
         np.testing.assert_allclose(scan.entangled_variance, entangled, rtol=1e-12, atol=0.0)
 
 
-BLOCK_SIZES = (1, 3, 4096, 1 << 13, 1 << 16)
+BLOCK_SIZES = (1, 3, 4096, 1 << 13, 1 << 15, 1 << 16)
 WORKER_COUNTS = (1, 2, 3, 7)
 
 
@@ -430,6 +473,22 @@ class TestBlockStream:
                 args = (problem, probe, trials, 2**63 + trials)
                 assert sample_helstrom(*args) == helstrom_by_whole_array(*args)
 
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_heterodyne_holds_a_block_and_a_scratch_per_range(self, monkeypatch, workers):
+        # each range's block is worked on in place and its block sum reuses one scratch block,
+        # so no block-sized copy is made; 16 KB per range allow for the thread pool.  A first
+        # call loads what the pool imports, which is not the sampler's memory
+        monkeypatch.setattr(mc, "_cpu_count", lambda: workers)
+        args = (0.5, 0.0, NoiseSpec(0.1), "entangled", 50 * mc._CHUNK_TRIALS, 3)
+        sample_heterodyne(*args)
+        tracemalloc.start()
+        try:
+            sample_heterodyne(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= workers * (2 * 8 * mc._CHUNK_TRIALS + 16_000)
+
     def test_bounded_memory(self):
         tracemalloc.start()
         try:
@@ -474,25 +533,32 @@ class TestBlockStream:
 
     @pytest.mark.parametrize("case", list(HELSTROM_CASES))
     def test_helstrom_uniforms_on_and_beside_the_thresholds(self, monkeypatch, case):
-        # a stream hits a threshold exactly once in ~2^53 draws, so craft the blocks: every u0
-        # and u1 on the 2^-53 grid point nearest p1, q1 or q2, or one step either side
+        # a stream hits a threshold exactly once in ~2^53 draws, so craft the blocks: every u on
+        # the 2^-53 grid point nearest p1 q1, p1 or p1 + p2 q2, each the exact value rounded
+        # once, or one step either side, and the least and the largest uniform
         problem, probe = HELSTROM_CASES[case]
-        q1, q2 = helstrom_acceptance(problem.p1, problem.p2, abs(_input_overlap(problem, probe)))
-        near = {
-            t: [u for u in (np.round(t * 2.0**53) + np.arange(-1, 2)) * 2.0**-53 if 0 < u <= 1]
-            for t in (problem.p1, q1, q2)
-        }
-        uniforms = np.array(list(itertools.product(near[problem.p1], near[q1] + near[q2])))
+        p1, p2 = problem.p1, problem.p2
+        q1, q2 = helstrom_acceptance(p1, p2, abs(_input_overlap(problem, probe)))
+        first_announces_first = p1 * q1
+        second_announces_first = float(Fraction(p1) + Fraction(p2) * Fraction(q2))
+        near = {2.0**-53, 1.0}
+        for t in (first_announces_first, p1, second_announces_first):
+            near |= {u for u in (np.round(t * 2.0**53) + np.arange(-1, 2)) * 2.0**-53 if 0 < u <= 1}
+        uniforms = np.array(sorted(near))
 
         def crafted(seed, first, stop, per_trial):
-            yield uniforms[first:stop] - 2.0**-53  # exact: every uniform is a multiple of 2^-53
+            # exact: every uniform is a multiple of 2^-53
+            yield uniforms[first:stop, None] - 2.0**-53
 
         monkeypatch.setattr(mc, "_uniform_chunks", crafted)
         monkeypatch.setattr(mc, "_cpu_count", lambda: 1)
-        u0, u1 = uniforms.T
-        errors = np.where(u0 <= problem.p1, u1 > q1, u1 <= q2)
+        # two decisions per trial: the hypothesis, then the outcome within its share
+        is_first = uniforms <= p1
+        announces_first = np.where(
+            is_first, uniforms <= first_announces_first, uniforms <= second_announces_first
+        )
         report = sample_helstrom(problem, probe, len(uniforms), 0)
-        assert report.empirical == np.count_nonzero(errors) / len(uniforms)
+        assert report.empirical == np.count_nonzero(is_first != announces_first) / len(uniforms)
         if helstrom_error(problem, probe) == 0.0:
             assert report.empirical == 0.0
 
@@ -554,13 +620,13 @@ class TestBlockStream:
         helper_blocks = []
         block_sum = mc._grid_split_sum
 
-        def fail_in_the_first_range(values, top):
+        def fail_in_the_first_range(values, top, scratch):
             if threading.get_ident() == caller:
                 failed.set()
                 raise ValueError("first range failed")
             failed.wait(timeout=30)
             helper_blocks.append(len(values))
-            return block_sum(values, top)
+            return block_sum(values, top, scratch)
 
         monkeypatch.setattr(mc, "_CHUNK_TRIALS", 16)
         monkeypatch.setattr(mc, "_cpu_count", lambda: 2)
@@ -675,7 +741,8 @@ def assert_block_sum_is_exact(u: np.ndarray, variance: float) -> None:
     """The block sum of the sampler's deviations equals the oracle's exact sum, and rounds to
     the bits of math.fsum."""
     deviations, scaled, top = sampler_deviations(u, variance)
-    total = mc._grid_split_sum(scaled, top)
+    # a scratch longer than the block, as a range's last block gets, holding stale values
+    total = mc._grid_split_sum(scaled, top, np.full(u.size + 3, np.nan))
     assert total == _fixed_point_sum(deviations.copy())
     assert _bits(total / (1 << mc._UNIT_BITS)) == _bits(math.fsum(deviations.tolist()))
 
@@ -698,7 +765,7 @@ class TestGridSplitSum:
         for top in (-60, 0, 5, 900):
             for values in (np.full(size, math.nextafter(1.0, 0.0)), 1.0 - gaps):
                 expected = _fixed_point_sum(np.ldexp(values, top))
-                assert mc._grid_split_sum(values.copy(), top) == expected
+                assert mc._grid_split_sum(values.copy(), top, np.empty(size)) == expected
                 exact = math.fsum(np.ldexp(values, top).tolist())
                 assert _bits(expected / (1 << mc._UNIT_BITS)) == _bits(exact)
 
