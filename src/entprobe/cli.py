@@ -48,9 +48,10 @@ class FlagDomainError(Exception):
 # Most points a grid flag may ask for, checked before the grid is allocated.
 MAX_GRID_POINTS = 10**6
 
-# Largest wh-group --d: d^4 rows, 331 776 of them in 1.4 s and 143 MB resident
-# at d = 24 (2.4 s, 240 MB at d = 28) on a 2-core x86-64 VM.
-MAX_WH_GROUP_DIM = 24
+# Largest wh-group --d: d^4 rows, 456 976 of them at d = 26 in 1.0 s and 116 MB resident as CSV,
+# 0.9 s and 187 MB as JSON (d = 27: 1.2 s, 130 MB; 1.0 s, 212 MB), median of 7 process runs on a
+# 2-core x86-64 VM.
+MAX_WH_GROUP_DIM = 26
 
 # Largest covariant --d: 0.16-0.20 s, 64 MB resident at d = 24 (0.71-0.81 s, 132 MB at d = 32)
 # on a 2-core x86-64 VM, growing like d^6 with the 1-design certificate and the seed check.
@@ -170,64 +171,63 @@ def _check(condition: bool, message: str) -> None:
 _NOT_FLAGS = ("command", "format", "output", "run")
 
 
-def _emit(ns: argparse.Namespace, rows: list[dict], stream) -> None:
-    columns = list(rows[0])
+def _emit(ns: argparse.Namespace, table: dict[str, list], stream) -> None:
+    """Write ``table``: equal-length columns by name, each of one Python type, one row or more."""
+    columns = list(table)
     if ns.format == "csv":
         # the csv module writes a float in shortest round-trip form and None as an empty cell
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows(
-            [("true" if v else "false") if type(v) is bool else v for v in map(row.get, columns)]
-            for row in rows
+        cells = (
+            [("false", "true")[v] for v in col] if type(col[0]) is bool else col
+            for col in table.values()
         )
+        writer.writerows(zip(*cells))
     else:
         doc = {
             "version": __version__,
             "command": ns.command,
             "flags": {k: v for k, v in sorted(vars(ns).items()) if k not in _NOT_FLAGS},
             "columns": columns,
-            "rows": [[row[col] for col in columns] for row in rows],
+            "rows": list(zip(*table.values())),
         }
         print(json.dumps(doc), file=stream)
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each checks its own flags, then returns its rows
+# subcommands: each checks its own flags, then returns its columns
 # ---------------------------------------------------------------------------
 
 
-def _gram_rows(group, probe: ProbeState, column: str, cell) -> list[dict]:
-    """A row per ordered pair (g, h): their outputs' Gram entry re + i im, ``cell(j, k, re, im)``."""
-    gram = output_gram(group, probe)
-    gram_re, gram_im = gram.real.tolist(), gram.imag.tolist()
-    return [
-        {"g": lj, "h": lk, "gram_re": re, "gram_im": im, column: cell(j, k, re, im)}
-        for j, (lj, row_re, row_im) in enumerate(zip(group.labels, gram_re, gram_im))
-        for k, (lk, re, im) in enumerate(zip(group.labels, row_re, row_im))
-    ]
-
-
-def _quantity_rows(values: dict) -> list[dict]:
-    return [{"quantity": name, "value": float(value)} for name, value in values.items()]
+def _gram_table(group, gram: np.ndarray, column: str, cells: list) -> dict[str, list]:
+    """A row per ordered pair (g, h), g-major: their outputs' Gram entry, then ``cells``."""
+    labels = list(group.labels)
+    return {
+        "g": [label for label in labels for _ in labels],
+        "h": labels * len(labels),
+        "gram_re": gram.real.ravel().tolist(),
+        "gram_im": gram.imag.ravel().tolist(),
+        column: cells,
+    }
 
 
 def _run_pauli_demo(ns):
     group = pauli_group()
     probe = ProbeState.maximally_entangled(2)
-
-    def p_error(j, k, *_):
-        return helstrom_error(DiscriminationProblem(group.elements[j], group.elements[k]), probe)
-
-    return _gram_rows(group, probe, "p_error", p_error)
+    gram = output_gram(group, probe)
+    pairs = [DiscriminationProblem(u, v) for u in group.elements for v in group.elements]
+    p_error = [helstrom_error(problem, probe) for problem in pairs]
+    return _gram_table(group, gram, "p_error", p_error)
 
 
 def _run_wh_group(ns):
     d = ns.d
     _check(2 <= d <= MAX_WH_GROUP_DIM, f"--d must be between 2 and {MAX_WH_GROUP_DIM}, got {d}")
     group = weyl_heisenberg_group(d)
-    probe = ProbeState.maximally_entangled(d)
-    # complex abs rounds through hypot, as numpy's scalar abs does
-    return _gram_rows(group, probe, "deviation", lambda j, k, re, im: abs(complex(re, im) - (j == k)))
+    gram = output_gram(group, ProbeState.maximally_entangled(d))
+    # hypot rounds as complex abs does; np.abs of the complex array can differ in the last digit
+    deviation = np.hypot(gram.real - np.eye(len(gram)), gram.imag)
+    return _gram_table(group, gram, "deviation", deviation.ravel().tolist())
 
 
 def _run_discriminate(ns):
@@ -241,7 +241,7 @@ def _run_discriminate(ns):
     for k, amp in enumerate(psi):
         values[f"psi_{k}_re"] = amp.real
         values[f"psi_{k}_im"] = amp.imag
-    return _quantity_rows(values)
+    return {"quantity": list(values), "value": list(map(float, values.values()))}
 
 
 def _run_ncopies(ns):
@@ -249,7 +249,7 @@ def _run_ncopies(ns):
     problem = _library_check(ns.command, DiscriminationProblem, *hypotheses)
     n = _library_check("--n-max", copies_for_perfect, problem, ns.n_max)
     polygon = problem.polygon
-    return [{"reachable": n is not None, "n_copies": n, "r": polygon.r, "spread": polygon.spread}]
+    return {"reachable": [n is not None], "n_copies": [n], "r": [polygon.r], "spread": [polygon.spread]}
 
 
 def _run_covariant(ns):
@@ -264,14 +264,13 @@ def _run_covariant(ns):
     polar = uu @ vh
     seed_vec = polar.reshape(-1)
     seed = np.outer(seed_vec, seed_vec.conj())
-    return _quantity_rows(
-        {
-            "chi_bits": holevo_chi(group, probe),
-            "span_dim": output_span_dimension(group, probe),
-            "likelihood": average_likelihood(seed, probe),
-            "likelihood_bound": d,
-        }
-    )
+    values = {
+        "chi_bits": holevo_chi(group, probe),
+        "span_dim": output_span_dimension(group, probe),
+        "likelihood": average_likelihood(seed, probe),
+        "likelihood_bound": d,
+    }
+    return {"quantity": list(values), "value": list(map(float, values.values()))}
 
 
 def _run_cv_estimate(ns):
@@ -282,32 +281,30 @@ def _run_cv_estimate(ns):
     _library_check("--seed", mc._check_seed, seed)
     _library_check("--nbar", mc._check_deviation_sum, nbar, trials)
     noise = gauss.NoiseSpec(nbar)
-    rows = []
-    for scheme in ("entangled", "unentangled"):
-        report = mc.sample_heterodyne(x, 0.0, noise, scheme, trials, seed)
-        rows.append(
-            {
-                "scheme": scheme,
-                "x": float(x),
-                "nbar": float(nbar),
-                "trials": trials,
-                "seed": seed,
-                "delta2_analytic": report.analytic,
-                "delta2_empirical": report.empirical,
-                "z_score": report.z_score,
-                "rng": report.rng,
-            }
-        )
-    return rows
+    schemes = ["entangled", "unentangled"]
+    reports = [mc.sample_heterodyne(x, 0.0, noise, scheme, trials, seed) for scheme in schemes]
+    return {
+        "scheme": schemes,
+        "x": [float(x)] * 2,
+        "nbar": [float(nbar)] * 2,
+        "trials": [trials] * 2,
+        "seed": [seed] * 2,
+        "delta2_analytic": [report.analytic for report in reports],
+        "delta2_empirical": [report.empirical for report in reports],
+        "z_score": [report.z_score for report in reports],
+        "rng": [report.rng for report in reports],
+    }
 
 
 def _run_threshold_scan(ns):
     grid = _parse_grid(ns.x_grid, "--x-grid")
     grid = [_library_check("--x-grid", gauss._check_gain, x) for x in grid]
-    return [
-        {"x": x, "delta_sq": gauss.tmsv_epr_variance(x), **gauss.noise_boundaries(x)._asdict()}
-        for x in grid
-    ]
+    boundaries = zip(*map(gauss.noise_boundaries, grid))
+    return {
+        "x": grid,
+        "delta_sq": list(map(gauss.tmsv_epr_variance, grid)),
+        **dict(zip(gauss.NoiseBoundaries._fields, map(list, boundaries))),
+    }
 
 
 def _run_stability(ns):
@@ -315,16 +312,14 @@ def _run_stability(ns):
     _library_check("--s", gauss._check_squeezing, ns.s)
     _library_check("--x", gauss._check_gain, ns.x)
     scan = mc.stability_scan(ns.s, ns.x, phi_grid)
-    return [
-        {
-            "phi": float(phi),
-            "squeezed_variance": float(sq),
-            "entangled_variance": float(ent),
-            "squeezed_photons": float(scan.squeezed_photons),
-            "entangled_photons": float(scan.entangled_photons),
-        }
-        for phi, sq, ent in zip(scan.phis, scan.squeezed_variance, scan.entangled_variance)
-    ]
+    n = len(scan.phis)
+    return {
+        "phi": scan.phis.tolist(),
+        "squeezed_variance": scan.squeezed_variance.tolist(),
+        "entangled_variance": scan.entangled_variance.tolist(),
+        "squeezed_photons": [float(scan.squeezed_photons)] * n,
+        "entangled_photons": [float(scan.entangled_photons)] * n,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +423,10 @@ def main(argv=None) -> int:
     try:
         if ns.output is not None:  # checked before the run and opened after it
             _on_output(ns.output, _check_output)
-        rows = ns.run(ns)
+        table = ns.run(ns)
         if ns.output is None:
             try:
-                _emit(ns, rows, sys.stdout)
+                _emit(ns, table, sys.stdout)
                 sys.stdout.flush()
             except BrokenPipeError:
                 # the reader has all it wanted ('| head'); stdout now writes to the null
@@ -440,7 +435,7 @@ def main(argv=None) -> int:
                 return _CLOSED_STDOUT
         else:
             with _on_output(ns.output, open, "w") as fh:
-                _emit(ns, rows, fh)
+                _emit(ns, table, fh)
     except FlagDomainError as err:
         print(f"entprobe: {err}", file=sys.stderr)
         return 2

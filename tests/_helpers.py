@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
+import csv
 import functools
+import io
+import json
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -10,8 +14,21 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 
-from entprobe import gauss
-from entprobe.discrim import PHASE_DEDUPE_TOL, helstrom_error, output_vectors
+from entprobe import __version__, cli, gauss, mc
+from entprobe.cli import _NOT_FLAGS
+from entprobe.discrim import (
+    PHASE_DEDUPE_TOL,
+    DiscriminationProblem,
+    average_likelihood,
+    copies_for_perfect,
+    helstrom_error,
+    holevo_chi,
+    output_gram,
+    output_span_dimension,
+    output_vectors,
+    pauli_group,
+    weyl_heisenberg_group,
+)
 from entprobe.linops import (
     DENSITY_ATOL,
     PPT_ATOL,
@@ -766,3 +783,156 @@ def lab_edge_at_50_digits(x: float) -> mpmath.mpf:
     with mpmath.workdps(DIGITS):
         quarter = mpmath.mpf(1) / 4
         return mpmath.findroot(lambda n: _lab_pt_eigenvalue(_lab_probe_cov(x, n, n)) - quarter, (0, 2 * quarter))
+
+
+# ---------------------------------------------------------------------------
+# the command line's tables as rows: the earlier row-dict writer, kept as a byte oracle
+# ---------------------------------------------------------------------------
+
+
+def _emit(ns: argparse.Namespace, rows: list[dict], stream) -> None:
+    columns = list(rows[0])
+    if ns.format == "csv":
+        # the csv module writes a float in shortest round-trip form and None as an empty cell
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(
+            [("true" if v else "false") if type(v) is bool else v for v in map(row.get, columns)]
+            for row in rows
+        )
+    else:
+        doc = {
+            "version": __version__,
+            "command": ns.command,
+            "flags": {k: v for k, v in sorted(vars(ns).items()) if k not in _NOT_FLAGS},
+            "columns": columns,
+            "rows": [[row[col] for col in columns] for row in rows],
+        }
+        print(json.dumps(doc), file=stream)
+
+
+def _gram_rows(group, probe: ProbeState, column: str, cell) -> list[dict]:
+    """A row per ordered pair (g, h): their outputs' Gram entry re + i im, ``cell(j, k, re, im)``."""
+    gram = output_gram(group, probe)
+    gram_re, gram_im = gram.real.tolist(), gram.imag.tolist()
+    return [
+        {"g": lj, "h": lk, "gram_re": re, "gram_im": im, column: cell(j, k, re, im)}
+        for j, (lj, row_re, row_im) in enumerate(zip(group.labels, gram_re, gram_im))
+        for k, (lk, re, im) in enumerate(zip(group.labels, row_re, row_im))
+    ]
+
+
+def _quantity_rows(values: dict) -> list[dict]:
+    return [{"quantity": name, "value": float(value)} for name, value in values.items()]
+
+
+def _pauli_demo_rows(ns):
+    group, probe = pauli_group(), ProbeState.maximally_entangled(2)
+
+    def p_error(j, k, *_):
+        return helstrom_error(DiscriminationProblem(group.elements[j], group.elements[k]), probe)
+
+    return _gram_rows(group, probe, "p_error", p_error)
+
+
+def _wh_group_rows(ns):
+    group, probe = weyl_heisenberg_group(ns.d), ProbeState.maximally_entangled(ns.d)
+    return _gram_rows(group, probe, "deviation", lambda j, k, re, im: abs(complex(re, im) - (j == k)))
+
+
+def _discriminate_rows(ns):
+    priors = [float(tok) for tok in ns.priors.split(",")]
+    problem = DiscriminationProblem(cli.parse_unitary(ns.u1), cli.parse_unitary(ns.u2), *priors)
+    polygon = problem.polygon
+    psi = polygon.witness()
+    values = {"r": polygon.r, "spread": polygon.spread, "p_error": helstrom_error(problem, psi)}
+    for k, amp in enumerate(psi):
+        values[f"psi_{k}_re"] = amp.real
+        values[f"psi_{k}_im"] = amp.imag
+    return _quantity_rows(values)
+
+
+def _ncopies_rows(ns):
+    problem = DiscriminationProblem(cli.parse_unitary(ns.u1), cli.parse_unitary(ns.u2))
+    n = copies_for_perfect(problem, ns.n_max)
+    polygon = problem.polygon
+    return [{"reachable": n is not None, "n_copies": n, "r": polygon.r, "spread": polygon.spread}]
+
+
+def _covariant_rows(ns):
+    probe = ProbeState.from_schmidt([float(tok) for tok in ns.schmidt_spec.split(",")])
+    group = weyl_heisenberg_group(ns.d)
+    uu, _, vh = np.linalg.svd(probe.e_op)
+    seed_vec = (uu @ vh).reshape(-1)
+    seed = np.outer(seed_vec, seed_vec.conj())
+    return _quantity_rows(
+        {
+            "chi_bits": holevo_chi(group, probe),
+            "span_dim": output_span_dimension(group, probe),
+            "likelihood": average_likelihood(seed, probe),
+            "likelihood_bound": ns.d,
+        }
+    )
+
+
+def _cv_estimate_rows(ns):
+    rows = []
+    for scheme in ("entangled", "unentangled"):
+        report = mc.sample_heterodyne(ns.x, 0.0, gauss.NoiseSpec(ns.nbar), scheme, ns.trials, ns.seed)
+        rows.append(
+            {
+                "scheme": scheme,
+                "x": float(ns.x),
+                "nbar": float(ns.nbar),
+                "trials": ns.trials,
+                "seed": ns.seed,
+                "delta2_analytic": report.analytic,
+                "delta2_empirical": report.empirical,
+                "z_score": report.z_score,
+                "rng": report.rng,
+            }
+        )
+    return rows
+
+
+def _threshold_scan_rows(ns):
+    grid = [gauss._check_gain(x) for x in cli._parse_grid(ns.x_grid, "--x-grid")]
+    return [
+        {"x": x, "delta_sq": gauss.tmsv_epr_variance(x), **gauss.noise_boundaries(x)._asdict()}
+        for x in grid
+    ]
+
+
+def _stability_rows(ns):
+    scan = mc.stability_scan(ns.s, ns.x, cli._parse_grid(ns.phi_grid, "--phi-grid"))
+    return [
+        {
+            "phi": float(phi),
+            "squeezed_variance": float(sq),
+            "entangled_variance": float(ent),
+            "squeezed_photons": float(scan.squeezed_photons),
+            "entangled_photons": float(scan.entangled_photons),
+        }
+        for phi, sq, ent in zip(scan.phis, scan.squeezed_variance, scan.entangled_variance)
+    ]
+
+
+_ROWS = {
+    "pauli-demo": _pauli_demo_rows,
+    "wh-group": _wh_group_rows,
+    "discriminate": _discriminate_rows,
+    "ncopies": _ncopies_rows,
+    "covariant": _covariant_rows,
+    "cv-estimate": _cv_estimate_rows,
+    "threshold-scan": _threshold_scan_rows,
+    "stability": _stability_rows,
+}
+
+
+def table_by_rows(argv: list) -> str:
+    """The text ``entprobe`` prints on a valid ``argv``, built a dict per row from the same
+    library calls and written by the row-dict writer: a byte oracle for ``cli.main``."""
+    ns = cli.build_parser().parse_args(argv)
+    stream = io.StringIO()
+    _emit(ns, _ROWS[ns.command](ns), stream)
+    return stream.getvalue()

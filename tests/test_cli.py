@@ -18,6 +18,8 @@ from entprobe.discrim import weyl_heisenberg_group
 from entprobe.linops import eig_unitary
 from entprobe.rand import generator, haar_unitary
 
+from _helpers import table_by_rows
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -459,6 +461,21 @@ class TestWhGroup:
         )
         assert str(cli.MAX_WH_GROUP_DIM) in err
 
+    def test_hypot_rounds_as_complex_abs(self):
+        # the deviation column is np.hypot(re - [j == k], im), which must give the digits of
+        # Python's abs(complex(re, im) - (j == k)); np.abs of the complex array does not: under
+        # numpy 2.4 it differed in the last digit on a third of 10^6 uniform pairs in [-2, 2)^2
+        rng = generator(27)
+        n = 100_000
+        near_zero = rng.uniform(-1, 1, (2, n)) * 10.0 ** rng.uniform(-300, -1, (2, n))
+        near_one = (1 + rng.uniform(-1e-8, 1e-8, n), rng.uniform(-1e-8, 1e-8, n))
+        # imaginary parts down to the subnormals, beside unit-sized real parts
+        subnormal = (rng.uniform(-1, 1, n), rng.uniform(-1, 1, n) * 10.0 ** rng.uniform(-323, -290, n))
+        spread = rng.uniform(-2, 2, (2, n))
+        for re, im in (near_zero, near_one, subnormal, spread):
+            expected = [abs(complex(a, b)) for a, b in zip(re.tolist(), im.tolist())]
+            assert np.hypot(re, im).tolist() == expected
+
 
 def assert_exit_two(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
@@ -529,6 +546,21 @@ def test_one_eigendecomposition_per_command(capsys, monkeypatch, command):
     code, _, _ = run_cli(capsys, command, "--u1", "wh:64,1,0", "--u2", "wh:64,0,1")
     assert code == 0
     assert calls == [(64, 64)]
+
+
+@pytest.mark.parametrize("argv, dim", [(["pauli-demo"], 2), (["wh-group", "--d", "8"], 8)], ids=["pauli-demo", "wh-group"])
+def test_one_gram_per_command(capsys, monkeypatch, argv, dim):
+    # the Gram columns and the deviation or error column come from one Gram matrix
+    calls = []
+
+    def counted(group, probe):
+        calls.append(group.dim)
+        return discrim.output_gram(group, probe)
+
+    monkeypatch.setattr(cli, "output_gram", counted)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert calls == [dim]
 
 
 class TestOutputFormats:
@@ -694,6 +726,33 @@ def readme_commands():
     section = readme.split("## Command line", 1)[1]
     block = section.split("```bash\n", 1)[1].split("```", 1)[0]
     return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("entprobe ")]
+
+
+def first_difference(got: str, want: str):
+    """None for equal texts, else where they part and 60 characters of each from there: a
+    table of megabytes fails with a short message, not a diff of the whole text."""
+    if got == want:
+        return None
+    at = len(os.path.commonprefix([got, want]))
+    return at, got[at : at + 60], want[at : at + 60]
+
+
+ORACLE_CASES = [
+    *readme_commands(),
+    *(["wh-group", "--d", str(d)] for d in (2, 16, cli.MAX_WH_GROUP_DIM)),
+    ["ncopies", "--u1", "diag:0,0", "--u2", "diag:0,0"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", ORACLE_CASES, ids=[" ".join(argv) for argv in ORACLE_CASES])
+def test_table_matches_the_row_writer(capsys, argv, fmt):
+    # the columns reach the same bytes as a dict per row; Gram digits depend on the BLAS
+    # build, so the oracle is rebuilt here rather than pinned as a hash
+    argv = [*argv, "--format", fmt]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert first_difference(out, table_by_rows(argv)) is None
 
 
 class TestCliContract:
