@@ -65,7 +65,7 @@ MAX_UNITARY_DIM = 384
 
 
 def _parse_grid(text: str, name: str) -> np.ndarray:
-    """Grid flags accept 'lo:hi:count' or a comma-separated list, all finite."""
+    """Grid flags accept 'lo:hi:count' or a comma list read as ``_parse_numbers`` reads one."""
     try:
         if ":" in text:
             lo, hi, count = text.split(":")
@@ -75,11 +75,9 @@ def _parse_grid(text: str, name: str) -> np.ndarray:
                 # the last point, (count - 1) times the step, may overflow before it is set to hi
                 with np.errstate(over="ignore"):
                     return np.linspace(lo, hi, count)
-        else:
-            values = np.array([float(tok) for tok in text.split(",") if tok != ""])
-            if 1 <= values.size <= MAX_GRID_POINTS and np.all(np.isfinite(values)):
-                return values
-    except ValueError:
+        elif len(values := _parse_numbers(text, name)) <= MAX_GRID_POINTS:
+            return np.array(values)
+    except (ValueError, FlagDomainError):
         pass
     raise FlagDomainError(
         f"{name} must be 'lo:hi:count' or a comma list of finite numbers, "

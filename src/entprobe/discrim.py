@@ -24,6 +24,7 @@ from .linops import (
     PRIOR_SUM_ATOL,
     UNITARY_ATOL,
     ProbeState,
+    _count,
     _freeze,
     assert_unitary,
     eig_unitary,
@@ -247,22 +248,17 @@ class DiscriminationProblem:
         return min_overlap_r(self.relative_unitary)
 
 
-def _local_input(probe, dim: int) -> np.ndarray:
-    psi = np.asarray(probe, dtype=complex).reshape(-1)
-    if psi.size != dim:
-        raise ValueError(f"local input of length {psi.size} for dim {dim}")
-    if not abs(np.linalg.norm(psi) - 1.0) <= NORM_ATOL:
-        raise ValueError("local input state must be normalized")
-    return psi
-
-
 def _input_overlap(problem: DiscriminationProblem, probe) -> complex:
     w = problem.relative_unitary
     if isinstance(probe, ProbeState):
         if probe.dim != problem.dim:
             raise ValueError("probe dimension does not match the hypotheses")
         return complex(np.trace(probe.e_op.conj().T @ w @ probe.e_op))
-    psi = _local_input(probe, problem.dim)
+    psi = np.asarray(probe, dtype=complex).reshape(-1)
+    if psi.size != problem.dim:
+        raise ValueError(f"local input of length {psi.size} for dim {problem.dim}")
+    if not abs(np.linalg.norm(psi) - 1.0) <= NORM_ATOL:
+        raise ValueError("local input state must be normalized")
     return complex(np.vdot(psi, w @ psi))
 
 
@@ -324,22 +320,19 @@ def helstrom_acceptance(p1: float, p2: float, c: float) -> tuple[float, float]:
 class EigenvaluePolygon:
     """Eigenvalue polygon of a unitary, read off one eigendecomposition.
 
-    ``phases`` are all the eigenphases, ascending.  ``vertices`` are the
-    distinct ones (phases closer than ``PHASE_DEDUPE_TOL`` on the circle
-    merged into the first), listed counterclockwise from the end of the
-    largest gap to its start, so the polygon spans the arc of width
-    ``spread`` from ``vertices[0]`` to ``vertices[-1]``.  Column k of
-    ``vectors`` is an eigenvector for ``vertices[k]``.  The arrays are
-    read-only copies.
+    ``vertices`` are the distinct eigenphases (phases closer than ``PHASE_DEDUPE_TOL`` on
+    the circle, across the -pi/pi seam too, merged into the first), listed counterclockwise
+    from the end of the largest gap to its start, so the polygon spans the arc of width
+    ``spread`` from ``vertices[0]`` to ``vertices[-1]``.  Column k of ``vectors`` is an
+    eigenvector for ``vertices[k]``.  The arrays are read-only copies.
     """
 
-    phases: np.ndarray
     vertices: np.ndarray
     vectors: np.ndarray
     spread: float
 
     def __post_init__(self):
-        _freeze(self, phases=self.phases, vertices=self.vertices, vectors=self.vectors)
+        _freeze(self, vertices=self.vertices, vectors=self.vectors)
 
     @property
     def copies(self) -> float:
@@ -397,7 +390,7 @@ def min_overlap_r(w) -> EigenvaluePolygon:
     gaps = np.append(np.diff(distinct), TWO_PI - (distinct[-1] - distinct[0]))
     largest = int(np.argmax(gaps))
     order = np.roll(keep, -(largest + 1))
-    return EigenvaluePolygon(phases, phases[order], vecs[:, order], float(TWO_PI - gaps[largest]))
+    return EigenvaluePolygon(phases[order], vecs[:, order], float(TWO_PI - gaps[largest]))
 
 
 def optimal_pair_input(w) -> np.ndarray:
@@ -416,7 +409,7 @@ def tensor_power_spread(w, n: int) -> float:
     The n-fold phase sums span n times the one-copy arc, so the spread is
     min(n * spread, 2 pi), never built from a d^n-dimensional matrix.
     """
-    if n < 1:
+    if _count(n, "copy count") < 1:
         raise ValueError(f"copy count must be at least 1, got {n}")
     return float(min(n * min_overlap_r(w).spread, TWO_PI))
 
@@ -431,10 +424,9 @@ def copies_for_perfect(problem: DiscriminationProblem, n_max: int) -> int | None
     identity never gets there and yields ``None``, as does an answer beyond
     ``n_max``.
     """
-    if n_max < 1:
+    if _count(n_max, "n_max") < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    n = problem.polygon.copies
-    return n if n <= n_max else None
+    return n if (n := problem.polygon.copies) <= n_max else None
 
 
 # ---------------------------------------------------------------------------

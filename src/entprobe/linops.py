@@ -8,14 +8,15 @@ function returns a fresh array; inputs are never mutated.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-# The numeric thresholds of every validity and geometry decision in entprobe;
-# the other modules import them from here.  The Gaussian probes are a few floats
-# whose readouts are closed forms, so they need only PPT_ATOL; the squeezing
-# limit gauss.MAX_SQUEEZING is the float range, not a tolerance.
+# The numeric thresholds of every validity and geometry decision in entprobe; the other modules
+# import them from here.  eig_unitary folds the -pi/pi seam exactly; only the polygon merges
+# phases across it.  The Gaussian probes are a few floats whose readouts are closed forms, so they
+# need only PPT_ATOL; the squeezing limit gauss.MAX_SQUEEZING is the float range, not a tolerance.
 
 # Relative singular-value / eigenvalue cutoff used for every rank decision.
 RANK_RTOL = 1e-10
@@ -35,9 +36,7 @@ PROB_SUM_ATOL = 1e-8
 PRIOR_SUM_ATOL = 1e-10
 # Cosines of eigenphases closer than this share one eigenspace in eig_unitary.
 EIG_CLUSTER_TOL = 1e-8
-# Eigenphases within this of -pi fold up to +pi.
-SEAM_TOL = 1e-12
-# Eigenphases closer than this (on the circle) collapse to one polygon vertex.
+# Eigenphases closer than this on the circle, across the seam too, make one polygon vertex.
 PHASE_DEDUPE_TOL = 1e-9
 # Largest 1-design defect for which a group's twirl counts as depolarizing.
 DESIGN_ATOL = 1e-8
@@ -54,6 +53,14 @@ def _as_matrix(a) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {m.shape}")
     return m
+
+
+def _count(value, name: str) -> int:
+    """A count or seed as an int; a bool, a float or any other non-integer is a ValueError."""
+    try:
+        return operator.index(None if isinstance(value, bool) else value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _freeze(instance, **fields) -> None:
@@ -217,8 +224,8 @@ def eig_unitary(u):
             vecs[:, start:stop] = block @ rot
 
     diag = np.einsum("ik,ik->k", vecs.conj(), u @ vecs)
+    # -pi, arctan2's one value outside (-pi, pi], comes of re < 0 with im -0.0 or tiny
     phases = np.arctan2(diag.imag, diag.real)
-    # canonical interval (-pi, pi]: fold anything hugging -pi up to +pi
-    phases = np.where(phases <= -np.pi + SEAM_TOL, phases + 2.0 * np.pi, phases)
+    phases = np.where(phases == -np.pi, np.pi, phases)
     order = np.argsort(phases)
     return phases[order], vecs[:, order]

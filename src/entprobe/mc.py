@@ -34,6 +34,7 @@ import numpy as np
 
 from . import gauss
 from .discrim import DiscriminationProblem, _input_overlap, helstrom_acceptance, helstrom_error
+from .linops import _count
 
 # The draw that each sampler's reports name: one uniform per trial, read as a Box-Muller
 # radius or placed in the cumulative (hypothesis, outcome) table.
@@ -78,7 +79,7 @@ class TrialReport:
 
 
 def _check_seed(seed: int) -> None:
-    if not 0 <= seed < 2**64:
+    if not 0 <= _count(seed, "seed") < 2**64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
 
 
@@ -89,7 +90,6 @@ def _uniform_chunks(seed: int, first: int, stop: int, per_trial: int):
     logarithms safely; ``random`` writes (w >> 11) 2^-53, and each kernel adds the 2^-53,
     exactly, only where it reads a uniform.  One ``advance`` step skips one 4-word Philox
     block."""
-    _check_seed(seed)
     bitgen = np.random.Philox(key=np.uint64(seed))
     bitgen.advance(first * per_trial // 4)
     bitgen.random_raw(first * per_trial % 4)
@@ -113,6 +113,7 @@ def _split_sum(seed: int, trials: int, per_trial: int, kernel) -> int:
     # imported here: concurrent.futures loads logging, ~9 ms on every CLI start otherwise
     from concurrent.futures import ThreadPoolExecutor
 
+    _check_seed(seed)
     blocks = -(-trials // _CHUNK_TRIALS)
     ranges = min(_cpu_count(), blocks)
     edges = [min(trials, blocks * i // ranges * _CHUNK_TRIALS) for i in range(ranges + 1)]
@@ -157,9 +158,10 @@ def _grid_split_sum(values: np.ndarray, top: int, scratch: np.ndarray) -> int:
     return total << (top + _UNIT_BITS - 112)
 
 
-def _check_trials(trials: int) -> None:
-    if not 1 <= trials <= MAX_TRIALS:
+def _check_trials(trials: int) -> int:
+    if not 1 <= (count := _count(trials, "trials")) <= MAX_TRIALS:
         raise ValueError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
+    return count
 
 
 def _check_deviation_sum(nbar: float, trials: int) -> None:
@@ -199,7 +201,7 @@ def sample_helstrom(
     hypothesis 1 resolves q1 to 2^-53 / p1 (q2 to 2^-53 / p2), and the error
     rate to 2^-53, far below the 1/sqrt(trials) scatter of any run.
     """
-    _check_trials(trials)
+    trials = _check_trials(trials)
     # imported here: fractions loads decimal, ~3 ms on every CLI start otherwise
     from fractions import Fraction
 
@@ -245,7 +247,7 @@ def sample_heterodyne(
     scored against 1 + nbar.  The sampling law is read off the probe's
     moments by ``gauss.epr_heterodyne`` and ``gauss.heterodyne``.
     """
-    _check_trials(trials)
+    trials = _check_trials(trials)
     _check_deviation_sum(noise.nbar_per_mode, trials)
     if scheme == "entangled":
         law = gauss.epr_heterodyne(gauss.tmsv_state(x), alpha, noise)

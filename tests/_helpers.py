@@ -37,7 +37,7 @@ from entprobe.linops import (
     matrix_rank,
     von_neumann_entropy,
 )
-from entprobe.mc import _UNIT_BITS, TrialReport, _uniform_chunks
+from entprobe.mc import _UNIT_BITS, TrialReport, _check_seed, _uniform_chunks
 
 TWO_PI = 2.0 * np.pi
 
@@ -133,7 +133,8 @@ def majorization_compare(p, q) -> str:
 
 def trial_uniforms(seed: int, trials: int, per_trial: int) -> np.ndarray:
     """The sampler's uniforms in (0, 1], shaped (trials, per_trial), trial i on stream slice i,
-    gathered from the blocks of ``mc._uniform_chunks``."""
+    gathered from the blocks of ``mc._uniform_chunks`` after the seed check of ``mc._split_sum``."""
+    _check_seed(seed)
     blocks = [u + 2.0**-53 for u in _uniform_chunks(seed, 0, trials, per_trial)]
     return np.concatenate([np.empty((0, per_trial)), *blocks])
 

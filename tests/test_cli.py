@@ -332,6 +332,16 @@ class TestGridFlags:
             argv = ("threshold-scan", f"--x-grid={grid}")
             assert_rejected_before_work(capsys, monkeypatch, cli.gauss, "noise_boundaries", *argv)
 
+    @pytest.mark.parametrize("grid", ["0.1,,0.5", "0.1,0.5,", ",0.3"])
+    @pytest.mark.parametrize("flag", ["--x-grid", "--phi-grid"])
+    def test_empty_list_entry(self, capsys, flag, grid):
+        # the rule of every comma-list flag: --priors 0.5,0.5, is refused too
+        stability = ("stability", "--s", "1", "--x", "0.5")
+        command = ("threshold-scan",) if flag == "--x-grid" else stability
+        code, out, err = run_cli(capsys, *command, f"{flag}={grid}")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and flag in err and str(cli.MAX_GRID_POINTS) in err
+
 
     @pytest.mark.parametrize(
         "command, flag, value",

@@ -689,7 +689,6 @@ class TestMinOverlap:
         # eigenphases 0, 0, pi/3: one repeated phase, two vertices
         w = np.diag([1.0, 1.0, np.exp(1j * np.pi / 3)])
         polygon = min_overlap_r(w)
-        assert np.allclose(polygon.phases, [0.0, 0.0, np.pi / 3], atol=1e-12)
         assert np.allclose(polygon.vertices, [0.0, np.pi / 3], atol=1e-12)
         for k, phase in enumerate(polygon.vertices):
             v = polygon.vectors[:, k]
@@ -783,6 +782,16 @@ class TestCopies:
             copies_for_perfect(DiscriminationProblem(SZ, SX), 0)
         with pytest.raises(ValueError):
             tensor_power_spread(SZ, 0)
+
+    @pytest.mark.parametrize("count", [2.5, 7.5, 3.0, True])
+    def test_counts_must_be_integers(self, count):
+        # tensor_power_spread(w, 2.5) used to return 2.5 times the spread
+        w = np.diag(np.exp(1j * np.array([0.0, 0.5])))
+        with pytest.raises(ValueError, match="^copy count must be an integer"):
+            tensor_power_spread(w, count)
+        with pytest.raises(ValueError, match="^n_max must be an integer"):
+            copies_for_perfect(DiscriminationProblem(w, I2), count)
+        assert tensor_power_spread(w, np.int64(2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_n_max_exhausted_without_reaching(self):
         w = np.diag(np.exp(1j * np.array([0.0, np.pi / 8.0])))

@@ -18,6 +18,7 @@ from entprobe.discrim import (
     min_overlap_r,
     optimal_pair_input,
 )
+from entprobe.linops import eig_unitary
 from entprobe.rand import generator, haar_unitary
 
 from _helpers import copies_by_enumeration, hull_distance, spread_by_enumeration
@@ -104,6 +105,9 @@ SEEDS = st.integers(0, 2**32 - 1)
 @PROPERTY_SETTINGS
 @given(seam_phases(), SEEDS)
 def test_seam(phases, seed):
+    found, _ = eig_unitary(unitary(phases, seed))
+    assert np.all(np.diff(found) >= 0.0)
+    assert np.all((found > -np.pi) & (found <= np.pi))
     check_hull(phases, seed)
 
 

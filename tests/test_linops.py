@@ -3,6 +3,7 @@ import pytest
 
 from entprobe import linops
 from entprobe.cli import parse_unitary
+from entprobe.discrim import weyl_heisenberg_group
 from entprobe.linops import (
     ProbeState,
     eig_unitary,
@@ -260,6 +261,28 @@ class TestEigUnitaryAtBenchmarkSizes:
             assert np.max(np.abs(np.exp(1j * d * phases) - c)) <= d * 1e-12
             gaps = np.diff(np.r_[phases, phases[0] + 2.0 * np.pi])
             assert np.max(np.abs(gaps - 2.0 * np.pi / d)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_shift_and_phase_pairs_meet_the_benchmark_eig_checks(d):
+    """Every ordered pair (u1, u2) of the d^2 shift-and-phase unitaries: the relative unitary
+    u2† u1 has eigenphases ascending in (-pi, pi] and rebuilds, as the benchmark checks.  Many
+    of them have an eigenvalue at -1, whose phase lands on the seam."""
+    group = weyl_heisenberg_group(d).elements
+    failures = []
+    for i, u1 in enumerate(group):
+        for j, u2 in enumerate(group):
+            w = u2.conj().T @ u1
+            phases, vecs = eig_unitary(w)
+            rebuilt = (vecs * np.exp(1j * phases)) @ vecs.conj().T
+            if not (
+                np.all(np.diff(phases) >= 0.0)
+                and np.all((phases > -np.pi) & (phases <= np.pi))
+                and np.max(np.abs(vecs.conj().T @ vecs - np.eye(d))) <= 1e-9
+                and np.max(np.abs(rebuilt - w)) <= 1e-9
+            ):
+                failures.append((i, j, phases.tolist()))
+    assert not failures, f"{len(failures)} of {d**4} pairs fail, first {failures[0]}"
 
 
 class TestValidators:

@@ -64,6 +64,31 @@ class TestSubstreams:
             trial_uniforms(2**64, 10, 2)
         trial_uniforms(2**64 - 1, 10, 2)
 
+    @pytest.mark.parametrize("seed", [1.5, True, np.float64(2.0), "1"])
+    def test_seed_must_be_an_integer(self, monkeypatch, seed):
+        # 1.5 used to sample seed 1's stream and report seed=1.5
+        def no_sampling(*args):
+            raise AssertionError("sampling started before the seed was checked")
+
+        monkeypatch.setattr(mc, "_uniform_chunks", no_sampling)
+        args = (0.5, 0, NoiseSpec(0), "entangled", 1000, seed)
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            sample_heterodyne(*args)
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            sample_helstrom(DiscriminationProblem(SZ, SX), np.array([1.0, 0.0]), 1000, seed)
+
+    @pytest.mark.parametrize("trials", [True, 1000.5, 1000.0])
+    def test_trials_must_be_an_integer(self, trials):
+        # True used to run one trial, 1000.5 to escape as a TypeError from _split_sum
+        with pytest.raises(ValueError, match="^trials must be an integer"):
+            sample_heterodyne(0.5, 0, NoiseSpec(0), "entangled", trials, 1)
+        with pytest.raises(ValueError, match="^trials must be an integer"):
+            sample_helstrom(DiscriminationProblem(SZ, SX), np.array([1.0, 0.0]), trials, 1)
+
+    def test_numpy_integers_still_count(self):
+        report = sample_heterodyne(0.5, 0, NoiseSpec(0), "entangled", np.int64(1000), np.uint64(1))
+        assert report == sample_heterodyne(0.5, 0, NoiseSpec(0), "entangled", 1000, 1)
+
     def test_trial_prefix_stability(self):
         # trial i owns a fixed stream slice: a shorter run is a prefix
         long = trial_uniforms(4, 1000, 1)
