@@ -11,9 +11,9 @@ import numpy as np
 
 from entprobe import (
     ProbeState,
-    apply_local,
     average_likelihood,
     covariant_povm,
+    output_vectors,
     pauli_group,
     vectorize,
 )
@@ -30,8 +30,8 @@ print("completeness defect:", np.max(np.abs(sum(povm) - np.eye(4))))
 
 probe = ProbeState.maximally_entangled(2)
 print("\noutcome probabilities, one row per applied transformation:")
-for label, u in zip(group.labels, group.elements):
-    probs = povm_probabilities(povm, apply_local(u, probe).as_vector())
+for label, output in zip(group.labels, output_vectors(group, probe)):
+    probs = povm_probabilities(povm, output)
     print(f"  {label}: ", np.round(probs, 6))
 print("-> the diagonal pattern is perfect discrimination")
 
@@ -51,5 +51,6 @@ for trial in range(3):
     )
 
 probe3 = ProbeState.maximally_entangled(3)
-matched = 3 * np.outer(probe3.as_vector(), probe3.as_vector().conj())
+v3 = vectorize(probe3.e_op)
+matched = 3 * np.outer(v3, v3.conj())
 print("matched maximally entangled probe:", average_likelihood(matched, probe3))

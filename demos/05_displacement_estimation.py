@@ -12,7 +12,6 @@ import numpy as np
 
 from entprobe import (
     NoiseSpec,
-    advantage_threshold,
     epr_heterodyne,
     heterodyne,
     noise_boundaries,
@@ -46,4 +45,4 @@ for x in (0.3, 0.6, 0.9, 0.99):
         f"  x={x}: advantage lost at nbar={bounds.advantage_nbar:.4f},"
         f" separable at nbar={bounds.ppt_nbar:.4f}"
     )
-print("advantage threshold as the gain approaches 1:", advantage_threshold(0.9999))
+print("advantage threshold as the gain approaches 1:", noise_boundaries(0.9999).advantage_nbar)

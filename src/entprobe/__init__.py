@@ -11,7 +11,6 @@ from .discrim import (
     DiscriminationProblem,
     EigenvaluePolygon,
     UnitaryGroup,
-    apply_local,
     average_likelihood,
     copies_for_perfect,
     covariant_povm,
@@ -31,13 +30,11 @@ from .discrim import (
 from .gauss import (
     HeterodyneLaw,
     NoiseSpec,
-    advantage_threshold,
     apply_displacement_noise,
     epr_heterodyne,
     heterodyne,
     noise_boundaries,
     photon_budget,
-    ppt_noise_boundary,
     ppt_separability,
     quadrature_variance,
     squeezed_state,

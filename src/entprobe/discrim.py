@@ -30,6 +30,7 @@ from .linops import (
     eig_unitary,
     is_unitary,
     partial_trace,
+    vectorize,
     von_neumann_entropy,
 )
 
@@ -97,7 +98,7 @@ def _shift_phase(d: int, m, n) -> np.ndarray:
 
 def weyl_heisenberg_group(d: int) -> UnitaryGroup:
     """The d^2 shift-and-phase unitaries u(m, n), labelled U(m,n) in row-major (m, n) order."""
-    if d < 2:
+    if (d := _count(d, "dimension")) < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     m, n = np.divmod(np.arange(d * d), d)
     return UnitaryGroup(_shift_phase(d, m, n), [f"U({a},{b})" for a, b in zip(m, n)])
@@ -106,21 +107,6 @@ def weyl_heisenberg_group(d: int) -> UnitaryGroup:
 # ---------------------------------------------------------------------------
 # entangled-probe outputs
 # ---------------------------------------------------------------------------
-
-
-def apply_local(u, e: ProbeState) -> ProbeState:
-    """Act with ``u`` on the probed factor only; amplitudes map e -> u e.
-
-    A unitary keeps Tr[e†e], but ``u`` may pass its rule with a defect of its
-    own, so u e is rescaled to the norm of e: the output inherits the input
-    probe's normalization defect and not the sum of both.
-    """
-    u = assert_unitary(u)
-    if u.shape[0] != e.dim:
-        raise ValueError(f"unitary dim {u.shape[0]} does not match probe dim {e.dim}")
-    out = u @ e.e_op
-    out *= math.sqrt(np.vdot(e.e_op, e.e_op).real / np.vdot(out, out).real)
-    return ProbeState(out)
 
 
 def output_vectors(group: UnitaryGroup, e: ProbeState) -> np.ndarray:
@@ -200,7 +186,7 @@ def average_likelihood(seed_op, e: ProbeState) -> float:
     entangled probes paired with their own rank-one seed.
     """
     s = _validate_povm_seed(seed_op, e.dim)
-    v = e.as_vector()
+    v = vectorize(e.e_op)
     return float(np.real(np.vdot(v, s @ v)))
 
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linops import PPT_ATOL
+from .linops import PPT_ATOL, _count
 
 VACUUM_VARIANCE = 0.25
 
@@ -142,7 +142,7 @@ def apply_displacement_noise(g, mode: int, nbar: float):
     """Random-displacement channel: adds (nbar/2) I to the covariance of the mode's (x, p), that
     is, nbar to the mode's noise photons, which must stay finite; a one-mode probe has mode 0,
     a two-mode probe modes 0 and 1."""
-    nbar = _check_nbar(nbar)
+    nbar, mode = _check_nbar(nbar), _count(mode, "mode")
     if isinstance(g, OneModeProbe) and mode == 0:
         return replace(g, nbar=g.nbar + nbar)
     if isinstance(g, TwoModeProbe) and mode in (0, 1):
@@ -230,17 +230,6 @@ def tmsv_epr_variance(x: float) -> float:
     return (1.0 - abs(x)) / (1.0 + abs(x))
 
 
-def advantage_threshold(x: float) -> float:
-    """Per-scheme noise level where the entangled probe stops paying off.
-
-    Solves delta^2_entangled = delta^2_vacuum, i.e. Delta^2 + 2 nbar =
-    1 + nbar, at nbar = 1 - Delta^2 = 2|x|/(1 + |x|): twice the separability
-    edge, formed without the low-gain cancellation of 1 - Delta^2.  It tends
-    to one thermal photon as the probe approaches maximal entanglement.
-    """
-    return 2.0 * ppt_noise_boundary(x)
-
-
 # ---------------------------------------------------------------------------
 # separability
 # ---------------------------------------------------------------------------
@@ -274,20 +263,20 @@ def ppt_separability(g: TwoModeProbe) -> SeparabilityReport:
     return SeparabilityReport(nu_min >= VACUUM_VARIANCE - PPT_ATOL, nu_min)
 
 
-def ppt_noise_boundary(x: float) -> float:
-    """Per-mode noise that lands the noisy two-mode probe on the separability edge.
+def noise_boundaries(x: float) -> NoiseBoundaries:
+    """Per-mode noise levels where the two-mode probe loses its advantage and its entanglement.
 
     The smallest partial-transpose symplectic eigenvalue of the probe with
     noise n per mode is Delta^2/4 + n/2 (Simon, PRL 84, 2726 (2000)), so the
-    edge sits at n = (1 - Delta^2)/2 = |x|/(1 + |x|).
+    separability edge sits at n = (1 - Delta^2)/2 = |x|/(1 + |x|).  The
+    advantage ends where delta^2_entangled = delta^2_vacuum, i.e. Delta^2 +
+    2 nbar = 1 + nbar, at nbar = 1 - Delta^2: twice the edge, formed without
+    the low-gain cancellation of 1 - Delta^2.  It tends to one thermal photon
+    as the probe approaches maximal entanglement.
     """
     x = _check_gain(x)
-    return abs(x) / (1.0 + abs(x))
-
-
-def noise_boundaries(x: float) -> NoiseBoundaries:
-    """Advantage-loss and entanglement-loss noise levels for the two-mode probe."""
-    return NoiseBoundaries(advantage_threshold(x), ppt_noise_boundary(x))
+    edge = abs(x) / (1.0 + abs(x))
+    return NoiseBoundaries(2.0 * edge, edge)
 
 
 # ---------------------------------------------------------------------------

@@ -145,9 +145,6 @@ class ProbeState:
         """Rank of e† e: ``RANK_RTOL`` cuts the Schmidt-weight ratios lambda_k / lambda_max."""
         return matrix_rank(self.reduced_state())
 
-    def as_vector(self) -> np.ndarray:
-        return vectorize(self.e_op)
-
     def reduced_state(self) -> np.ndarray:
         """Reduced density matrix e† e of the untouched factor."""
         return self.e_op.conj().T @ self.e_op

@@ -72,10 +72,10 @@ class TrialReport:
     rng: str = HETERODYNE_RNG
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if not math.isfinite(self.z_score):
-            raise ValueError("z-score must be finite")
+        _check_seed(self.seed)
+        _check_trials(self.trials)
+        if not all(map(math.isfinite, (self.empirical, self.analytic, self.z_score))):
+            raise ValueError("the empirical value, analytic value and z-score must be finite")
 
 
 def _check_seed(seed: int) -> None:
@@ -249,6 +249,7 @@ def sample_heterodyne(
     """
     trials = _check_trials(trials)
     _check_deviation_sum(noise.nbar_per_mode, trials)
+    gauss._check_gain(x)  # both schemes refuse the same gains
     if scheme == "entangled":
         law = gauss.epr_heterodyne(gauss.tmsv_state(x), alpha, noise)
         analytic = gauss.tmsv_epr_variance(x) + 2.0 * noise.nbar_per_mode
@@ -316,6 +317,8 @@ def stability_scan(s: float, x: float, phi_grid) -> StabilityScan:
     phis = np.asarray(phi_grid, dtype=float).reshape(-1)
     if phis.size == 0:
         raise ValueError("the phase grid must not be empty")
+    if not np.isfinite(phis).all():
+        raise ValueError("every phase in the grid must be finite")
     entangled, squeezed = gauss.tmsv_state(x), gauss.squeezed_state(s)
     return StabilityScan(
         phis=phis,

@@ -12,7 +12,6 @@ from scipy.optimize import minimize
 
 from entprobe.discrim import (
     DiscriminationProblem,
-    apply_local,
     average_likelihood,
     copies_for_perfect,
     covariant_povm,
@@ -28,9 +27,8 @@ from entprobe.discrim import (
 )
 from entprobe.gauss import (
     NoiseSpec,
-    advantage_threshold,
     apply_displacement_noise,
-    ppt_noise_boundary,
+    noise_boundaries,
     ppt_separability,
     quadrature_variance,
     squeezed_state,
@@ -289,7 +287,7 @@ def test_criterion_07_covariant_povm():
     for d in (2, 3):
         u = haar_unitary(d, rng)
         probe = ProbeState(u / np.sqrt(d))
-        matched = d * np.outer(probe.as_vector(), probe.as_vector().conj())
+        matched = d * np.outer(vectorize(probe.e_op), vectorize(probe.e_op).conj())
         value = average_likelihood(matched, probe)
         crit.check(abs(value - d) < 1e-8, f"matched probe likelihood {value!r} != {d}")
     crit.conclude()
@@ -319,12 +317,12 @@ def test_criterion_08_cv_statistics():
                 f"unentangled reference off at nbar={nbar}",
             )
     for x in (0.2, 0.5, 0.8):
-        got = advantage_threshold(x)
+        got = noise_boundaries(x).advantage_nbar
         crit.check(
             abs(got - (1.0 - tmsv_epr_variance(x))) < 1e-12,
             f"crossover at x={x} is {got!r}, not 1 - Delta^2",
         )
-    ladder = [advantage_threshold(x) for x in (0.9, 0.99, 0.999, 0.9999)]
+    ladder = [noise_boundaries(x).advantage_nbar for x in (0.9, 0.99, 0.999, 0.9999)]
     crit.check(
         all(b > a for a, b in zip(ladder, ladder[1:])) and ladder[-1] > 0.9998,
         f"threshold ladder {ladder} does not approach 1",
@@ -377,7 +375,7 @@ def test_criterion_10_separability_boundary():
     for x in (0.2, 0.5, 0.8, 0.95):
         r = np.arctanh(x)
         closed_form = (1.0 - np.exp(-2.0 * r)) / 2.0
-        located = ppt_noise_boundary(x)
+        located = noise_boundaries(x).ppt_nbar
         crit.check(
             abs(located - closed_form) < 1e-10,
             f"x={x}: boundary {located!r} vs closed form {closed_form!r}",
@@ -389,7 +387,7 @@ def test_criterion_10_separability_boundary():
         nu = ppt_separability(state).min_pt_symplectic_eigenvalue
         crit.check(abs(nu - 0.25) < 1e-10, f"x={x}: boundary eigenvalue {nu!r} != 1/4")
         crit.note(
-            f"x={x}: advantage boundary {advantage_threshold(x):.6f}, "
+            f"x={x}: advantage boundary {noise_boundaries(x).advantage_nbar:.6f}, "
             f"separability boundary {located:.6f}"
         )
     crit.conclude()

@@ -12,7 +12,6 @@ from entprobe.discrim import (
     DiscriminationProblem,
     UnitaryGroup,
     _input_overlap,
-    apply_local,
     average_likelihood,
     copies_for_perfect,
     covariant_povm,
@@ -23,6 +22,7 @@ from entprobe.discrim import (
     optimal_pair_input,
     output_gram,
     output_span_dimension,
+    output_vectors,
     pauli_group,
     povm_probabilities,
     schur_overlap_omega,
@@ -177,6 +177,14 @@ class TestWeylHeisenbergGroup:
         with pytest.raises(ValueError):
             weyl_heisenberg_group(1)
 
+    @pytest.mark.parametrize("d", (2.5, 2.0, True, "3"))
+    def test_dimension_must_be_an_integer(self, d):
+        with pytest.raises(ValueError, match=r"^dimension must be an integer, got "):
+            weyl_heisenberg_group(d)
+
+    def test_numpy_integer_dimension_accepted(self):
+        assert np.array_equal(weyl_heisenberg_group(np.int64(3)).elements, weyl_heisenberg_group(3).elements)
+
 
 def rotated_shift_phase(d: int, seed: int) -> UnitaryGroup:
     """{V u V†} over the shift-and-phase group: a 1-design that is not shift-and-phase."""
@@ -215,42 +223,30 @@ class TestOneDesignCertificate:
 
 
 class TestApplyLocal:
+    """(u ⊗ I)|e>: one row of ``output_vectors`` per group element."""
+
     def test_identity(self):
         e = random_probe(3, generator(31))
-        assert np.allclose(apply_local(np.eye(3), e).e_op, e.e_op, atol=1e-15)
+        rows = output_vectors(weyl_heisenberg_group(3), e)
+        assert np.allclose(rows[0], vectorize(e.e_op), atol=1e-15)
 
     def test_bell_state_relabeling(self):
-        out = apply_local(SX, ProbeState.maximally_entangled(2))
-        assert np.allclose(out.as_vector(), vectorize(SX) / np.sqrt(2), atol=1e-15)
+        group = pauli_group()
+        rows = output_vectors(group, ProbeState.maximally_entangled(2))
+        for u, row in zip(group.elements, rows):
+            assert np.allclose(row, vectorize(u) / np.sqrt(2), atol=1e-15)
 
     def test_schmidt_invariance(self):
         rng = generator(32)
         e = random_probe(3, rng, rank=2)
-        u = haar_unitary(3, rng)
+        (row,) = output_vectors(UnitaryGroup(haar_unitary(3, rng)[None], ("u",)), e)
         assert np.allclose(
-            schmidt_coefficients(apply_local(u, e)), schmidt_coefficients(e), atol=1e-10
+            schmidt_coefficients(ProbeState(row.reshape(3, 3))), schmidt_coefficients(e), atol=1e-10
         )
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            apply_local(np.eye(3), ProbeState.maximally_entangled(2))
-
-    def test_input_defects_do_not_add_up(self):
-        # each input passes its 1e-10 rule; u e alone has Tr[e†e] - 1 = 1.96e-10
-        e = ProbeState(np.eye(2) / np.sqrt(2) * (1 + 4.9e-11))
-        out = apply_local(np.diag([1.000000000049] * 2), e)
-        assert np.vdot(out.e_op, out.e_op).real == pytest.approx(
-            np.vdot(e.e_op, e.e_op).real, rel=0.0, abs=1e-15
-        )
-
-    @pytest.mark.parametrize("d", [2, 3, 5])
-    def test_any_pair_within_both_rules_accepted(self, d):
-        rng = generator(33 + d)
-        for u_scale, e_scale in [(1 + 4.9e-11, 1 + 4.9e-11), (1 - 4.9e-11, 1 - 4.9e-11)]:
-            u = haar_unitary(d, rng) * u_scale
-            e = ProbeState(random_probe(d, rng).e_op * e_scale)
-            out = apply_local(u, e)
-            assert np.allclose(out.e_op, u @ e.e_op, rtol=0.0, atol=1e-9)
+            output_vectors(weyl_heisenberg_group(3), ProbeState.maximally_entangled(2))
 
 
 def schmidt_probe(d: int, weights, rng) -> ProbeState:
@@ -397,8 +393,8 @@ class TestCovariantPovm:
         seed = np.outer(vectorize(I2), vectorize(I2).conj())
         povm = covariant_povm(group, seed)
         probe = ProbeState.maximally_entangled(2)
-        for h, u in enumerate(group.elements):
-            probs = povm_probabilities(povm, apply_local(u, probe).as_vector())
+        for h, output in enumerate(output_vectors(group, probe)):
+            probs = povm_probabilities(povm, output)
             assert np.allclose(probs, np.eye(4)[h], atol=1e-12)
 
     def test_completeness_for_random_seeds(self):
@@ -452,7 +448,7 @@ class TestAverageLikelihood:
         for d in (2, 3):
             u = haar_unitary(d, generator(38))
             probe = ProbeState(u / np.sqrt(d))
-            seed = d * np.outer(probe.as_vector(), probe.as_vector().conj())
+            seed = d * np.outer(vectorize(probe.e_op), vectorize(probe.e_op).conj())
             assert average_likelihood(seed, probe) == pytest.approx(d, abs=1e-8)
 
     def test_bounded_by_dimension(self):
@@ -815,7 +811,7 @@ class TestSchurAndMajorization:
         for d, group in ((2, pauli_group()), (3, weyl_heisenberg_group(3))):
             probe = random_probe(d, rng)
             overlaps = [
-                abs(np.vdot(vectorize(u @ probe.e_op), probe.as_vector())) ** 2
+                abs(np.vdot(vectorize(u @ probe.e_op), vectorize(probe.e_op))) ** 2
                 for u in group.elements
             ]
             weighted = d / len(group) * np.sum(overlaps)

@@ -13,13 +13,11 @@ from entprobe.gauss import (
     NoiseSpec,
     OneModeProbe,
     TwoModeProbe,
-    advantage_threshold,
     apply_displacement_noise,
     epr_heterodyne,
     heterodyne,
     noise_boundaries,
     photon_budget,
-    ppt_noise_boundary,
     ppt_separability,
     quadrature_variance,
     squeezed_state,
@@ -106,7 +104,7 @@ class TestStatePreparation:
         for check in (
             tmsv_state,
             tmsv_epr_variance,
-            ppt_noise_boundary,
+            noise_boundaries,
             lambda x: photon_budget(TwoModeProbe(x)),
         ):
             with pytest.raises(ValueError, match="below 1"):
@@ -326,6 +324,15 @@ class TestDisplacementNoise:
     def test_two_mode_probe_refuses_a_third_mode(self, mode):
         with pytest.raises(ValueError, match="out of range"):
             apply_displacement_noise(tmsv_state(0.5), mode, 0.1)
+
+    @pytest.mark.parametrize("mode", (True, False, 1.0, 0.0, "1"))
+    def test_mode_must_be_an_integer(self, mode):
+        for st in (tmsv_state(0.5), vacuum_state()):
+            with pytest.raises(ValueError, match=r"^mode must be an integer, got "):
+                apply_displacement_noise(st, mode, 0.1)
+
+    def test_numpy_integer_mode_accepted(self):
+        assert apply_displacement_noise(tmsv_state(0.5), np.int64(1), 0.1) == TwoModeProbe(0.5, 0.0, 0.1)
 
     def test_zero_noise_identity(self):
         for st in (tmsv_state(0.5), squeezed_state(-1.5)):
@@ -593,7 +600,6 @@ class TestAgainstLabRouteAt50Digits:
         for nbar in self.NBARS:
             self.assert_readouts_match(x, nbar)
         edge = lab_edge_at_50_digits(x)
-        assert _relative_error(ppt_noise_boundary(x), edge) <= 1e-12
         assert _relative_error(noise_boundaries(x).ppt_nbar, edge) <= 1e-12
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -620,19 +626,20 @@ class TestAgainstLabRouteAt50Digits:
     def test_threshold_and_photons_at_both_ends(self, k):
         for x in (10.0**-k, 1.0 - 10.0**-k, -(10.0**-k)):
             oracle = lab_route_at_50_digits(x, 0.0)
-            assert _relative_error(advantage_threshold(x), 1 - oracle.epr_variance) <= 1e-12, x
             assert _relative_error(noise_boundaries(x).advantage_nbar, 1 - oracle.epr_variance) <= 1e-12
             assert _relative_error(photon_budget(tmsv_state(x)), oracle.photons) <= 1e-12, x
 
     def test_advantage_threshold_is_twice_the_edge(self):
         for x in (1e-12, 1e-8, 0.2, 0.5, 0.8, 1.0 - 1e-15):
-            assert advantage_threshold(x) == 2.0 * ppt_noise_boundary(x)
+            bounds = noise_boundaries(x)
+            assert bounds.advantage_nbar == 2.0 * bounds.ppt_nbar
 
 
 class TestClosedFormsAgree:
     """The PT eigenvalue, the separability edge and the EPR variance are three closed forms
     of one noisy probe: with equal noise n the PT eigenvalue is Delta^2/4 + n/2, it crosses
-    1/4 at ``ppt_noise_boundary``, and every noise photon adds 1 to the EPR variance."""
+    1/4 at the ``ppt_nbar`` of ``noise_boundaries``, and every noise photon adds 1 to the EPR
+    variance."""
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(
@@ -648,7 +655,7 @@ class TestClosedFormsAgree:
         gain = Fraction(abs(x))
         exact = (1 - gain) / (1 + gain) / 4 + Fraction(nbar) / 2
         assert _relative_error(Fraction(report.min_pt_symplectic_eigenvalue), exact) <= 1e-15
-        edge = ppt_noise_boundary(x)
+        edge = noise_boundaries(x).ppt_nbar
         if nbar >= edge:
             assert report.separable
         if nbar <= edge - 4.0 * gauss.PPT_ATOL:
@@ -659,21 +666,21 @@ class TestClosedFormsAgree:
 
 class TestAdvantageThreshold:
     def test_vacuum_gain_no_advantage(self):
-        assert advantage_threshold(0.0) == pytest.approx(0.0, abs=1e-15)
+        assert noise_boundaries(0.0).advantage_nbar == pytest.approx(0.0, abs=1e-15)
 
     def test_tanh_one(self):
-        assert advantage_threshold(np.tanh(1.0)) == pytest.approx(
+        assert noise_boundaries(np.tanh(1.0)).advantage_nbar == pytest.approx(
             1.0 - np.exp(-2.0), abs=1e-12
         )
 
     def test_limit_approaches_one_photon(self):
-        thresholds = [advantage_threshold(x) for x in (0.9, 0.99, 0.999, 0.9999)]
+        thresholds = [noise_boundaries(x).advantage_nbar for x in (0.9, 0.99, 0.999, 0.9999)]
         assert np.all(np.diff(thresholds) > 0.0)
         assert thresholds[-1] > 0.9998
 
     def test_crossover_equalizes_both_schemes(self):
         x = 0.5
-        nbar = advantage_threshold(x)
+        nbar = noise_boundaries(x).advantage_nbar
         entangled = epr_heterodyne(tmsv_state(x), noise=NoiseSpec(nbar)).variance
         unentangled = heterodyne(vacuum_state(), noise=NoiseSpec(nbar)).variance
         assert entangled == pytest.approx(unentangled, abs=1e-12)
@@ -700,13 +707,13 @@ class TestSeparability:
         for x in (0.2, 0.5, 0.8, 0.95):
             r = np.arctanh(x)
             expected = (1.0 - np.exp(-2.0 * r)) / 2.0
-            assert ppt_noise_boundary(x) == pytest.approx(expected, abs=1e-10)
+            assert noise_boundaries(x).ppt_nbar == pytest.approx(expected, abs=1e-10)
 
     def test_noise_boundary_matches_bisection(self):
         grid = np.linspace(0.01, 0.99, 25)
         for x in [0.0, *grid, *-grid]:
             expected = ppt_boundary_by_bisection(x)
-            assert ppt_noise_boundary(x) == pytest.approx(expected, abs=1e-11), x
+            assert noise_boundaries(x).ppt_nbar == pytest.approx(expected, abs=1e-11), x
 
     def test_noise_boundary_below_half_near_unit_gain(self):
         # where cosh and sinh of the gain nearly cancel, the edge must still stay below 1/2
@@ -715,19 +722,26 @@ class TestSeparability:
         assert all(b >= a for a, b in zip(edges, edges[1:]))
 
     def test_noise_boundary_edge_inputs(self):
-        assert ppt_noise_boundary(0.0) == 0.0
+        assert noise_boundaries(0.0).ppt_nbar == 0.0
         with pytest.raises(ValueError):
-            ppt_noise_boundary(1.0)
+            noise_boundaries(1.0)
 
     def test_boundary_state_sits_on_the_edge(self):
         x = 0.5
-        nbar = ppt_noise_boundary(x)
+        nbar = noise_boundaries(x).ppt_nbar
         st = apply_displacement_noise(
             apply_displacement_noise(tmsv_state(x), 0, nbar), 1, nbar
         )
         assert ppt_separability(st).min_pt_symplectic_eigenvalue == pytest.approx(
             0.25, abs=1e-10
         )
+
+    def test_one_gain_check_per_call(self, monkeypatch):
+        calls = []
+        check = gauss._check_gain
+        monkeypatch.setattr(gauss, "_check_gain", lambda x: calls.append(x) or check(x))
+        noise_boundaries(0.5)
+        assert calls == [0.5]
 
     def test_boundaries_reported_side_by_side(self):
         bounds = noise_boundaries(0.5)

@@ -230,6 +230,12 @@ class TestSampleHeterodyne:
         with pytest.raises(ValueError):
             sample_heterodyne(0.5, 0.0, NoiseSpec(0.0), "classical", 10, 0)
 
+    @pytest.mark.parametrize("x", (5.0, -1.0, float("nan")))
+    def test_both_schemes_refuse_a_bad_gain(self, x):
+        for scheme in ("entangled", "unentangled"):
+            with pytest.raises(ValueError, match="below 1"):
+                sample_heterodyne(x, 0, NoiseSpec(0), scheme, 10, 1)
+
     def test_trial_count_guarded(self):
         with pytest.raises(ValueError):
             sample_heterodyne(0.5, 0.0, NoiseSpec(0.0), "entangled", 0, 0)
@@ -311,6 +317,23 @@ class TestTrialReport:
         with pytest.raises(ValueError):
             TrialReport("s", 0, 10, 0.0, 0.0, float("nan"))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", 1.5),
+            ("seed", -1),
+            ("trials", 2.5),
+            ("trials", True),
+            ("empirical", float("nan")),
+            ("analytic", float("inf")),
+        ],
+    )
+    def test_every_field_is_checked(self, field, value):
+        fields = {"scenario": "s", "seed": 0, "trials": 10, "empirical": 1.0, "analytic": 1.0, "z_score": 0.0}
+        TrialReport(**fields)
+        with pytest.raises(ValueError):
+            TrialReport(**{**fields, field: value})
+
     def test_rng_metadata_recorded(self):
         # one Philox word per trial, read as a Box-Muller radius
         report = sample_heterodyne(0.0, 0.0, NoiseSpec(0.0), "unentangled", 10, 0)
@@ -364,6 +387,13 @@ class TestStabilityScan:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             stability_scan(1.0, 0.5, [])
+
+    @pytest.mark.parametrize("bad", (float("nan"), float("inf"), -float("inf")))
+    def test_non_finite_phase_rejected(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^every phase in the grid must be finite$"):
+                stability_scan(1.0, 0.5, [0.0, bad])
 
     def test_entangled_column_is_one_value(self):
         # the EPR law does not depend on the common phase, so no grid point may move it
