@@ -234,7 +234,7 @@ def _run_discriminate(ns):
     _check(len(priors) == 2, f"--priors must be 'p1,p2', got {ns.priors!r}")
     problem = _library_check(ns.command, DiscriminationProblem, u1, u2, *priors)
     polygon = problem.polygon
-    psi = polygon.witness()
+    psi = polygon.witness
     values = {"r": polygon.r, "spread": polygon.spread, "p_error": helstrom_error(problem, psi)}
     for k, amp in enumerate(psi):
         values[f"psi_{k}_re"] = amp.real

@@ -161,7 +161,7 @@ def _validate_povm_seed(seed_op, d: int) -> np.ndarray:
         raise ValueError("seed operator must be Hermitian")
     if np.linalg.eigvalsh(s).min() < -POVM_SEED_PSD_ATOL:
         raise ValueError("seed operator must be positive semidefinite")
-    if np.max(np.abs(partial_trace(s, d, d, side=1) - np.eye(d))) > POVM_SEED_ATOL:
+    if np.max(np.abs(partial_trace(s, d, d) - np.eye(d))) > POVM_SEED_ATOL:
         raise ValueError("seed operator must have partial trace I over the probed factor")
     return s
 
@@ -217,12 +217,18 @@ class DiscriminationProblem:
         u2 = assert_unitary(self.u2)
         if u1.shape != u2.shape:
             raise ValueError(f"hypotheses act on different spaces: {u1.shape} vs {u2.shape}")
-        if not (self.p1 >= 0 and self.p2 >= 0 and abs(self.p1 + self.p2 - 1.0) <= PRIOR_SUM_ATOL):
+        try:  # + 0.0 keeps every prior's bits but turns -0.0 into 0.0
+            p1, p2 = float(self.p1) + 0.0, float(self.p2) + 0.0
+        except (TypeError, ValueError, OverflowError):
+            p1 = p2 = math.nan
+        if not (p1 >= 0 and p2 >= 0 and abs(p1 + p2 - 1.0) <= PRIOR_SUM_ATOL):
             raise ValueError(f"priors must be nonnegative and sum to 1, got {self.p1}, {self.p2}")
         w = u2.conj().T @ u1
         if not is_unitary(w):
             raise ValueError(f"relative unitary u2† u1 is not unitary within {UNITARY_ATOL}")
         _freeze(self, u1=u1, u2=u2, relative_unitary=w)
+        object.__setattr__(self, "p1", p1)
+        object.__setattr__(self, "p2", p2)
 
     @property
     def dim(self) -> int:
@@ -304,21 +310,18 @@ def helstrom_acceptance(p1: float, p2: float, c: float) -> tuple[float, float]:
 
 @dataclass(frozen=True, eq=False)
 class EigenvaluePolygon:
-    """Eigenvalue polygon of a unitary, read off one eigendecomposition.
+    """Eigenvalue polygon of a unitary, kept as the two things read off it.
 
-    ``vertices`` are the distinct eigenphases (phases closer than ``PHASE_DEDUPE_TOL`` on
-    the circle, across the -pi/pi seam too, merged into the first), listed counterclockwise
-    from the end of the largest gap to its start, so the polygon spans the arc of width
-    ``spread`` from ``vertices[0]`` to ``vertices[-1]``.  Column k of ``vectors`` is an
-    eigenvector for ``vertices[k]``.  The arrays are read-only copies.
+    ``spread`` is the width of the smallest arc holding every eigenphase, which fixes
+    ``copies`` and ``r``.  ``witness`` is a local pure state whose overlap modulus under the
+    unitary attains ``r``, held as a read-only copy.
     """
 
-    vertices: np.ndarray
-    vectors: np.ndarray
     spread: float
+    witness: np.ndarray
 
     def __post_init__(self):
-        _freeze(self, vertices=self.vertices, vectors=self.vectors)
+        _freeze(self, witness=self.witness)
 
     @property
     def copies(self) -> float:
@@ -332,37 +335,22 @@ class EigenvaluePolygon:
         """Distance from the origin: 0 once the polygon holds it, else cos(spread / 2)."""
         return 0.0 if self.copies == 1 else float(np.cos(self.spread / 2.0))
 
-    def witness(self) -> np.ndarray:
-        """Local pure state whose overlap modulus under the unitary attains ``r``.
-
-        The state is a superposition of eigenvectors whose weighted eigenvalue
-        average lands on the hull point closest to the origin: the even mix of
-        the two ends of the largest gap, whose chord midpoint is that point, or,
-        when the origin lies strictly inside the polygon, those two ends plus
-        the farthest vertex at most pi past the gap, weighted by the
-        barycentric coordinates of the origin (each proportional to the sine of
-        the arc opposite its vertex).
-        """
-        vecs = self.vectors
-        if self.vertices.size == 1:
-            return vecs[:, 0].copy()
-        if self.spread <= np.pi + PHASE_DEDUPE_TOL:
-            return (vecs[:, 0] + vecs[:, -1]) / np.sqrt(2.0)
-        arcs = (self.vertices - self.vertices[0]) % TWO_PI
-        k = int(np.searchsorted(arcs, np.pi, side="right")) - 1
-        weights = np.sin([self.spread - arcs[k], -self.spread, arcs[k]])
-        combo = vecs[:, [0, k, -1]] @ np.sqrt(np.clip(weights, 0.0, None))
-        return combo / np.linalg.norm(combo)
-
 
 def min_overlap_r(w) -> EigenvaluePolygon:
-    """Distance from the origin to the eigenvalue polygon of a unitary.
+    """Eigenvalue polygon of a unitary, read off one eigendecomposition.
 
-    The returned ``r`` is the smallest achievable |<psi| w |psi>| over unit
-    vectors.  ``spread`` is the width of the smallest arc containing all
-    eigenphases.  Below pi the closest hull point is the midpoint of the
-    chord across the largest gap, so r = cos(spread / 2); at or past pi the
-    polygon holds the origin and r = 0.
+    The polygon's distance ``r`` from the origin is the smallest achievable |<psi| w |psi>|
+    over unit vectors.  Its vertices are the distinct eigenphases (phases closer than
+    ``PHASE_DEDUPE_TOL`` on the circle, across the -pi/pi seam too, merged into the first),
+    taken counterclockwise from the end of the largest gap to its start, an arc of width
+    ``spread``.  Below pi the closest hull point is the midpoint of the chord across the
+    largest gap, so r = cos(spread / 2); at or past pi the polygon holds the origin and r = 0.
+
+    The witness mixes at most three eigenvectors so that their weighted eigenvalue average
+    lands on that closest point: the even mix of the two ends of the largest gap or, when the
+    origin lies strictly inside the polygon, those two ends plus the farthest vertex at most
+    pi past the gap, weighted by the barycentric coordinates of the origin (each proportional
+    to the sine of the arc opposite its vertex).  One vertex gives its own eigenvector.
     """
     phases, vecs = eig_unitary(w)
     keep = [0]
@@ -376,12 +364,22 @@ def min_overlap_r(w) -> EigenvaluePolygon:
     gaps = np.append(np.diff(distinct), TWO_PI - (distinct[-1] - distinct[0]))
     largest = int(np.argmax(gaps))
     order = np.roll(keep, -(largest + 1))
-    return EigenvaluePolygon(phases[order], vecs[:, order], float(TWO_PI - gaps[largest]))
+    spread = float(TWO_PI - gaps[largest])
+    if order.size == 1:
+        return EigenvaluePolygon(spread, vecs[:, order[0]])
+    if spread <= np.pi + PHASE_DEDUPE_TOL:
+        return EigenvaluePolygon(spread, (vecs[:, order[0]] + vecs[:, order[-1]]) / np.sqrt(2.0))
+    arcs = (phases[order] - phases[order[0]]) % TWO_PI
+    k = int(np.searchsorted(arcs, np.pi, side="right")) - 1
+    weights = np.sin([spread - arcs[k], -spread, arcs[k]])
+    combo = vecs[:, order[[0, k, -1]]] @ np.sqrt(np.clip(weights, 0.0, None))
+    return EigenvaluePolygon(spread, combo / np.linalg.norm(combo))
 
 
 def optimal_pair_input(w) -> np.ndarray:
-    """Local pure state whose overlap modulus under ``w`` attains r(w): the polygon's witness."""
-    return min_overlap_r(w).witness()
+    """Local pure state whose overlap modulus under ``w`` attains r(w): the polygon's witness,
+    read-only."""
+    return min_overlap_r(w).witness
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,8 @@ PPT_ATOL = 1e-10
 
 def _as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {m.shape}")
+    if m.ndim != 2 or m.size == 0:
+        raise ValueError(f"expected a non-empty 2-d array, got shape {m.shape}")
     return m
 
 
@@ -95,25 +95,13 @@ def vectorize(a) -> np.ndarray:
     return a.reshape(-1).copy()
 
 
-def partial_trace(m, d1: int, d2: int, side: int) -> np.ndarray:
-    """Trace out subsystem ``side`` (1 or 2) of a (d1*d2)-dimensional operator."""
+def partial_trace(m, d1: int, d2: int) -> np.ndarray:
+    """Trace out the first (probed) factor of a (d1*d2)-dimensional operator: the d2 x d2
+    matrix sum_i <i|m|i> over the d1 basis states of that factor."""
     m = _as_matrix(m)
     if m.shape != (d1 * d2, d1 * d2):
         raise ValueError(f"expected shape {(d1 * d2, d1 * d2)}, got {m.shape}")
-    t = m.reshape(d1, d2, d1, d2)
-    if side == 1:
-        return np.einsum("ijil->jl", t)
-    if side == 2:
-        return np.einsum("ijkj->ik", t)
-    raise ValueError(f"side must be 1 or 2, got {side}")
-
-
-def matrix_rank(a) -> int:
-    """Rank by singular values above ``RANK_RTOL`` times the largest one."""
-    s = np.linalg.svd(_as_matrix(a), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > RANK_RTOL * s[0]))
+    return np.einsum("ijil->jl", m.reshape(d1, d2, d1, d2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,8 +130,10 @@ class ProbeState:
 
     @property
     def schmidt_number(self) -> int:
-        """Rank of e† e: ``RANK_RTOL`` cuts the Schmidt-weight ratios lambda_k / lambda_max."""
-        return matrix_rank(self.reduced_state())
+        """Rank of e† e: the singular values above ``RANK_RTOL`` times the largest, which is at
+        least 1/d for a normalized probe, so the cut is on the ratios lambda_k / lambda_max."""
+        s = np.linalg.svd(self.reduced_state(), compute_uv=False)
+        return int(np.count_nonzero(s > RANK_RTOL * s[0]))
 
     def reduced_state(self) -> np.ndarray:
         """Reduced density matrix e† e of the untouched factor."""
@@ -171,11 +161,15 @@ class ProbeState:
     @classmethod
     def product(cls, psi, phi) -> "ProbeState":
         """Unentangled probe |psi>|phi> (both vectors are normalized here)."""
-        psi = np.asarray(psi, dtype=complex).reshape(-1)
-        phi = np.asarray(phi, dtype=complex).reshape(-1)
-        psi = psi / np.linalg.norm(psi)
-        phi = phi / np.linalg.norm(phi)
-        return cls(np.outer(psi, phi))
+        factors = []
+        for name, v in (("psi", psi), ("phi", phi)):
+            v = np.asarray(v, dtype=complex).reshape(-1)
+            with np.errstate(over="ignore"):  # an overflowing norm is inf, refused below
+                norm = np.linalg.norm(v)
+            if not (np.isfinite(norm) and norm > 0.0):
+                raise ValueError(f"factor {name} needs a finite nonzero norm, got {float(norm)}")
+            factors.append(v / norm)
+        return cls(np.outer(*factors))
 
 
 def von_neumann_entropy(rho) -> float:

@@ -45,7 +45,7 @@ def random_povm_seed(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random positive seed on the doubled space with Tr over the first factor = I."""
     g = rng.standard_normal((dim * dim, dim * dim)) + 1j * rng.standard_normal((dim * dim, dim * dim))
     t = g @ g.conj().T
-    m = partial_trace(t, dim, dim, side=1)
+    m = partial_trace(t, dim, dim)
     evals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
     inv_sqrt = vecs @ np.diag(1.0 / np.sqrt(evals)) @ vecs.conj().T
     c = np.kron(np.eye(dim), inv_sqrt)

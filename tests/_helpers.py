@@ -33,8 +33,8 @@ from entprobe.linops import (
     DENSITY_ATOL,
     PPT_ATOL,
     PROB_SUM_ATOL,
+    RANK_RTOL,
     ProbeState,
-    matrix_rank,
     von_neumann_entropy,
 )
 from entprobe.mc import _UNIT_BITS, TrialReport, _check_seed, _uniform_chunks
@@ -424,7 +424,7 @@ def heterodyne_by_radius(x, alpha, noise, scheme: str, trials: int, seed: int) -
 def span_by_average_projector(group, e) -> int:
     """Output span as the rank of the d^2 x d^2 average output projector, one SVD."""
     v = output_vectors(group, e)
-    return matrix_rank((v.T @ v.conj()) / len(group))
+    return int(np.linalg.matrix_rank((v.T @ v.conj()) / len(group), rtol=RANK_RTOL))
 
 
 def matched_likelihood_closed_form(e) -> float:
@@ -845,7 +845,7 @@ def _discriminate_rows(ns):
     priors = [float(tok) for tok in ns.priors.split(",")]
     problem = DiscriminationProblem(cli.parse_unitary(ns.u1), cli.parse_unitary(ns.u2), *priors)
     polygon = problem.polygon
-    psi = polygon.witness()
+    psi = polygon.witness
     values = {"r": polygon.r, "spread": polygon.spread, "p_error": helstrom_error(problem, psi)}
     for k, amp in enumerate(psi):
         values[f"psi_{k}_re"] = amp.real

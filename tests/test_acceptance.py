@@ -30,8 +30,6 @@ from entprobe.gauss import (
     apply_displacement_noise,
     noise_boundaries,
     ppt_separability,
-    quadrature_variance,
-    squeezed_state,
     tmsv_epr_variance,
     tmsv_state,
 )

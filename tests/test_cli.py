@@ -509,6 +509,14 @@ class TestDiscriminate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("priors", ["-0.0,1", "1,-0.0"])
+    def test_negative_zero_prior_prints_a_zero_error(self, capsys, priors):
+        argv = ("discriminate", "--u1", "pauli:z", "--u2", "pauli:x", f"--priors={priors}")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert {row["quantity"]: row["value"] for row in rows}["p_error"] == "0.0"
+
     @pytest.mark.parametrize("priors", ["nan,nan", "1,nan", "nan,1"])
     def test_nan_priors_rejected(self, capsys, priors):
         argv = ("discriminate", "--u1", "pauli:z", "--u2", "pauli:x", "--priors", priors)

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import itertools
 import math
@@ -41,7 +42,6 @@ from entprobe.linops import (
 from entprobe.rand import generator, haar_unitary, random_povm_seed, random_probe, random_pure_state
 
 from _helpers import (
-    assert_phases_match,
     closure_defect,
     helstrom_acceptance_at_60_digits,
     helstrom_error_at_40_digits,
@@ -377,7 +377,7 @@ class TestCovariantPovm:
 
         u = haar_unitary(3, generator(36))
         seed = np.outer(u.reshape(-1), u.reshape(-1).conj())
-        assert np.max(np.abs(partial_trace(seed, 3, 3, side=1) - np.eye(3))) < 1e-10
+        assert np.max(np.abs(partial_trace(seed, 3, 3) - np.eye(3))) < 1e-10
 
     def test_bell_projectors(self):
         group = pauli_group()
@@ -506,6 +506,20 @@ class TestHelstrom:
         with pytest.raises(ValueError):
             DiscriminationProblem(SZ, SX, 0.7, 0.7)
 
+    def test_priors_read_through_float(self):
+        # -0.0 is stored as 0.0, so no error probability comes out as -0.0
+        for p1, p2 in ((-0.0, 1.0), (1.0, -0.0)):
+            problem = DiscriminationProblem(SZ, SX, p1, p2)
+            assert math.copysign(1.0, problem.p1) == math.copysign(1.0, problem.p2) == 1.0
+            error = helstrom_error(problem, problem.polygon.witness)
+            assert (error, math.copysign(1.0, error)) == (0.0, 1.0)
+        # every other prior keeps its bits, and whatever float() reads is read
+        assert DiscriminationProblem(SZ, SX, 0.3, 0.7).p1 == 0.3
+        assert DiscriminationProblem(SZ, SX, "0.5", 0.5).p1 == 0.5
+        for unreadable in ("half", None, 1j, [0.5], 10**400):
+            with pytest.raises(ValueError, match="priors must be nonnegative and sum to 1"):
+                DiscriminationProblem(SZ, SX, unreadable, 0.5)
+
     @pytest.mark.parametrize("p1, p2", [(np.nan, np.nan), (1.0, np.nan), (np.nan, 1.0)])
     def test_nan_priors_rejected(self, p1, p2):
         with pytest.raises(ValueError, match="priors"):
@@ -630,7 +644,7 @@ class TestHelstromErrorForm:
         # relative 3e-11 off
         for angle in (3.1415926515, 3.14):
             problem = DiscriminationProblem(np.diag([1.0, np.exp(1j * angle)]), I2)
-            psi = problem.polygon.witness()
+            psi = problem.polygon.witness
             c = abs(_input_overlap(problem, psi))
             exact = helstrom_error_at_40_digits(0.5, 0.5, c)
             assert abs(helstrom_error(problem, psi) - exact) <= 2 * math.ulp(float(exact)), angle
@@ -682,19 +696,55 @@ class TestMinOverlap:
             min_overlap_r(np.diag([1.0, 0.5]))
 
     def test_polygon_fields(self):
-        # eigenphases 0, 0, pi/3: one repeated phase, two vertices
+        # eigenphases 0, 0, pi/3: one repeated phase, two vertices, so an arc of pi/3
         w = np.diag([1.0, 1.0, np.exp(1j * np.pi / 3)])
         polygon = min_overlap_r(w)
-        assert np.allclose(polygon.vertices, [0.0, np.pi / 3], atol=1e-12)
-        for k, phase in enumerate(polygon.vertices):
-            v = polygon.vectors[:, k]
-            assert np.allclose(w @ v, np.exp(1j * phase) * v, atol=1e-12)
+        assert [f.name for f in dataclasses.fields(polygon)] == ["spread", "witness"]
+        assert polygon.spread == pytest.approx(np.pi / 3, abs=1e-12)
         assert polygon.copies == 3
         assert polygon.copies == copies_for_perfect(DiscriminationProblem(w, np.eye(3)), 3)
         assert polygon.r == pytest.approx(np.cos(np.pi / 6), abs=1e-12)
+        # the even mix of the two ends: half its weight on the pi/3 eigenvector
+        psi = polygon.witness
+        assert abs(psi[2]) ** 2 == pytest.approx(0.5, abs=1e-12)
+        assert abs(np.vdot(psi, w @ psi)) == pytest.approx(polygon.r, abs=1e-12)
+        assert not psi.flags.writeable
+        assert not optimal_pair_input(w).flags.writeable
+
+
+def witness_pairs(d: int, seed: int):
+    """(u1, u2, kind) at width d: seeded Haar pairs, pairs whose relative phases sit on a narrow
+    arc, and a pair whose relative unitary is a multiple of the identity (one vertex)."""
+    rng = generator(seed)
+    for _ in range(4):
+        yield haar_unitary(d, rng), haar_unitary(d, rng), "haar"
+        u2, q = haar_unitary(d, rng), haar_unitary(d, rng)
+        arc = rng.uniform(0.0, 0.5) + rng.uniform(0.0, 0.5, d)
+        yield u2 @ (q * np.exp(1j * arc)) @ q.conj().T, u2, "narrow"
+    u2 = haar_unitary(d, rng)
+    yield np.exp(0.7j) * u2, u2, "one vertex"
 
 
 class TestOptimalPairInput:
+    @pytest.mark.parametrize("d", [2, 3, 8, 32])
+    def test_witness_attains_r(self, d):
+        seen = set()
+        for u1, u2, kind in witness_pairs(d, 900 + d):
+            problem = DiscriminationProblem(u1, u2)
+            polygon = problem.polygon
+            psi = polygon.witness
+            w = problem.relative_unitary
+            assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12), kind
+            assert abs(abs(np.vdot(psi, w @ psi)) - polygon.r) <= 1e-12, kind
+            assert np.array_equal(optimal_pair_input(w), psi)
+            if kind == "one vertex":
+                seen.add("one vertex")
+                assert polygon.spread == 0.0
+            else:
+                seen.add("spread <= pi" if polygon.spread <= np.pi else "spread > pi")
+        # two phases always fit on an arc of at most pi
+        assert seen == {"one vertex", "spread <= pi", *(["spread > pi"] if d > 2 else [])}
+
     def test_sigma_z_equal_superposition(self):
         psi = optimal_pair_input(SZ)
         assert abs(np.vdot(psi, SZ @ psi)) < 1e-12

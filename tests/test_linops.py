@@ -3,7 +3,7 @@ import pytest
 
 from entprobe import linops
 from entprobe.cli import parse_unitary
-from entprobe.discrim import weyl_heisenberg_group
+from entprobe.discrim import DiscriminationProblem, min_overlap_r, weyl_heisenberg_group
 from entprobe.linops import (
     ProbeState,
     eig_unitary,
@@ -66,17 +66,14 @@ class TestPartialTrace:
         e = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         v = vectorize(e)
         projector = np.outer(v, v.conj())
-        assert np.allclose(
-            partial_trace(projector, 3, 3, side=1), (e.conj().T @ e).T, atol=1e-12
-        )
+        assert np.allclose(partial_trace(projector, 3, 3), (e.conj().T @ e).T, atol=1e-12)
 
     def test_product_state(self):
+        # Tr_1(a ⊗ b) = Tr(a) b
         rng = generator(15)
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert np.allclose(
-            partial_trace(np.kron(a, b), 2, 3, side=2), a * np.trace(b), atol=1e-12
-        )
+        assert np.allclose(partial_trace(np.kron(a, b), 2, 3), np.trace(a) * b, atol=1e-12)
 
     def test_bell_projector_by_explicit_index_sum(self):
         bell = vectorize(I2) / np.sqrt(2)
@@ -87,29 +84,38 @@ class TestPartialTrace:
             for l in range(2):
                 reduced[j, l] = sum(projector[i * 2 + j, i * 2 + l] for i in range(2))
         assert np.allclose(reduced, I2 / 2, atol=1e-15)
-        assert np.allclose(partial_trace(projector, 2, 2, side=1), reduced, atol=1e-15)
+        assert np.allclose(partial_trace(projector, 2, 2), reduced, atol=1e-15)
 
     def test_trace_preserved(self):
         rng = generator(16)
         m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        for side in (1, 2):
-            assert np.trace(partial_trace(m, 2, 3, side)) == pytest.approx(
-                np.trace(m), abs=1e-12
-            )
+        assert np.trace(partial_trace(m, 2, 3)) == pytest.approx(np.trace(m), abs=1e-12)
 
     def test_shape_error(self):
         with pytest.raises(ValueError):
-            partial_trace(np.eye(5), 2, 3, side=1)
-
-    def test_side_validated(self):
-        with pytest.raises(ValueError, match="side"):
-            partial_trace(np.eye(6), 2, 3, side=3)
+            partial_trace(np.eye(5), 2, 3)
 
 
 class TestProbeState:
     def test_normalization_enforced(self):
         with pytest.raises(ValueError, match="normalized"):
             ProbeState(np.eye(2))
+
+    @pytest.mark.parametrize(
+        "psi, phi, name",
+        [
+            ([0, 0], [1, 0], "psi"),
+            ([1, 0], [0, 0], "phi"),
+            ([np.inf, 0], [1, 0], "psi"),
+            ([1e200, 0], [1, 0], "psi"),
+            ([1, 0], [np.nan, 1], "phi"),
+            ([], [1, 0], "psi"),
+        ],
+    )
+    def test_product_refuses_a_factor_it_cannot_normalize(self, psi, phi, name):
+        # refused before the division, so numpy never warns (warnings fail the suite)
+        with pytest.raises(ValueError, match=f"factor {name} needs a finite nonzero norm"):
+            ProbeState.product(psi, phi)
 
     def test_nan_amplitudes_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
@@ -162,8 +168,10 @@ class TestEntropy:
             e = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             v = vectorize(e / np.linalg.norm(e.reshape(-1)))
             projector = np.outer(v, v.conj())
-            s1 = von_neumann_entropy(partial_trace(projector, 4, 4, side=1))
-            s2 = von_neumann_entropy(partial_trace(projector, 4, 4, side=2))
+            # the same projector with its two factors swapped: Tr_1 of it is Tr_2 of the original
+            swapped = projector.reshape(4, 4, 4, 4).transpose(1, 0, 3, 2).reshape(16, 16)
+            s1 = von_neumann_entropy(partial_trace(projector, 4, 4))
+            s2 = von_neumann_entropy(partial_trace(swapped, 4, 4))
             assert s1 == pytest.approx(s2, abs=1e-8)
 
     def test_non_density_rejected(self):
@@ -204,6 +212,15 @@ class TestEigUnitary:
         phases, vecs = eig_unitary(u)
         assert_phases_match([0.0, 0.0, np.pi, np.pi / 2], phases)
         assert np.max(np.abs(u @ vecs - vecs * np.exp(1j * phases))) < 1e-10
+
+    def test_repeated_phase_eigenvectors(self):
+        # eigenphases 0, 0, pi/3: the repeated phase keeps two orthonormal eigenvectors
+        w = np.diag([1.0, 1.0, np.exp(1j * np.pi / 3)])
+        phases, vecs = eig_unitary(w)
+        assert np.allclose(phases, [0.0, 0.0, np.pi / 3], atol=1e-12)
+        for phase, v in zip(phases, vecs.T):
+            assert np.allclose(w @ v, np.exp(1j * phase) * v, atol=1e-12)
+        assert np.allclose(vecs.conj().T @ vecs, np.eye(3), atol=1e-12)
 
     def test_kron_phases_are_pairwise_sums(self):
         rng = generator(23)
@@ -306,8 +323,18 @@ class TestValidators:
         with pytest.raises(ValueError, match="2-d"):
             vectorize(np.ones(3))
 
-    def test_zero_matrix_rank(self):
-        assert linops.matrix_rank(np.zeros((3, 3))) == 0
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_matrices_rejected(self, shape):
+        # every matrix enters through one check, before numpy reduces over an empty array
+        empty = np.zeros(shape)
+        calls = (linops.is_unitary, eig_unitary, min_overlap_r, vectorize, von_neumann_entropy)
+        for call in calls:
+            with pytest.raises(ValueError, match="non-empty 2-d array"):
+                call(empty)
+        with pytest.raises(ValueError, match="non-empty 2-d array"):
+            DiscriminationProblem(empty, empty)
+        with pytest.raises(ValueError, match="non-empty 2-d array"):
+            ProbeState(empty)
 
     def test_probe_must_be_square(self):
         with pytest.raises(ValueError, match="square"):
