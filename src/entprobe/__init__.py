@@ -32,7 +32,6 @@ from .gauss import (
     NoiseSpec,
     apply_displacement_noise,
     epr_heterodyne,
-    heterodyne,
     noise_boundaries,
     photon_budget,
     ppt_separability,
@@ -40,7 +39,6 @@ from .gauss import (
     squeezed_state,
     tmsv_epr_variance,
     tmsv_state,
-    vacuum_state,
 )
 from .linops import (
     ProbeState,

@@ -391,11 +391,16 @@ def tensor_power_spread(w, n: int) -> float:
     """Angular spread of the n-copy eigenphase multiset, capped at 2 pi.
 
     The n-fold phase sums span n times the one-copy arc, so the spread is
-    min(n * spread, 2 pi), never built from a d^n-dimensional matrix.
+    min(n * spread, 2 pi), never built from a d^n-dimensional matrix.  A count
+    past twice 2 pi / spread gives 2 pi before n meets a float, so a count too
+    large for a float is read too.
     """
     if _count(n, "copy count") < 1:
         raise ValueError(f"copy count must be at least 1, got {n}")
-    return float(min(n * min_overlap_r(w).spread, TWO_PI))
+    spread = min_overlap_r(w).spread
+    if spread == 0.0:
+        return 0.0
+    return TWO_PI if n > 2.0 * TWO_PI / spread else float(min(n * spread, TWO_PI))
 
 
 def copies_for_perfect(problem: DiscriminationProblem, n_max: int) -> int | None:

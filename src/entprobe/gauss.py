@@ -7,9 +7,9 @@ e^(-2s)/4 + nbar/2 and Var(p) = e^(2s)/4 + nbar/2.  The two-mode family is
 the two-mode squeezed probe with gain |x| < 1 and n0, n1 photons of
 random-displacement noise on its modes, held as the three floats (x, n0, n1).
 Every readout is a closed form in them; neither family holds a mean, and a
-signal displacement enters as the alpha of the heterodyne laws.  A
-heterodyne outcome z has complex-plane variance E|z - mean|^2 = 1 on the
-vacuum.
+signal displacement enters as the alpha of the EPR law.  Heterodyne detection
+of one mode is that law at x = 0, the mode beside a vacuum ancilla: its
+outcome z has complex-plane variance E|z - mean|^2 = 1 on the vacuum.
 """
 
 from __future__ import annotations
@@ -109,11 +109,6 @@ class NoiseBoundaries(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def vacuum_state() -> OneModeProbe:
-    """The vacuum: the unsqueezed one-mode probe; the two-mode vacuum is ``tmsv_state(0.0)``."""
-    return OneModeProbe(0.0)
-
-
 def squeezed_state(s: float) -> OneModeProbe:
     """Probe squeezed along x: Var(x) = e^(-2s)/4 and Var(p) = e^(2s)/4, |s| <= MAX_SQUEEZING."""
     return OneModeProbe(s)
@@ -155,24 +150,17 @@ def apply_displacement_noise(g, mode: int, nbar: float):
 # ---------------------------------------------------------------------------
 
 
-def _xp_variances(g: OneModeProbe) -> tuple[float, float]:
-    """(Var(x), Var(p)) = (e^(-2s)/4 + nbar/2, e^(2s)/4 + nbar/2) as Python floats, which
-    overflow to inf without a warning; both stay finite, since e^(2|s|) does up to
-    MAX_SQUEEZING and nbar is finite."""
-    return (
-        float(np.exp(-2.0 * g.s)) * VACUUM_VARIANCE + g.nbar / 2.0,
-        float(np.exp(2.0 * g.s)) * VACUUM_VARIANCE + g.nbar / 2.0,
-    )
-
-
 def quadrature_variance(g: OneModeProbe, phi):
     """Variance cos^2(phi) Var(x) + sin^2(phi) Var(p) of x cos(phi) + p sin(phi) of a 1-mode
-    probe, for a phase or an array of them; a 2-mode probe holds no lab quadrature, so it is
+    probe, for a phase or an array of them, with Var(x) = e^(-2s)/4 + nbar/2 and Var(p) =
+    e^(2s)/4 + nbar/2 formed as Python floats; both stay finite, since e^(2|s|) does up to
+    MAX_SQUEEZING and nbar is finite.  A 2-mode probe holds no lab quadrature, so it is
     refused."""
     if not isinstance(g, OneModeProbe):
         raise ValueError(f"a quadrature variance needs a 1-mode state, got {type(g).__name__}")
     c, s = np.cos(phi), np.sin(phi)
-    var_x, var_p = _xp_variances(g)
+    var_x = float(np.exp(-2.0 * g.s)) * VACUUM_VARIANCE + g.nbar / 2.0
+    var_p = float(np.exp(2.0 * g.s)) * VACUUM_VARIANCE + g.nbar / 2.0
     return c * c * var_x + s * s * var_p
 
 
@@ -182,12 +170,6 @@ def _check_alpha(alpha) -> complex:
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
         raise ValueError(f"displacement must be finite, got {alpha}")
     return alpha
-
-
-def _law(center: complex, variance: float) -> HeterodyneLaw:
-    if not variance < math.inf:
-        raise ValueError("the outcome variance overflows: the noise photon numbers are too large")
-    return HeterodyneLaw(center, variance)
 
 
 def epr_heterodyne(
@@ -206,22 +188,11 @@ def epr_heterodyne(
     """
     if not isinstance(g, TwoModeProbe):
         raise ValueError(f"an EPR measurement needs a 2-mode state, got {type(g).__name__}")
+    alpha = _check_alpha(alpha)
     variance = tmsv_epr_variance(g.x) + g.nbar0 + g.nbar1 + 2.0 * noise.nbar_per_mode
-    return _law(_check_alpha(alpha), variance)
-
-
-def heterodyne(
-    g: OneModeProbe, alpha: complex = 0.0, noise: NoiseSpec = NO_NOISE
-) -> HeterodyneLaw:
-    """Single-mode heterodyne law: the EPR law of the mode, displaced by ``alpha``, beside a
-    vacuum ancilla, whose quadratures add 2 * VACUUM_VARIANCE: center alpha, variance
-    Var(x) + Var(p) + 1/2 + nbar, so the vacuum probe yields E|z - alpha|^2 = 1.
-    """
-    if not isinstance(g, OneModeProbe):
-        raise ValueError(f"single-mode heterodyne needs a 1-mode state, got {type(g).__name__}")
-    var_x, var_p = _xp_variances(g)
-    variance = var_x + var_p + 2.0 * VACUUM_VARIANCE + noise.nbar_per_mode
-    return _law(_check_alpha(alpha), variance)
+    if not variance < math.inf:
+        raise ValueError("the outcome variance overflows: the noise photon numbers are too large")
+    return HeterodyneLaw(alpha, variance)
 
 
 def tmsv_epr_variance(x: float) -> float:

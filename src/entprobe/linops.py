@@ -160,15 +160,19 @@ class ProbeState:
 
     @classmethod
     def product(cls, psi, phi) -> "ProbeState":
-        """Unentangled probe |psi>|phi> (both vectors are normalized here)."""
+        """Unentangled probe |psi>|phi> (both vectors are normalized here).  Each factor is
+        first divided by the largest modulus among its real and imaginary parts, so the norm of
+        a finite nonzero factor neither under- nor overflows; a factor whose largest part is
+        zero, infinite or nan is refused."""
         factors = []
         for name, v in (("psi", psi), ("phi", phi)):
             v = np.asarray(v, dtype=complex).reshape(-1)
-            with np.errstate(over="ignore"):  # an overflowing norm is inf, refused below
-                norm = np.linalg.norm(v)
-            if not (np.isfinite(norm) and norm > 0.0):
-                raise ValueError(f"factor {name} needs a finite nonzero norm, got {float(norm)}")
-            factors.append(v / norm)
+            largest = float(np.max(np.abs([v.real, v.imag]), initial=0.0))
+            if not 0.0 < largest < np.inf:  # nan fails
+                raise ValueError(f"factor {name} needs a finite nonzero norm, got {largest}")
+            # part by part: numpy's complex division by a subnormal overflows on the way
+            v = v.real / largest + v.imag / largest * 1j
+            factors.append(v / np.linalg.norm(v))
         return cls(np.outer(*factors))
 
 

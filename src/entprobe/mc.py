@@ -243,9 +243,9 @@ def sample_heterodyne(
     """Sample heterodyne outcomes and compare the scatter to the noise formula.
 
     ``entangled`` probes with the two-mode squeezed state and is scored
-    against Delta^2 + 2 nbar; ``unentangled`` probes with the vacuum and is
-    scored against 1 + nbar.  The sampling law is read off the probe's
-    moments by ``gauss.epr_heterodyne`` and ``gauss.heterodyne``.
+    against Delta^2 + 2 nbar; ``unentangled`` probes with the vacuum, the
+    two-mode probe at x = 0 with its noise on the probed mode only, and is
+    scored against 1 + nbar.  Both sampling laws are ``gauss.epr_heterodyne``.
     """
     trials = _check_trials(trials)
     _check_deviation_sum(noise.nbar_per_mode, trials)
@@ -254,7 +254,7 @@ def sample_heterodyne(
         law = gauss.epr_heterodyne(gauss.tmsv_state(x), alpha, noise)
         analytic = gauss.tmsv_epr_variance(x) + 2.0 * noise.nbar_per_mode
     elif scheme == "unentangled":
-        law = gauss.heterodyne(gauss.vacuum_state(), alpha, noise)
+        law = gauss.epr_heterodyne(gauss.TwoModeProbe(0.0, noise.nbar_per_mode), alpha)
         analytic = 1.0 + noise.nbar_per_mode
     else:
         raise ValueError(f"scheme must be 'entangled' or 'unentangled', got {scheme!r}")

@@ -375,8 +375,8 @@ def _heterodyne_report(x, alpha, noise, scheme: str, trials: int, seed: int, dev
         law = gauss.epr_heterodyne(gauss.tmsv_state(x), alpha, noise)
         analytic = gauss.tmsv_epr_variance(x) + 2.0 * noise.nbar_per_mode
     else:
-        law = gauss.heterodyne(gauss.vacuum_state(), alpha, noise)
         analytic = 1.0 + noise.nbar_per_mode
+        law = gauss.HeterodyneLaw(complex(alpha), analytic)
 
     u = one_draw_uniforms(seed, trials, 1)[:, 0]
     empirical = math.fsum(deviations(law, u).tolist()) / trials
@@ -490,9 +490,10 @@ def epr_law_by_rotated_rows(g, alpha=0.0, nbar: float = 0.0, phi: float = 0.0):
 
 
 def heterodyne_law_by_rotated_rows(g, alpha=0.0, nbar: float = 0.0):
-    """``gauss.heterodyne`` the long way round: build the mode densely (a library probe
-    through ``squeezed_lab``), displace it, add its noise, pair it with a vacuum ancilla in
-    the lab frame and read the EPR law of the pair through ``epr_law_by_rotated_rows``."""
+    """Heterodyne detection of one mode, the long way round: build the mode densely (a
+    library probe through ``squeezed_lab``), displace it, add its noise, pair it with a vacuum
+    ancilla in the lab frame and read the EPR law of the pair through
+    ``epr_law_by_rotated_rows``."""
     state = add_noise(displace(g, 0, alpha), 0, nbar)
     return epr_law_by_rotated_rows(to_pair(tensor(state, coherent_state(0.0))))
 

@@ -839,6 +839,18 @@ class TestCopies:
             copies_for_perfect(DiscriminationProblem(w, I2), count)
         assert tensor_power_spread(w, np.int64(2)) == pytest.approx(1.0, abs=1e-12)
 
+    def test_copy_count_beyond_a_float(self):
+        # the count closes the circle long before it would meet a float, which 10**400 overflows
+        quarter_turn = np.diag([1.0, 1.0j])
+        assert tensor_power_spread(quarter_turn, 10**400) == 2.0 * np.pi
+        assert tensor_power_spread(np.eye(2), 10**400) == 0.0
+        # on both sides of the cut the spread keeps its bits: min(n * spread, 2 pi)
+        w = np.diag(np.exp(1j * np.array([0.0, 0.3])))
+        spread = min_overlap_r(w).spread
+        cut = int(4.0 * np.pi / spread)
+        for n in (1, 2, 20, 21, 22, cut - 1, cut, cut + 1, cut + 2, 10**6):
+            assert tensor_power_spread(w, n) == float(min(n * spread, 2.0 * np.pi)), n
+
     def test_n_max_exhausted_without_reaching(self):
         w = np.diag(np.exp(1j * np.array([0.0, np.pi / 8.0])))
         assert copies_for_perfect(DiscriminationProblem(w, I2), 3) is None

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,6 @@ from entprobe.gauss import (
     TwoModeProbe,
     apply_displacement_noise,
     epr_heterodyne,
-    heterodyne,
     noise_boundaries,
     photon_budget,
     ppt_separability,
@@ -23,7 +23,6 @@ from entprobe.gauss import (
     squeezed_state,
     tmsv_epr_variance,
     tmsv_state,
-    vacuum_state,
 )
 
 from _helpers import (
@@ -59,7 +58,7 @@ def two_mode_epr_variance_by_index_sums(state: TwoModeProbe) -> float:
 
 class TestStatePreparation:
     def test_vacuum(self):
-        st = vacuum_state()
+        st = squeezed_state(0.0)
         assert st == OneModeProbe(0.0) == squeezed_state(0.0)
         assert (st.s, st.nbar) == (0.0, 0.0)
         lab = to_lab(st)
@@ -153,7 +152,7 @@ class TestStatePreparation:
         with pytest.raises(ValueError, match="match"):
             one_mode_state(np.zeros(2), 0.25 * np.eye(4))
         with pytest.raises(ValueError, match="two modes"):
-            tensor(to_lab(tmsv_state(0.0)), vacuum_state())
+            tensor(to_lab(tmsv_state(0.0)), squeezed_state(0.0))
 
 
 # Squeezing values outside the library's domain |s| <= MAX_SQUEEZING.
@@ -184,8 +183,7 @@ class TestOneModeProbe:
         phis = np.linspace(-np.pi, np.pi, 33)
         for g in (squeezed_state(s), OneModeProbe(s, 1e308)):
             assert np.all(np.isfinite(quadrature_variance(g, phis)))
-            assert all(map(math.isfinite, gauss._xp_variances(g)))
-        assert math.isfinite(heterodyne(squeezed_state(s), 1.0 - 2.0j, NoiseSpec(1e300)).variance)
+            assert np.all(np.isfinite(quadrature_variance(g, [0.0, np.pi / 2.0])))
         assert math.isfinite(photon_budget(squeezed_state(s)))
 
     def test_fields_are_checked_floats(self):
@@ -212,10 +210,11 @@ class TestOneModeProbe:
         # the stability scan's squeezed column at s = 2 and its photon count, bit for bit
         g = squeezed_state(2.0)
         assert quadrature_variance(g, 0.0) == np.exp(-4.0) * 0.25
-        assert gauss._xp_variances(g) == (float(np.exp(-4.0)) / 4.0, float(np.exp(4.0)) / 4.0)
+        assert quadrature_variance(g, np.pi / 2.0) == float(np.exp(4.0)) / 4.0
         assert photon_budget(squeezed_state(2.0)) == 13.154116418008241
-        law = heterodyne(OneModeProbe(0.0, 0.5), 0.25 - 1.0j, NoiseSpec(0.7))
-        assert law == gauss.HeterodyneLaw(0.25 - 1.0j, 0.25 + 0.25 + 0.5 + 0.5 + 0.7)
+        # the vacuum baseline: the two-mode probe at x = 0, noise on the probed mode only
+        law = epr_heterodyne(TwoModeProbe(0.0, 0.7), 0.25 - 1.0j)
+        assert law == gauss.HeterodyneLaw(0.25 - 1.0j, 0.25 + 0.25 + 0.5 + 0.7)
 
     def test_not_exported(self):
         # like the two-mode probe, the one-mode probe is reached through its constructors
@@ -249,18 +248,20 @@ class TestOneModeAgainstDenseRoute:
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
-        s=SQUEEZING,
-        nbar=ONE_MODE_NBAR,
-        extra=ONE_MODE_NBAR,
+        nbar=st.sampled_from((0.0, -0.0, 5e-324, 1.7e308, sys.float_info.max))
+        | st.floats(0.0, sys.float_info.max),
         re=st.floats(-1e3, 1e3),
         im=st.floats(-1e3, 1e3),
     )
-    def test_heterodyne(self, s, nbar, extra, re, im):
-        g, alpha = OneModeProbe(s, nbar), complex(re, im)
-        law = heterodyne(g, alpha, NoiseSpec(extra))
-        expected = heterodyne_law_by_rotated_rows(g, alpha, extra)
-        assert law.mean == expected.mean == alpha
-        assert _ulps(law.variance, Fraction(expected.variance)) <= 8.0, (s, nbar, extra)
+    def test_heterodyne(self, nbar, re, im):
+        # the vacuum baseline is the EPR law of the x = 0 probe with its noise on the probed
+        # mode: the dense vacuum beside a vacuum ancilla, and 1 + nbar bit for bit
+        alpha = complex(re, im)
+        law = epr_heterodyne(TwoModeProbe(0.0, nbar), alpha)
+        expected = heterodyne_law_by_rotated_rows(squeezed_state(0.0), alpha, nbar)
+        assert law == gauss.HeterodyneLaw(alpha, 1.0 + nbar)
+        assert law.mean == expected.mean
+        assert _ulps(law.variance, Fraction(expected.variance)) <= 8.0, nbar
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(s=SQUEEZING | st.sampled_from((MAX_SQUEEZING, -MAX_SQUEEZING)), nbar=ONE_MODE_NBAR)
@@ -268,7 +269,7 @@ class TestOneModeAgainstDenseRoute:
         # cov + (i/4) Omega >= 0, by the checks the dense constructor makes, on the variances
         # the readouts use, for the probe as built and as reached through the channel
         for g in (OneModeProbe(s, nbar), apply_displacement_noise(squeezed_state(s), 0, nbar)):
-            var_x, var_p = gauss._xp_variances(g)
+            var_x, var_p = quadrature_variance(g, [0.0, np.pi / 2.0]).tolist()
             one_mode_state(np.zeros(2), np.diag([var_x, var_p]))
             assert Fraction(var_x) * Fraction(var_p) >= Fraction(1, 16) * (1 - Fraction(2, 2**52))
 
@@ -276,7 +277,7 @@ class TestOneModeAgainstDenseRoute:
 class TestDisplacement:
     def test_vacuum_to_coherent(self):
         alpha = 0.7 + 0.2j
-        st = displace(vacuum_state(), 0, alpha)
+        st = displace(squeezed_state(0.0), 0, alpha)
         assert np.allclose(st.mean, [alpha.real, alpha.imag], atol=1e-15)
         assert np.array_equal(st.cov, coherent_state(alpha).cov)
 
@@ -286,20 +287,20 @@ class TestDisplacement:
 
     def test_additivity(self):
         a, b = 0.3 + 0.4j, -1.1 + 0.25j
-        st1 = displace(displace(vacuum_state(), 0, a), 0, b)
-        st2 = displace(vacuum_state(), 0, a + b)
+        st1 = displace(displace(squeezed_state(0.0), 0, a), 0, b)
+        st2 = displace(squeezed_state(0.0), 0, a + b)
         assert np.allclose(st1.mean, st2.mean, atol=1e-15)
 
     def test_mode_range(self):
         with pytest.raises(ValueError):
-            displace(vacuum_state(), 1, 1.0)
+            displace(squeezed_state(0.0), 1, 1.0)
 
 
 class TestDisplacementNoise:
     def test_composition_law_bitwise_on_representable_values(self):
         # dyadic strengths keep both addition orders exact, so the compared
         # probes must agree bit for bit
-        for st in (tmsv_state(0.0), vacuum_state(), squeezed_state(0.7)):
+        for st in (tmsv_state(0.0), squeezed_state(0.0), squeezed_state(0.7)):
             twice = apply_displacement_noise(apply_displacement_noise(st, 0, 0.25), 0, 0.5)
             once = apply_displacement_noise(st, 0, 0.75)
             assert twice == once
@@ -327,7 +328,7 @@ class TestDisplacementNoise:
 
     @pytest.mark.parametrize("mode", (True, False, 1.0, 0.0, "1"))
     def test_mode_must_be_an_integer(self, mode):
-        for st in (tmsv_state(0.5), vacuum_state()):
+        for st in (tmsv_state(0.5), squeezed_state(0.0)):
             with pytest.raises(ValueError, match=r"^mode must be an integer, got "):
                 apply_displacement_noise(st, mode, 0.1)
 
@@ -340,13 +341,13 @@ class TestDisplacementNoise:
 
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
-            apply_displacement_noise(vacuum_state(), 0, -0.1)
+            apply_displacement_noise(squeezed_state(0.0), 0, -0.1)
         with pytest.raises(ValueError):
             NoiseSpec(-0.5)
 
     def test_nan_noise_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            apply_displacement_noise(vacuum_state(), 0, float("nan"))
+            apply_displacement_noise(squeezed_state(0.0), 0, float("nan"))
         with pytest.raises(ValueError, match="nonnegative"):
             NoiseSpec(float("nan"))
 
@@ -354,7 +355,7 @@ class TestDisplacementNoise:
         with pytest.raises(ValueError, match="finite"):
             NoiseSpec(float("inf"))
         with pytest.raises(ValueError, match="finite"):
-            apply_displacement_noise(vacuum_state(), 0, float("inf"))
+            apply_displacement_noise(squeezed_state(0.0), 0, float("inf"))
 
     def test_physicality_preserved(self):
         st = squeezed_state(1.5)
@@ -380,7 +381,7 @@ class TestDisplacementNoise:
 
 class TestQuadratureVariance:
     def test_vacuum_flat(self):
-        st = vacuum_state()
+        st = squeezed_state(0.0)
         for phi in np.linspace(0.0, 2.0 * np.pi, 9):
             assert quadrature_variance(st, phi) == pytest.approx(0.25, abs=1e-14)
 
@@ -412,7 +413,7 @@ class TestHeterodyne:
         assert epr_heterodyne(st).variance == pytest.approx(0.5, abs=1e-12)
 
     def test_vacuum_probe_unit_variance(self):
-        law = heterodyne(vacuum_state())
+        law = epr_heterodyne(tmsv_state(0.0))
         assert law.variance == pytest.approx(1.0, abs=1e-12)
 
     def test_entangled_noise_accounting(self):
@@ -422,7 +423,7 @@ class TestHeterodyne:
         assert law.mean == pytest.approx(1.0 + 0.5j, abs=1e-12)
 
     def test_unentangled_noise_accounting(self):
-        law = heterodyne(vacuum_state(), alpha=0.3, noise=NoiseSpec(0.7))
+        law = epr_heterodyne(apply_displacement_noise(tmsv_state(0.0), 0, 0.7), alpha=0.3)
         assert law.variance == pytest.approx(1.7, abs=1e-12)
         assert law.mean == pytest.approx(0.3 + 0.0j, abs=1e-12)
 
@@ -450,14 +451,12 @@ class TestHeterodyne:
         with pytest.raises(ValueError, match=overflow):
             epr_heterodyne(_noisy_probe(0.5, 1e308))
         with pytest.raises(ValueError, match=overflow):
-            heterodyne(apply_displacement_noise(vacuum_state(), 0, 1.5e308), 0, NoiseSpec(1e308))
+            epr_heterodyne(apply_displacement_noise(tmsv_state(0.0), 0, 1.5e308), 0, NoiseSpec(1e308))
         assert epr_heterodyne(tmsv_state(0.5), 0, NoiseSpec(8e307)).variance == 1.6e308
 
     def test_mode_count_checked(self):
         with pytest.raises(ValueError, match="needs a 2-mode state, got OneModeProbe"):
-            epr_heterodyne(vacuum_state())
-        with pytest.raises(ValueError, match="needs a 1-mode state, got TwoModeProbe"):
-            heterodyne(tmsv_state(0.1))
+            epr_heterodyne(squeezed_state(0.0))
 
 
 def _rotation(theta: float) -> np.ndarray:
@@ -478,13 +477,6 @@ def random_noisy_two_mode_state(rng) -> TwoModeProbe:
     if rng.random() < 1.0 / 3.0:
         nbars[rng.integers(2)] = 0.0
     return TwoModeProbe(rng.uniform(-0.95, 0.95), *nbars.tolist())
-
-
-def random_noisy_one_mode_state(rng) -> OneModeProbe:
-    """The one-mode probe squeezed by up to two e-folds either way with random noise; it is
-    noiseless in a third of the draws."""
-    nbar = 0.0 if rng.random() < 1.0 / 3.0 else float(rng.uniform(0.0, 3.0))
-    return OneModeProbe(rng.uniform(-2.0, 2.0), nbar)
 
 
 class TestLawAgainstRotatedRows:
@@ -510,10 +502,12 @@ class TestLawAgainstRotatedRows:
             assert abs(law.variance - expected.variance) <= 1e-12
 
     def test_heterodyne_law(self):
-        for rng, alpha, nbar, _ in self.draws(1002):
-            g = random_noisy_one_mode_state(rng)
-            law = heterodyne(g, alpha, NoiseSpec(nbar))
-            expected = heterodyne_law_by_rotated_rows(g, alpha, nbar)
+        # heterodyne detection of the vacuum is the EPR law of the x = 0 probe, the noise on
+        # the probed mode only
+        for _, alpha, nbar, _ in self.draws(1002):
+            law = epr_heterodyne(apply_displacement_noise(tmsv_state(0.0), 0, nbar), alpha)
+            expected = heterodyne_law_by_rotated_rows(squeezed_state(0.0), alpha, nbar)
+            assert law == gauss.HeterodyneLaw(alpha, 1.0 + nbar)
             assert abs(law.mean - expected.mean) <= 1e-12
             assert abs(law.variance - expected.variance) <= 1e-12
 
@@ -682,14 +676,14 @@ class TestAdvantageThreshold:
         x = 0.5
         nbar = noise_boundaries(x).advantage_nbar
         entangled = epr_heterodyne(tmsv_state(x), noise=NoiseSpec(nbar)).variance
-        unentangled = heterodyne(vacuum_state(), noise=NoiseSpec(nbar)).variance
+        unentangled = epr_heterodyne(TwoModeProbe(0.0, nbar)).variance
         assert entangled == pytest.approx(unentangled, abs=1e-12)
 
 
 class TestSeparability:
     def test_two_mode_vacuum_separable(self):
         vacuum = tmsv_state(0.0)
-        assert np.array_equal(to_lab(vacuum).cov, tensor(vacuum_state(), vacuum_state()).cov)
+        assert np.array_equal(to_lab(vacuum).cov, tensor(squeezed_state(0.0), squeezed_state(0.0)).cov)
         report = ppt_separability(vacuum)
         assert report.separable
         assert report.min_pt_symplectic_eigenvalue == pytest.approx(0.25, abs=1e-12)
@@ -750,7 +744,7 @@ class TestSeparability:
 
     def test_wrong_mode_count(self):
         with pytest.raises(ValueError):
-            ppt_separability(vacuum_state())
+            ppt_separability(squeezed_state(0.0))
 
     def test_matches_eigvals_route_at_moderate_gain(self):
         for x in np.linspace(-0.9, 0.9, 19):
@@ -829,7 +823,6 @@ class TestAgainstLapackCholesky:
 
 class TestPhotonBudget:
     def test_free_probes(self):
-        assert photon_budget(vacuum_state()) == 0.0
         assert photon_budget(squeezed_state(0.0)) == 0.0
         assert photon_budget(tmsv_state(0.0)) == 0.0
 

@@ -107,7 +107,7 @@ class TestProbeState:
             ([0, 0], [1, 0], "psi"),
             ([1, 0], [0, 0], "phi"),
             ([np.inf, 0], [1, 0], "psi"),
-            ([1e200, 0], [1, 0], "psi"),
+            ([1e200, -np.inf], [1, 0], "psi"),
             ([1, 0], [np.nan, 1], "phi"),
             ([], [1, 0], "psi"),
         ],
@@ -116,6 +116,22 @@ class TestProbeState:
         # refused before the division, so numpy never warns (warnings fail the suite)
         with pytest.raises(ValueError, match=f"factor {name} needs a finite nonzero norm"):
             ProbeState.product(psi, phi)
+
+    @pytest.mark.parametrize(
+        "psi, expected",
+        [
+            ([1e-200, 0], [1, 0]),
+            ([1e-170, 1e-170], [2**-0.5, 2**-0.5]),
+            ([1e200, 0], [1, 0]),
+            ([3e-162j, 0], [1j, 0]),
+            ([5e-324, -5e-324j], [2**-0.5, -(2**-0.5) * 1j]),
+            ([1e308 + 1e308j, 1e308], [3**-0.5 * (1 + 1j), 3**-0.5]),
+        ],
+    )
+    def test_product_normalizes_factors_at_the_ends_of_the_float_range(self, psi, expected):
+        # a norm taken before scaling squares these factors to 0 or inf
+        probe = ProbeState.product(psi, [0, 2.0])
+        np.testing.assert_allclose(probe.e_op, np.outer(expected, [0, 1]), rtol=0.0, atol=1e-15)
 
     def test_nan_amplitudes_rejected(self):
         with pytest.raises(ValueError, match="normalized"):

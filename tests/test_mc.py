@@ -280,7 +280,7 @@ class TestSampleHeterodyne:
         with pytest.raises(ValueError, match="finite"):
             gauss.epr_heterodyne(gauss.tmsv_state(0.5), alpha)
         with pytest.raises(ValueError, match="finite"):
-            gauss.heterodyne(gauss.vacuum_state(), alpha)
+            gauss.epr_heterodyne(gauss.TwoModeProbe(0.0, 0.1), alpha)
         for scheme in ("entangled", "unentangled"):
             with pytest.raises(ValueError, match="finite"):
                 sample_heterodyne(0.5, alpha, NoiseSpec(0.1), scheme, 1000, 1)
