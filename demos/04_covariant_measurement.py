@@ -35,7 +35,8 @@ for label, output in zip(group.labels, output_vectors(group, probe)):
     print(f"  {label}: ", np.round(probs, 6))
 print("-> the diagonal pattern is perfect discrimination")
 
-# Any valid seed gives a complete POVM; the likelihood stays under d.
+# Any valid seed gives a complete POVM, since covariant_povm first
+# certifies the group as a 1-design; the likelihood stays under d.
 rng = generator(11)
 print("\nrandom seeds on a qutrit group:")
 from entprobe import weyl_heisenberg_group

@@ -24,6 +24,7 @@ from .linops import (
     PRIOR_SUM_ATOL,
     UNITARY_ATOL,
     ProbeState,
+    _as_matrix,
     _count,
     _freeze,
     assert_unitary,
@@ -121,10 +122,11 @@ def output_gram(group: UnitaryGroup, e: ProbeState) -> np.ndarray:
     return v.conj() @ v.T
 
 
-def _check_one_design(group: UnitaryGroup, e: ProbeState) -> None:
-    """The closed forms below need a probe of the group's dimension and a 1-design: a group
-    whose twirl depolarizes completely, its ``irreducibility_defect`` at most ``DESIGN_ATOL``."""
-    if group.dim != e.dim:
+def _check_one_design(group: UnitaryGroup, dim: int) -> None:
+    """The closed forms below and the covariant POVM need an operand of the group's dimension
+    ``dim`` and a 1-design: a group whose twirl depolarizes completely, its
+    ``irreducibility_defect`` at most ``DESIGN_ATOL``."""
+    if group.dim != dim:
         raise ValueError("group and probe dimensions differ")
     if not group.irreducibility_defect() <= DESIGN_ATOL:
         raise ValueError(
@@ -136,7 +138,7 @@ def _check_one_design(group: UnitaryGroup, e: ProbeState) -> None:
 def output_span_dimension(group: UnitaryGroup, e: ProbeState) -> int:
     """Output span dimension d * (Schmidt number), off the certified average output
     I/d ⊗ conj(e† e), whose rank is that of e† e; no d^2 x d^2 state."""
-    _check_one_design(group, e)
+    _check_one_design(group, e.dim)
     return group.dim * e.schmidt_number
 
 
@@ -144,7 +146,7 @@ def holevo_chi(group: UnitaryGroup, e: ProbeState) -> float:
     """Accessible-information bound of the output ensemble, in bits: behind the 1-design
     certificate every output is pure and their average is I/d ⊗ conj(e† e), so
     chi = log2(d) + S(e† e), one d x d eigendecomposition with no d^2 x d^2 state."""
-    _check_one_design(group, e)
+    _check_one_design(group, e.dim)
     return math.log2(group.dim) + von_neumann_entropy(e.reduced_state())
 
 
@@ -154,7 +156,7 @@ def holevo_chi(group: UnitaryGroup, e: ProbeState) -> float:
 
 
 def _validate_povm_seed(seed_op, d: int) -> np.ndarray:
-    s = np.asarray(seed_op, dtype=complex)
+    s = _as_matrix(seed_op)
     if s.shape != (d * d, d * d):
         raise ValueError(f"seed must act on the doubled space, expected {(d * d, d * d)}")
     if np.max(np.abs(s - s.conj().T)) > POVM_SEED_ATOL:
@@ -169,10 +171,13 @@ def _validate_povm_seed(seed_op, d: int) -> np.ndarray:
 def covariant_povm(group: UnitaryGroup, seed_op) -> list:
     """Group-covariant POVM generated by conjugating a normalized seed.
 
-    Elements are (d/|G|) (u ⊗ I) seed (u ⊗ I)† and sum to the identity on
-    the doubled space whenever the seed passes validation.
+    Elements are (d/|G|) (u ⊗ I) seed (u ⊗ I)†.  They sum to the identity on
+    the doubled space when the seed passes validation and the group passes
+    the 1-design certificate, which is checked too: the twirl of a 1-design
+    sends the seed to I/d ⊗ Tr_1[seed] = I/d ⊗ I.
     """
     d = group.dim
+    _check_one_design(group, d)
     s = _validate_povm_seed(seed_op, d)
     weight = d / len(group)
     bigs = [np.kron(u, np.eye(d)) for u in group.elements]
@@ -191,9 +196,9 @@ def average_likelihood(seed_op, e: ProbeState) -> float:
 
 
 def povm_probabilities(elements, state_vector) -> np.ndarray:
-    """Outcome probabilities of a POVM on a pure state vector."""
-    v = np.asarray(state_vector, dtype=complex).reshape(-1)
-    return np.array([float(np.real(np.vdot(v, p @ v))) for p in elements])
+    """Outcome probabilities of a POVM on a pure state vector, checked as a one-column matrix."""
+    v = _as_matrix(np.reshape(state_vector, (-1, 1)))[:, 0]
+    return np.array([float(np.real(np.vdot(v, _as_matrix(p) @ v))) for p in elements])
 
 
 # ---------------------------------------------------------------------------
@@ -240,18 +245,20 @@ class DiscriminationProblem:
         return min_overlap_r(self.relative_unitary)
 
 
-def _input_overlap(problem: DiscriminationProblem, probe) -> complex:
+def _input_overlap(problem: DiscriminationProblem, probe) -> float:
+    """The modulus c = |<psi| u2† u1 |psi>| of the two outputs' overlap, at most 1: a probe
+    normalized within ``NORM_ATOL`` can put the modulus just above 1."""
     w = problem.relative_unitary
     if isinstance(probe, ProbeState):
         if probe.dim != problem.dim:
             raise ValueError("probe dimension does not match the hypotheses")
-        return complex(np.trace(probe.e_op.conj().T @ w @ probe.e_op))
+        return min(1.0, abs(complex(np.trace(probe.e_op.conj().T @ w @ probe.e_op))))
     psi = np.asarray(probe, dtype=complex).reshape(-1)
     if psi.size != problem.dim:
         raise ValueError(f"local input of length {psi.size} for dim {problem.dim}")
     if not abs(np.linalg.norm(psi) - 1.0) <= NORM_ATOL:
         raise ValueError("local input state must be normalized")
-    return complex(np.vdot(psi, w @ psi))
+    return min(1.0, abs(complex(np.vdot(psi, w @ psi))))
 
 
 def helstrom_error(problem: DiscriminationProblem, probe) -> float:
@@ -263,8 +270,7 @@ def helstrom_error(problem: DiscriminationProblem, probe) -> float:
     ``helstrom_acceptance``, since (p1 + p2)^2 - S^2 = 4 p1 p2 c^2: no step
     cancels, so it keeps its digits at small c.
     """
-    # c just above 1 (see _helstrom_root) would lift the error past the smaller prior
-    c = min(1.0, abs(_input_overlap(problem, probe)))
+    c = _input_overlap(problem, probe)
     p1, p2 = problem.p1, problem.p2
     _, s = _helstrom_root(p1, p2, c)
     return 2.0 * p1 * p2 * c * c / ((p1 + p2) + s)
@@ -273,7 +279,7 @@ def helstrom_error(problem: DiscriminationProblem, probe) -> float:
 def _helstrom_root(p1: float, p2: float, c: float) -> tuple[float, float]:
     """(w, S) with w = 1 - c^2, formed as (1 - c)(1 + c) and clamped at 0, and
     S = sqrt((p1 - p2)^2 + 4 p1 p2 w), the eigenvalue gap of p1 rho1 - p2 rho2."""
-    # a probe normalized within NORM_ATOL can put c just above 1
+    # a caller may pass c just above 1
     w = max(0.0, (1.0 - c) * (1.0 + c))
     return w, math.sqrt((p1 - p2) ** 2 + 4.0 * p1 * p2 * w)
 

@@ -154,10 +154,12 @@ def quadrature_variance(g: OneModeProbe, phi):
     """Variance cos^2(phi) Var(x) + sin^2(phi) Var(p) of x cos(phi) + p sin(phi) of a 1-mode
     probe, for a phase or an array of them, with Var(x) = e^(-2s)/4 + nbar/2 and Var(p) =
     e^(2s)/4 + nbar/2 formed as Python floats; both stay finite, since e^(2|s|) does up to
-    MAX_SQUEEZING and nbar is finite.  A 2-mode probe holds no lab quadrature, so it is
-    refused."""
+    MAX_SQUEEZING and nbar is finite.  A 2-mode probe holds no lab quadrature, and a phase
+    that is not finite no angle, so both are refused."""
     if not isinstance(g, OneModeProbe):
         raise ValueError(f"a quadrature variance needs a 1-mode state, got {type(g).__name__}")
+    if not np.isfinite(phi).all():
+        raise ValueError("every phase in the grid must be finite")
     c, s = np.cos(phi), np.sin(phi)
     var_x = float(np.exp(-2.0 * g.s)) * VACUUM_VARIANCE + g.nbar / 2.0
     var_p = float(np.exp(2.0 * g.s)) * VACUUM_VARIANCE + g.nbar / 2.0

@@ -49,9 +49,13 @@ PPT_ATOL = 1e-10
 
 
 def _as_matrix(a) -> np.ndarray:
+    """The one way in for a matrix: a non-empty 2-d complex array of finite entries, refused
+    otherwise before numpy works on it."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.size == 0:
         raise ValueError(f"expected a non-empty 2-d array, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("every matrix entry must be finite")
     return m
 
 

@@ -54,10 +54,6 @@ MAX_TRIALS = 10**9
 # 2^16 trials.
 _CHUNK_TRIALS = 1 << 15
 
-# frexp writes a finite double as m 2^e, m in (-1, 1) a multiple of 2^-53 and
-# e >= -1073, so every finite double is an integer multiple of 2^-1126.
-_UNIT_BITS = 1126
-
 
 @dataclass(frozen=True)
 class TrialReport:
@@ -69,7 +65,7 @@ class TrialReport:
     empirical: float
     analytic: float
     z_score: float
-    rng: str = HETERODYNE_RNG
+    rng: str
 
     def __post_init__(self):
         _check_seed(self.seed)
@@ -136,10 +132,10 @@ def _split_sum(seed: int, trials: int, per_trial: int, kernel) -> int:
             raise
 
 
-def _grid_split_sum(values: np.ndarray, top: int, scratch: np.ndarray) -> int:
-    """2^top times the exact sum of at most 2^16 doubles in [0, 1) on the 2^-112 grid, as a
-    count of 2^-1126; overwrites ``values`` and the first ``values.size`` entries of the float64
-    array ``scratch``, which holds each grid's parts.
+def _grid_split_sum(values: np.ndarray, scratch: np.ndarray) -> int:
+    """The exact sum of at most 2^16 doubles in [0, 1) on the 2^-112 grid, as a count of
+    2^-112; overwrites ``values`` and the first ``values.size`` entries of the float64 array
+    ``scratch``, which holds each grid's parts.
 
     With n values and b = min(51, 53 - bit_length(n - 1)) >= 37, each value rounds onto the
     2^-b grid and its remainder onto the 2^-2b grid, each by adding and subtracting 1.5 2^52
@@ -154,8 +150,7 @@ def _grid_split_sum(values: np.ndarray, top: int, scratch: np.ndarray) -> int:
         part -= splitter
         values -= part
         total += int(np.sum(part) * 2.0**grid) << (112 - grid)
-    total += int(np.sum(values) * 2.0**112)
-    return total << (top + _UNIT_BITS - 112)
+    return total + int(np.sum(values) * 2.0**112)
 
 
 def _check_trials(trials: int) -> int:
@@ -206,7 +201,7 @@ def sample_helstrom(
     from fractions import Fraction
 
     p1, p2 = problem.p1, problem.p2
-    q1, q2 = helstrom_acceptance(p1, p2, abs(_input_overlap(problem, probe)))
+    q1, q2 = helstrom_acceptance(p1, p2, _input_overlap(problem, probe))
 
     # the blocks hold u - 2^-53, and u - 2^-53 <= t - 2^-53 exactly when u <= t: the
     # subtraction is exact for t >= 2^-53 and leaves a negative threshold, which no uniform
@@ -270,18 +265,19 @@ def sample_heterodyne(
     buffers = threading.local()
 
     def deviation_sum(u: np.ndarray) -> int:
-        # |z - alpha|^2 in units of 2^-1126, worked out in place: z - alpha is a Box-Muller
-        # pair scaled by sqrt(variance / 2), so it is variance / 2 times the squared radius
-        # -2 ln u and the angle drops out, so no trial draws it
+        # 2^-top |z - alpha|^2 in units of 2^-112, worked out in place: z - alpha is a
+        # Box-Muller pair scaled by sqrt(variance / 2), so it is variance / 2 times the squared
+        # radius -2 ln u and the angle drops out, so no trial draws it
         deviation = u.reshape(-1)
         deviation += 2.0**-53
         np.log(deviation, out=deviation)
         deviation *= scale
         if not hasattr(buffers, "scratch"):
             buffers.scratch = np.empty(_CHUNK_TRIALS)
-        return _grid_split_sum(deviation, top, buffers.scratch)
+        return _grid_split_sum(deviation, buffers.scratch)
 
-    empirical = _split_sum(seed, trials, 1, deviation_sum) / (1 << _UNIT_BITS) / trials
+    # the exact total rounds once, to a float; the sum is normal, so its scaling is exact
+    empirical = math.ldexp(_split_sum(seed, trials, 1, deviation_sum), top - 112) / trials
 
     # E|z-alpha|^2 is delta^2/2 times a chi-square with 2 dof per trial
     std_error = analytic / math.sqrt(trials)
@@ -292,6 +288,7 @@ def sample_heterodyne(
         empirical=float(empirical),
         analytic=float(analytic),
         z_score=float(_z_score(empirical, analytic, std_error)),
+        rng=HETERODYNE_RNG,
     )
 
 
@@ -317,8 +314,6 @@ def stability_scan(s: float, x: float, phi_grid) -> StabilityScan:
     phis = np.asarray(phi_grid, dtype=float).reshape(-1)
     if phis.size == 0:
         raise ValueError("the phase grid must not be empty")
-    if not np.isfinite(phis).all():
-        raise ValueError("every phase in the grid must be finite")
     entangled, squeezed = gauss.tmsv_state(x), gauss.squeezed_state(s)
     return StabilityScan(
         phis=phis,

@@ -37,7 +37,7 @@ from entprobe.linops import (
     ProbeState,
     von_neumann_entropy,
 )
-from entprobe.mc import _UNIT_BITS, TrialReport, _check_seed, _uniform_chunks
+from entprobe.mc import HETERODYNE_RNG, TrialReport, _check_seed, _uniform_chunks
 
 TWO_PI = 2.0 * np.pi
 
@@ -264,6 +264,10 @@ def one_draw_uniforms(seed: int, trials: int, per_trial: int) -> np.ndarray:
 # Adding and subtracting this rounds an m to a multiple of 2^-26.
 _SPLITTER = 1.5 * 2.0**26
 
+# frexp writes a finite double as m 2^e, m in (-1, 1) a multiple of 2^-53 and e >= -1073, so
+# every finite double is an integer multiple of 2^-1126, the unit of ``_fixed_point_sum``.
+UNIT_BITS = 1126
+
 
 def _fixed_point_sum(values: np.ndarray) -> int:
     """Exact sum of at most 2^26 finite doubles, as a count of 2^-1126; overwrites ``values``.
@@ -286,7 +290,7 @@ def _fixed_point_sum(values: np.ndarray) -> int:
     total = 0
     for h, lo in zip(*(np.bincount(exponent, part)[::-1].tolist() for part in (high, mantissa))):
         total = (total << 1) + int(h * 2.0**53) + int(lo * 2.0**53)
-    return total << (lowest - 53 + _UNIT_BITS)
+    return total << (lowest - 53 + UNIT_BITS)
 
 
 def _z_score(empirical: float, analytic: float, std_error: float) -> float:
@@ -389,6 +393,7 @@ def _heterodyne_report(x, alpha, noise, scheme: str, trials: int, seed: int, dev
         empirical=float(empirical),
         analytic=float(analytic),
         z_score=float(_z_score(empirical, analytic, std_error)),
+        rng=HETERODYNE_RNG,
     )
 
 

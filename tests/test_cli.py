@@ -538,6 +538,16 @@ class TestDiscriminate:
         err = assert_exit_two(capsys, command, "--u1", f"file:{path}", "--u2", f"file:{path}")
         assert err == f"entprobe: {command}: relative unitary u2† u1 is not unitary within 1e-10\n"
 
+    @pytest.mark.parametrize("command", ["discriminate", "ncopies"])
+    @pytest.mark.parametrize("token", ["Infinity", "NaN"])
+    def test_non_finite_file_entry_refused(self, capsys, tmp_path, command, token):
+        # json.load reads both tokens; the matrix is refused before any product, where an inf
+        # would raise numpy's invalid-value warning
+        path = tmp_path / "odd.json"
+        path.write_text(f"[[[{token}, 0], [0, 0]], [[0, 0], [1, 0]]]")
+        err = assert_exit_two(capsys, command, "--u1", f"file:{path}", "--u2", "pauli:x")
+        assert err == f"entprobe: file:{path}: every matrix entry must be finite\n"
+
     def test_mismatched_dimensions(self, capsys):
         assert_exit_two(capsys, "discriminate", "--u1", "pauli:z", "--u2", "wh:3,1,0")
 

@@ -418,6 +418,25 @@ class TestCovariantPovm:
         with pytest.raises(ValueError, match="Hermitian"):
             covariant_povm(group, np.triu(np.ones((4, 4))))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_seed_rejected(self, bad):
+        # refused with one message before numpy's eigensolver or an invalid-value warning
+        seed = np.outer(vectorize(I2), vectorize(I2).conj())
+        seed[1, 2] = bad
+        with pytest.raises(ValueError, match="^every matrix entry must be finite$"):
+            covariant_povm(pauli_group(), seed)
+        with pytest.raises(ValueError, match="^every matrix entry must be finite$"):
+            average_likelihood(seed, ProbeState.maximally_entangled(2))
+
+    def test_reducible_group_rejected(self):
+        # under {I, Z} the Bell seed's elements sum to 2 diag(1, 0, 0, 1), not to I
+        reducible = UnitaryGroup((I2, SZ), ("I", "Z"))
+        seed = np.outer(vectorize(I2), vectorize(I2).conj())
+        total = sum(np.kron(u, I2) @ seed @ np.kron(u, I2).conj().T for u in reducible.elements)
+        assert np.allclose(total, 2 * np.diag([1, 0, 0, 1]))
+        with pytest.raises(ValueError, match="irreducibility"):
+            covariant_povm(reducible, seed)
+
 
 def polar_seed(e: ProbeState) -> np.ndarray:
     """Rank-one seed on the polar unitary of the probe, as the covariant command builds it."""
@@ -592,7 +611,7 @@ class TestHelstromAcceptance:
         for p1 in (0.2, 0.5, 0.9):
             problem = DiscriminationProblem(haar_unitary(d, rng), haar_unitary(d, rng), p1, 1 - p1)
             for probe in (random_pure_state(d, rng), random_probe(d, rng)):
-                c = abs(_input_overlap(problem, probe))
+                c = _input_overlap(problem, probe)
                 expected = helstrom_thresholds_by_projector(problem, probe)
                 assert helstrom_acceptance(p1, 1 - p1, c) == pytest.approx(expected, abs=1e-12)
 
@@ -604,7 +623,7 @@ def pair_with_overlap(t: float, sign: float, p1: float = 0.5, p2: float = 0.5):
     phase = complex(sign * math.sqrt((1.0 - t) * (1.0 + t)), t)
     problem = DiscriminationProblem(np.diag([1.0, phase]), I2, p1, p2)
     probe = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    return problem, probe, abs(_input_overlap(problem, probe))
+    return problem, probe, _input_overlap(problem, probe)
 
 
 # t of ``pair_with_overlap``: with both signs the overlap moduli span [0, 1], from 0 and the
@@ -645,16 +664,18 @@ class TestHelstromErrorForm:
         for angle in (3.1415926515, 3.14):
             problem = DiscriminationProblem(np.diag([1.0, np.exp(1j * angle)]), I2)
             psi = problem.polygon.witness
-            c = abs(_input_overlap(problem, psi))
+            c = _input_overlap(problem, psi)
             exact = helstrom_error_at_40_digits(0.5, 0.5, c)
             assert abs(helstrom_error(problem, psi) - exact) <= 2 * math.ulp(float(exact)), angle
         assert helstrom_error(problem, psi) == 1.5853408268986997e-07
 
     def test_overlap_just_above_one_clamped(self):
-        # a probe normalized within NORM_ATOL can put c above 1; the error stays the smaller prior
+        # a probe normalized within NORM_ATOL can put the raw overlap modulus above 1; the
+        # overlap is clamped to 1, and the error stays the smaller prior
         problem = DiscriminationProblem(SZ, SZ, 0.3, 0.7)
         probe = np.array([1.0, 0.0]) * (1.0 + 0.4 * NORM_ATOL)
-        assert abs(_input_overlap(problem, probe)) > 1.0
+        assert abs(np.vdot(probe, problem.relative_unitary @ probe)) > 1.0
+        assert _input_overlap(problem, probe) == 1.0
         assert helstrom_error(problem, probe) == pytest.approx(0.3, rel=0.0, abs=1e-16)
 
 

@@ -399,6 +399,13 @@ class TestQuadratureVariance:
         with pytest.raises(ValueError, match="1-mode"):
             quadrature_variance(tmsv_state(0.5), 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_refused(self, bad):
+        # refused before cos and sin, which give nan or warn on an inf
+        for phi in (bad, np.array([0.0, bad]), [bad, 0.5]):
+            with pytest.raises(ValueError, match="^every phase in the grid must be finite$"):
+                quadrature_variance(squeezed_state(1.0), phi)
+
 
 class TestHeterodyne:
     def test_tmsv_noiseless_law(self):

@@ -134,7 +134,7 @@ class TestProbeState:
         np.testing.assert_allclose(probe.e_op, np.outer(expected, [0, 1]), rtol=0.0, atol=1e-15)
 
     def test_nan_amplitudes_rejected(self):
-        with pytest.raises(ValueError, match="normalized"):
+        with pytest.raises(ValueError, match="finite"):
             ProbeState(np.array([[np.nan, 0.0], [0.0, 0.0]]))
 
     def test_maximally_entangled_coefficients(self):
@@ -351,6 +351,19 @@ class TestValidators:
             DiscriminationProblem(empty, empty)
         with pytest.raises(ValueError, match="non-empty 2-d array"):
             ProbeState(empty)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    def test_non_finite_matrices_rejected(self, bad):
+        # every matrix enters through one check, before numpy multiplies, reduces or
+        # decomposes it: no nan or inf result and no invalid-value warning
+        m = np.eye(4, dtype=complex) / 2.0
+        m[0, 1] = bad
+        calls = (linops.is_unitary, eig_unitary, min_overlap_r, vectorize, von_neumann_entropy)
+        for call in (*calls, lambda a: partial_trace(a, 2, 2), ProbeState):
+            with pytest.raises(ValueError, match="^every matrix entry must be finite$"):
+                call(m)
+        with pytest.raises(ValueError, match="^every matrix entry must be finite$"):
+            DiscriminationProblem(m, np.eye(4))
 
     def test_probe_must_be_square(self):
         with pytest.raises(ValueError, match="square"):

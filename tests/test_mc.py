@@ -31,6 +31,7 @@ from entprobe.mc import (
 )
 
 from _helpers import (
+    UNIT_BITS,
     _fixed_point_sum,
     box_muller,
     heterodyne_by_radius,
@@ -313,9 +314,14 @@ class TestStatisticalSoundness:
 class TestTrialReport:
     def test_validation(self):
         with pytest.raises(ValueError):
-            TrialReport("s", 0, 0, 0.0, 0.0, 0.0)
+            TrialReport("s", 0, 0, 0.0, 0.0, 0.0, "rng")
         with pytest.raises(ValueError):
-            TrialReport("s", 0, 10, 0.0, 0.0, float("nan"))
+            TrialReport("s", 0, 10, 0.0, 0.0, float("nan"), "rng")
+
+    def test_rng_has_no_default(self):
+        # a report names its draw; none carries a sampler's label by omission
+        with pytest.raises(TypeError, match="rng"):
+            TrialReport("s", 0, 10, 0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -329,7 +335,10 @@ class TestTrialReport:
         ],
     )
     def test_every_field_is_checked(self, field, value):
-        fields = {"scenario": "s", "seed": 0, "trials": 10, "empirical": 1.0, "analytic": 1.0, "z_score": 0.0}
+        fields = {
+            "scenario": "s", "seed": 0, "trials": 10,
+            "empirical": 1.0, "analytic": 1.0, "z_score": 0.0, "rng": "rng",
+        }
         TrialReport(**fields)
         with pytest.raises(ValueError):
             TrialReport(**{**fields, field: value})
@@ -593,7 +602,7 @@ class TestBlockStream:
         # once, or one step either side, and the least and the largest uniform
         problem, probe = HELSTROM_CASES[case]
         p1, p2 = problem.p1, problem.p2
-        q1, q2 = helstrom_acceptance(p1, p2, abs(_input_overlap(problem, probe)))
+        q1, q2 = helstrom_acceptance(p1, p2, _input_overlap(problem, probe))
         first_announces_first = p1 * q1
         second_announces_first = float(Fraction(p1) + Fraction(p2) * Fraction(q2))
         near = {2.0**-53, 1.0}
@@ -621,7 +630,7 @@ class TestBlockStream:
         # the Bell outputs of I and Z on the maximally entangled probe, and the sharp pair's
         # basis outputs, are orthogonal: every trial is told apart
         for problem, probe in (HELSTROM_CASES["bell"], HELSTROM_CASES["sharp"]):
-            c = abs(_input_overlap(problem, probe))
+            c = _input_overlap(problem, probe)
             assert helstrom_acceptance(problem.p1, problem.p2, c) == (1.0, 0.0)
 
     def test_many_workers_with_frequent_thread_switches(self, monkeypatch):
@@ -675,13 +684,13 @@ class TestBlockStream:
         helper_blocks = []
         block_sum = mc._grid_split_sum
 
-        def fail_in_the_first_range(values, top, scratch):
+        def fail_in_the_first_range(values, scratch):
             if threading.get_ident() == caller:
                 failed.set()
                 raise ValueError("first range failed")
             failed.wait(timeout=30)
             helper_blocks.append(len(values))
-            return block_sum(values, top, scratch)
+            return block_sum(values, scratch)
 
         monkeypatch.setattr(mc, "_CHUNK_TRIALS", 16)
         monkeypatch.setattr(mc, "_cpu_count", lambda: 2)
@@ -733,7 +742,7 @@ def _bits(value: float) -> str:
 
 def exact_sum(blocks) -> float:
     """The oracle's exact sum of every value in the arrays, rounded once."""
-    return sum(_fixed_point_sum(block.copy()) for block in blocks) / (1 << mc._UNIT_BITS)
+    return sum(_fixed_point_sum(block.copy()) for block in blocks) / (1 << UNIT_BITS)
 
 
 finite_doubles = st.one_of(
@@ -797,9 +806,9 @@ def assert_block_sum_is_exact(u: np.ndarray, variance: float) -> None:
     the bits of math.fsum."""
     deviations, scaled, top = sampler_deviations(u, variance)
     # a scratch longer than the block, as a range's last block gets, holding stale values
-    total = mc._grid_split_sum(scaled, top, np.full(u.size + 3, np.nan))
+    total = mc._grid_split_sum(scaled, np.full(u.size + 3, np.nan)) << (top + UNIT_BITS - 112)
     assert total == _fixed_point_sum(deviations.copy())
-    assert _bits(total / (1 << mc._UNIT_BITS)) == _bits(math.fsum(deviations.tolist()))
+    assert _bits(total / (1 << UNIT_BITS)) == _bits(math.fsum(deviations.tolist()))
 
 
 # uniforms so close to 1 that the last bit of their deviation lies below the lower grid, so that
@@ -820,9 +829,10 @@ class TestGridSplitSum:
         for top in (-60, 0, 5, 900):
             for values in (np.full(size, math.nextafter(1.0, 0.0)), 1.0 - gaps):
                 expected = _fixed_point_sum(np.ldexp(values, top))
-                assert mc._grid_split_sum(values.copy(), top, np.empty(size)) == expected
+                total = mc._grid_split_sum(values.copy(), np.empty(size))
+                assert total << (top + UNIT_BITS - 112) == expected
                 exact = math.fsum(np.ldexp(values, top).tolist())
-                assert _bits(expected / (1 << mc._UNIT_BITS)) == _bits(exact)
+                assert _bits(expected / (1 << UNIT_BITS)) == _bits(exact)
 
     @pytest.mark.parametrize("size", BLOCK_SIZES)
     @pytest.mark.parametrize("x, nbar", [(0.5, 0.25), (1 - 1e-15, 0.0), (-0.9, 3.0)])
