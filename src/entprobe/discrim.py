@@ -68,8 +68,10 @@ class UnitaryGroup:
     def __len__(self) -> int:
         return len(self.elements)
 
+    @cached_property
     def irreducibility_defect(self) -> float:
-        """Max-norm gap between the twirl's Choi matrix and I / d: the 1-design defect.
+        """Max-norm gap between the twirl's Choi matrix and I / d: the 1-design defect, worked
+        out on first use and kept, since the elements are read-only.
 
         With the elements as rows V = [vec u_g], V^T conj(V) / |G| is the
         Choi matrix of the twirl X -> mean u X u†.  It equals I / d exactly
@@ -128,7 +130,7 @@ def _check_one_design(group: UnitaryGroup, dim: int) -> None:
     ``irreducibility_defect`` at most ``DESIGN_ATOL``."""
     if group.dim != dim:
         raise ValueError("group and probe dimensions differ")
-    if not group.irreducibility_defect() <= DESIGN_ATOL:
+    if not group.irreducibility_defect <= DESIGN_ATOL:
         raise ValueError(
             "group representation failed the irreducibility certificate; "
             "reducible representations are not supported"

@@ -145,6 +145,8 @@ class ProbeState:
 
     @classmethod
     def maximally_entangled(cls, d: int) -> "ProbeState":
+        if (d := _count(d, "dimension")) < 1:
+            raise ValueError(f"dimension must be at least 1, got {d}")
         return cls(np.eye(d) / np.sqrt(d))
 
     @classmethod

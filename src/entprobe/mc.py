@@ -1,26 +1,27 @@
 """Seeded Monte Carlo validation of the analytic error rates and variances.
 
-Randomness comes from the Philox 4x64 counter-based generator keyed by the
-64-bit scenario seed.  Trial i owns a fixed slice of the key stream, so a
-report depends only on (scenario, seed, trials), never on batching or
-thread scheduling.  A trial draws exactly the words it reads: one uniform u
-in both samplers.  A heterodyne trial's squared deviation |z - alpha|^2 is
-read off the Box-Muller radius of u, -variance ln u, with no angle.  A
-Helstrom trial places u in the cumulative table of its (hypothesis, outcome)
-law, whose acceptance probabilities ``discrim`` writes in closed form; this
-module holds no linear algebra.  Each report names the draw it made.
+Randomness comes from numpy's PCG64 generator seeded with the 64-bit
+scenario seed: one seed, one stream of 64-bit words.  Trial i owns a fixed
+slice of the stream, so a report depends only on (scenario, seed, trials),
+never on batching or thread scheduling.  A trial draws exactly the words it
+reads: one uniform u in both samplers.  A heterodyne trial's squared
+deviation |z - alpha|^2 is read off the Box-Muller radius of u,
+-variance ln u, with no angle.  A Helstrom trial places u in the cumulative
+table of its (hypothesis, outcome) law, whose acceptance probabilities
+``discrim`` writes in closed form; this module holds no linear algebra.
+Each report names the draw it made.
 
 A sampler is a block kernel, a function from one block of uniforms to an
 integer (an error count or an exact sum), handed to ``_split_sum``, which
 owns the stream: it cuts the trials into one range of blocks of at most
 ``_CHUNK_TRIALS`` trials per CPU, run by the calling thread and a thread
-pool, and feeds each block to the kernel.  Philox is counter-based, so each
-range starts at its own words, and integers add the same in any order.  The
-exact sum scales each block's squared deviations by a power of two into
-[0, 1), rounds them onto two fixed grids and sums the parts of each grid and
-what is left in float64, all without rounding for blocks of up to 2^16
-trials.  The total rounds once: the bits of ``math.fsum`` over all trials,
-whatever the block size or CPU count.
+pool, and feeds each block to the kernel.  PCG64 jumps ahead any number of
+words in O(log n) steps, so each range starts at its own words, and integers
+add the same in any order.  The exact sum scales each block's squared
+deviations by a power of two into [0, 1), rounds them onto two fixed grids
+and sums the parts of each grid and what is left in float64, all without
+rounding for blocks of up to 2^16 trials.  The total rounds once: the bits
+of ``math.fsum`` over all trials, whatever the block size or CPU count.
 """
 
 from __future__ import annotations
@@ -38,20 +39,20 @@ from .linops import _count
 
 # The draw that each sampler's reports name: one uniform per trial, read as a Box-Muller
 # radius or placed in the cumulative (hypothesis, outcome) table.
-HETERODYNE_RNG = "philox4x64/one-word-box-muller-radius"
-HELSTROM_RNG = "philox4x64/one-word-cumulative-table"
+HETERODYNE_RNG = "pcg64/one-word-box-muller-radius"
+HELSTROM_RNG = "pcg64/one-word-cumulative-table"
 
 # Largest trial count a sampler accepts; memory is bounded, run time is not.
 MAX_TRIALS = 10**9
 
-# Trials per streamed block, one Philox word each.  Every numpy call in a block
+# Trials per streamed block, one PCG64 word each.  Every numpy call in a block
 # hands the interpreter lock to the other ranges' threads, so larger blocks
-# switch less.  On 2 CPUs, in 8 rounds of 8 s monte-carlo benchmark runs
-# (seed 1), the median wall_s was 0.174 s at 2^13, 0.127 s at 2^14 and 0.113 s
-# at 2^15; 2^15 beat 2^14 in 7 rounds and took 0.6 MB more peak RSS.  A
-# heterodyne range holds its block and one scratch block, 0.5 MB (tracemalloc);
-# a Helstrom range its block.  The block sum is exact for blocks of at most
-# 2^16 trials.
+# switch less.  On a 2-vCPU Linux VM, in 6 rounds of 8 s monte-carlo benchmark
+# runs (seed 1), the median wall_s was 0.0577 s at 2^13, 0.0388 s at 2^14,
+# 0.0326 s at 2^15 and 0.0338 s at 2^16; 2^15 beat both neighbours in all 6
+# rounds and took 0.7 MB more peak RSS than 2^14 (41.8 MB).  A heterodyne range
+# holds its block and one scratch block, 0.5 MB (tracemalloc); a Helstrom range
+# its block.  The block sum is exact for blocks of at most 2^16 trials.
 _CHUNK_TRIALS = 1 << 15
 
 
@@ -80,15 +81,13 @@ def _check_seed(seed: int) -> None:
 
 
 def _uniform_chunks(seed: int, first: int, stop: int, per_trial: int):
-    """Yield the uniforms of trials ``first`` to ``stop - 1`` less 2^-53, trial i on Philox
+    """Yield the uniforms of trials ``first`` to ``stop - 1`` less 2^-53, trial i on PCG64
     stream slice i, in blocks of at most ``_CHUNK_TRIALS`` trials, each written over the last.
     Each raw 64-bit word w gives the uniform ((w >> 11) + 1) 2^-53 in (0, 1], which feeds
     logarithms safely; ``random`` writes (w >> 11) 2^-53, and each kernel adds the 2^-53,
-    exactly, only where it reads a uniform.  One ``advance`` step skips one 4-word Philox
-    block."""
-    bitgen = np.random.Philox(key=np.uint64(seed))
-    bitgen.advance(first * per_trial // 4)
-    bitgen.random_raw(first * per_trial % 4)
+    exactly, only where it reads a uniform.  One ``advance`` step skips one word."""
+    bitgen = np.random.PCG64(seed)
+    bitgen.advance(first * per_trial)
     draw = np.random.Generator(bitgen).random
     block = np.empty((min(_CHUNK_TRIALS, stop - first), per_trial))
     for start in range(first, stop, _CHUNK_TRIALS):

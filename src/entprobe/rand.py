@@ -8,7 +8,9 @@ from .linops import ProbeState, partial_trace
 
 
 def generator(seed: int) -> np.random.Generator:
-    """Philox-backed generator so seeded draws stay platform independent."""
+    """Philox-backed generator so seeded draws stay platform independent.  It stays on Philox
+    while the samplers in ``mc`` draw from PCG64: moving it would change every seeded input that
+    the tests and demos build from it."""
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 

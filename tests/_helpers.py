@@ -37,7 +37,7 @@ from entprobe.linops import (
     ProbeState,
     von_neumann_entropy,
 )
-from entprobe.mc import HETERODYNE_RNG, TrialReport, _check_seed, _uniform_chunks
+from entprobe.mc import HELSTROM_RNG, HETERODYNE_RNG, TrialReport, _check_seed, _uniform_chunks
 
 TWO_PI = 2.0 * np.pi
 
@@ -250,15 +250,49 @@ def hull_distance(phases) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo oracles: every trial in one array, one Philox draw, math.fsum
+# Monte Carlo oracles: every trial in one array, one PCG64 draw, math.fsum
 # ---------------------------------------------------------------------------
 
 
-def one_draw_uniforms(seed: int, trials: int, per_trial: int) -> np.ndarray:
-    """The (trials, per_trial) uniforms ((word >> 11) + 1) 2^-53 from one raw draw."""
-    words = np.random.Philox(key=np.uint64(seed)).random_raw(trials * per_trial)
-    words = np.asarray(words, dtype=np.uint64).reshape(trials, per_trial)
+def uniforms_of_words(words) -> np.ndarray:
+    """The uniforms ((word >> 11) + 1) 2^-53 in (0, 1] of 64-bit words."""
+    words = np.asarray(words, dtype=np.uint64)
     return ((words >> np.uint64(11)) + np.uint64(1)).astype(float) * 2.0**-53
+
+
+def one_draw_uniforms(seed: int, trials: int, per_trial: int) -> np.ndarray:
+    """The (trials, per_trial) uniforms of one raw PCG64 draw of trials * per_trial words."""
+    words = np.random.PCG64(seed).random_raw(trials * per_trial)
+    return uniforms_of_words(words).reshape(trials, per_trial)
+
+
+# The 128-bit multiplier of numpy's PCG64 step s -> _PCG_MULTIPLIER s + inc mod 2^128.
+_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK_64, _MASK_128 = (1 << 64) - 1, (1 << 128) - 1
+
+
+def pcg64_words(seed: int, first: int, count: int) -> list[int]:
+    """Words ``first`` to ``first + count - 1`` of the stream of ``np.random.PCG64(seed)``,
+    worked out in Python ints from the generator's initial 128-bit state and increment: word k
+    is the XSL-RR output of the state after k + 1 steps.  The jump to word ``first`` composes
+    the affine step s -> a s + c with itself by squaring and multiplying, so it needs no numpy
+    ``advance``."""
+    initial = np.random.PCG64(seed).state["state"]
+    state, inc = initial["state"], initial["inc"]
+    power, shift = _PCG_MULTIPLIER, inc  # the step applied 2^j times
+    n = first
+    while n:
+        if n & 1:
+            state = (power * state + shift) & _MASK_128
+        power, shift = (power * power) & _MASK_128, (power * shift + shift) & _MASK_128
+        n >>= 1
+    words = []
+    for _ in range(count):
+        state = (_PCG_MULTIPLIER * state + inc) & _MASK_128
+        folded = (state >> 64) ^ (state & _MASK_64)
+        rotation = state >> 122
+        words.append(((folded >> rotation) | (folded << (64 - rotation))) & _MASK_64)
+    return words
 
 
 # Adding and subtracting this rounds an m to a multiple of 2^-26.
@@ -360,7 +394,7 @@ def helstrom_by_whole_array(problem, probe, trials: int, seed: int) -> TrialRepo
         empirical=float(empirical),
         analytic=analytic,
         z_score=float(_z_score(empirical, analytic, std_error)),
-        rng="philox4x64/one-word-cumulative-table",
+        rng=HELSTROM_RNG,
     )
 
 

@@ -199,9 +199,9 @@ class TestCvEstimate:
         assert code == 0
         _, rows = parse_csv(out)
         empirical = {row["scheme"]: row["delta2_empirical"] for row in rows}
-        assert empirical == {"entangled": "0.3285267964096659", "unentangled": "0.9855803892289978"}
+        assert empirical == {"entangled": "0.3375926073950181", "unentangled": "1.0127778221850545"}
         # the digits of the full Box-Muller pair, angle included, differ only by rounding
-        box_muller = {"entangled": 0.3285267964096659, "unentangled": 0.9855803892289979}
+        box_muller = {"entangled": 0.3375926073950182, "unentangled": 1.0127778221850545}
         for scheme, value in box_muller.items():
             assert float(empirical[scheme]) == pytest.approx(value, rel=1e-14, abs=0.0)
 

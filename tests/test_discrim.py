@@ -1,5 +1,5 @@
 import dataclasses
-import inspect
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -121,7 +121,7 @@ class TestPauliGroup:
     def test_group_certificates(self):
         group = pauli_group()
         assert closure_defect(group) < 1e-12
-        assert group.irreducibility_defect() <= DESIGN_ATOL
+        assert group.irreducibility_defect <= DESIGN_ATOL
 
     def test_non_closed_set_flagged(self):
         from entprobe.discrim import UnitaryGroup
@@ -171,7 +171,7 @@ class TestWeylHeisenbergGroup:
 
     def test_irreducibility_certificate(self):
         for d in (2, 3, 4):
-            assert weyl_heisenberg_group(d).irreducibility_defect() <= DESIGN_ATOL
+            assert weyl_heisenberg_group(d).irreducibility_defect <= DESIGN_ATOL
 
     def test_small_dimension_rejected(self):
         with pytest.raises(ValueError):
@@ -195,31 +195,42 @@ def rotated_shift_phase(d: int, seed: int) -> UnitaryGroup:
 
 class TestOneDesignCertificate:
     def test_exact_for_pauli_and_shift_phase(self):
-        assert pauli_group().irreducibility_defect() <= 1e-14
+        assert pauli_group().irreducibility_defect <= 1e-14
         for d in range(2, 13):
-            assert weyl_heisenberg_group(d).irreducibility_defect() <= 1e-14, d
+            assert weyl_heisenberg_group(d).irreducibility_defect <= 1e-14, d
 
     def test_rotated_set_passes(self):
         for d in (3, 4):
-            assert rotated_shift_phase(d, 60 + d).irreducibility_defect() <= 1e-12
+            assert rotated_shift_phase(d, 60 + d).irreducibility_defect <= 1e-12
 
     def test_non_designs_flagged(self):
-        assert UnitaryGroup((I2, SZ), ("I", "Z")).irreducibility_defect() >= 0.1
+        assert UnitaryGroup((I2, SZ), ("I", "Z")).irreducibility_defect >= 0.1
         loose = UnitaryGroup((I2, haar_unitary(2, generator(29))), ("a", "b"))
-        assert loose.irreducibility_defect() >= 0.1
-        assert not loose.irreducibility_defect() <= DESIGN_ATOL
+        assert loose.irreducibility_defect >= 0.1
+        assert not loose.irreducibility_defect <= DESIGN_ATOL
 
     def test_independent_of_element_order(self):
         rng = generator(61)
         for group in (pauli_group(), weyl_heisenberg_group(4), rotated_shift_phase(3, 62)):
             order = rng.permutation(len(group))
             shuffled = UnitaryGroup(group.elements[order], tuple(group.labels[k] for k in order))
-            assert shuffled.irreducibility_defect() == pytest.approx(
-                group.irreducibility_defect(), abs=1e-15
+            assert shuffled.irreducibility_defect == pytest.approx(
+                group.irreducibility_defect, abs=1e-15
             )
 
-    def test_deterministic_without_knobs(self):
-        assert list(inspect.signature(UnitaryGroup.irreducibility_defect).parameters) == ["self"]
+    def test_deterministic_without_knobs(self, monkeypatch):
+        # a property of the group alone, worked out once: covariant's two certificates, in
+        # holevo_chi and in output_span_dimension, form one (|G| d^2)-sized product
+        defect = UnitaryGroup.__dict__["irreducibility_defect"]
+        assert isinstance(defect, functools.cached_property)
+        calls = []
+        work = defect.func
+        monkeypatch.setattr(defect, "func", lambda group: calls.append(group) or work(group))
+        group, probe = weyl_heisenberg_group(3), ProbeState.maximally_entangled(3)
+        holevo_chi(group, probe)
+        output_span_dimension(group, probe)
+        assert calls == [group]
+        assert group.irreducibility_defect == work(group)
 
 
 class TestApplyLocal:

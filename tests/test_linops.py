@@ -141,6 +141,18 @@ class TestProbeState:
         coeffs = schmidt_coefficients(ProbeState.maximally_entangled(2))
         assert np.allclose(coeffs, [1 / np.sqrt(2)] * 2, atol=1e-12)
 
+    @pytest.mark.parametrize("d", (2.5, float("nan"), True), ids=("fraction", "nan", "bool"))
+    def test_maximally_entangled_dimension_must_be_an_integer(self, d):
+        # numpy's eye used to raise a TypeError for 2.5 and nan, and its own message for True
+        with pytest.raises(ValueError, match=r"^dimension must be an integer, got "):
+            ProbeState.maximally_entangled(d)
+
+    @pytest.mark.parametrize("d", (-1, 0))
+    def test_maximally_entangled_dimension_must_be_positive(self, d):
+        # -1 used to reach numpy's "negative dimensions" message
+        with pytest.raises(ValueError, match=rf"^dimension must be at least 1, got {d}$"):
+            ProbeState.maximally_entangled(d)
+
     def test_product_state_rank_one(self):
         p = ProbeState.product([1, 0], [1, 0])
         assert np.allclose(schmidt_coefficients(p), [1.0, 0.0], atol=1e-12)

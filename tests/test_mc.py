@@ -38,8 +38,10 @@ from _helpers import (
     heterodyne_by_whole_array,
     helstrom_by_whole_array,
     one_draw_uniforms,
+    pcg64_words,
     stability_by_loop,
     trial_uniforms,
+    uniforms_of_words,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -158,8 +160,8 @@ class TestSampleHelstrom:
             100_000,
             2024,
         )
-        assert (local.empirical, local.z_score) == (0.13216, 1.8622016831809889)
-        assert (entangled.empirical, entangled.z_score) == (0.13045, 0.2552177995641398)
+        assert (local.empirical, local.z_score) == (0.13153, 1.2701549892168906)
+        assert (entangled.empirical, entangled.z_score) == (0.13008, -0.09249216355764536)
         assert local.analytic == entangled.analytic == 0.130178421397561
 
     @pytest.mark.parametrize("p1", (0.3, 0.5, 0.7))
@@ -344,20 +346,26 @@ class TestTrialReport:
             TrialReport(**{**fields, field: value})
 
     def test_rng_metadata_recorded(self):
-        # one Philox word per trial, read as a Box-Muller radius
+        # one PCG64 word per trial, read as a Box-Muller radius
         report = sample_heterodyne(0.0, 0.0, NoiseSpec(0.0), "unentangled", 10, 0)
-        assert report.rng == "philox4x64/one-word-box-muller-radius"
+        assert report.rng == "pcg64/one-word-box-muller-radius"
 
     def test_helstrom_rng_names_its_draw(self):
         # a Helstrom trial places one uniform in the cumulative (hypothesis, outcome) table and
         # draws no Box-Muller radius
         problem = DiscriminationProblem(QUARTER_TURN, I2)
         report = sample_helstrom(problem, optimal_pair_input(QUARTER_TURN), 10, 0)
-        assert report.rng == "philox4x64/one-word-cumulative-table"
+        assert report.rng == "pcg64/one-word-cumulative-table"
 
     def test_no_report_carries_a_two_word_label(self):
-        # the digits of the one-word draw never carry the labels of the two-word draw before it
-        old = {"philox4x64/box-muller-radius", "philox4x64/uniform-thresholds"}
+        # the digits of the PCG64 draw never carry the labels of the Philox draws before it: the
+        # two-word draw and the one-word draw
+        old = {
+            "philox4x64/box-muller-radius",
+            "philox4x64/uniform-thresholds",
+            "philox4x64/one-word-box-muller-radius",
+            "philox4x64/one-word-cumulative-table",
+        }
         assert {mc.HETERODYNE_RNG, mc.HELSTROM_RNG}.isdisjoint(old)
 
 
@@ -648,13 +656,25 @@ class TestBlockStream:
 
     @pytest.mark.parametrize("per_trial", (1, 2, 3))
     def test_stream_from_any_trial_matches_one_draw(self, monkeypatch, per_trial):
-        # trial offsets 0-9 start at every word position within a 4-word Philox block
+        # trial offsets 0-9 start 0 to 27 words into the stream, in blocks of 4 trials
         monkeypatch.setattr(mc, "_CHUNK_TRIALS", 4)
         expected = one_draw_uniforms(2**64 - 1, 23, per_trial)
         for first in range(10):
             blocks = [u + 2.0**-53 for u in mc._uniform_chunks(2**64 - 1, first, 23, per_trial)]
             assert all(len(u) == 4 for u in blocks[:-1])
             assert np.array_equal(np.concatenate(blocks), expected[first:])
+
+    @pytest.mark.parametrize("seed", (0, 2**64 - 1))
+    @pytest.mark.parametrize("per_trial", (1, 2, 3))
+    def test_stream_slices_match_the_python_generator(self, seed, per_trial):
+        # the slice of each trial, from the first trials to the last ones the cap allows, is the
+        # words that a PCG64 written in Python ints gives at that offset: the jump to a range's
+        # first trial does not rest on numpy's advance alone
+        for first, stop in [(first, 12) for first in range(10)] + [(MAX_TRIALS - 3, MAX_TRIALS)]:
+            blocks = [u + 2.0**-53 for u in mc._uniform_chunks(seed, first, stop, per_trial)]
+            words = pcg64_words(seed, first * per_trial, (stop - first) * per_trial)
+            expected = uniforms_of_words(words).reshape(-1, per_trial)
+            assert np.array_equal(np.concatenate(blocks), expected)
 
     def test_helper_error_surfaces_and_no_helper_outlives_the_call(self, monkeypatch):
         chunks = mc._uniform_chunks
@@ -849,11 +869,11 @@ class TestGridSplitSum:
         st.floats(0.5, 1.0, exclude_max=True) | st.sampled_from([0.5, math.nextafter(1.0, 0.0)]),
         st.integers(-53, 1019),
     )
-    def test_philox_words_over_the_variance_range(self, words, mantissa, exponent):
+    def test_raw_words_over_the_variance_range(self, words, mantissa, exponent):
         # variances from 2^-54 to the overflow edge of each block size, which is ~4.9e306 for
-        # one trial, on the uniforms ((w >> 11) + 1) 2^-53 of the words and the edge uniforms
-        u = (np.array(words, dtype=np.uint64) >> np.uint64(11)).astype(float) * 2.0**-53
-        u = np.concatenate([u + 2.0**-53, U_EDGES])
+        # one trial, on the uniforms ((w >> 11) + 1) 2^-53 of any 64-bit words and the edge
+        # uniforms
+        u = np.concatenate([uniforms_of_words(words), U_EDGES])
         variance = max(math.ldexp(mantissa, exponent), 2.0**-54)
         for size in BLOCK_SIZES:
             edge = 1.0 + 2.0 * nbar_edge(size)
